@@ -133,9 +133,6 @@ class SideGraph:
     def n_nodes(self) -> int:
         return self.ids.size
 
-    def interface_mask(self) -> np.ndarray:
-        return self.tag == INTERFACE
-
 
 @dataclass
 class HalfDomain:
@@ -154,15 +151,6 @@ class HalfDomain:
     @property
     def n_nodes(self) -> int:
         return self.xy.shape[0]
-
-    def side(self, name: str) -> SideGraph:
-        if name in ("plus", "+"):
-            return self.plus
-        if name in ("minus", "-"):
-            return self.minus
-        if name == "full":
-            return self.full
-        raise ValueError(f"unknown side {name!r}")
 
     def node_at(self, i: int, j: int) -> int:
         if self._node_of_ij is None:

@@ -21,7 +21,6 @@ all three sums share the same nodal weights.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,7 +41,6 @@ class FrequencyConfig:
     r_max: Optional[float] = None
     r_min: Optional[float] = None
     min_radial_cells: int = 8    # annulus width >= this many cells
-    m: int = 2                   # grid dimension, fixed
 
 
 @dataclass
@@ -62,18 +60,6 @@ class FrequencyScan:
 
     def reliable_radii(self) -> np.ndarray:
         return self.r[self.reliable]
-
-    def to_csv(self, path: str):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["r", "D", "H", "E", "Gq", "I",
-                        "csq_residual", "outer_residual", "reliable"])
-            for k in range(self.r.size):
-                w.writerow([repr(float(v)) for v in
-                            (self.r[k], self.D[k], self.H[k], self.E[k],
-                             self.Gq[k], self.I[k], self.csq_residual[k],
-                             self.outer_residual[k])]
-                           + [int(self.reliable[k])])
 
 
 def cutoff(t):

@@ -32,7 +32,7 @@ from .domain import (
     SideGraph,
 )
 from .data_maps import DataSpec
-from .qpoint import batch_match_cost2, batch_match_values, QPoint
+from .qpoint import batch_match_cost2, batch_match_values
 
 
 @dataclass
@@ -42,8 +42,6 @@ class SolverConfig:
     update_stop: float = 0.0       # if > 0, stop on max nodal update instead
     collapsed: bool = True
     init: str = "harmonic"         # harmonic | mean | collapsed
-    rematch_every: int = 1         # sheets re-matched every sweep
-    energy_stride: int = 1         # record energy every k-th sweep
     omega: float = 1.0             # over-relaxation, descent holds on (0, 2)
 
 
@@ -109,17 +107,6 @@ class QHalfMap:
 
     def interface_ids(self):
         return np.nonzero(self.domain.tag == INTERFACE)[0]
-
-    def value_at(self, node: int):
-        """Multivalued value at a global node id (plus side preferred)."""
-        dom = self.domain
-        lp = dom.plus.loc[node]
-        if lp >= 0:
-            return QPoint(self.plus[lp])
-        lm = dom.minus.loc[node]
-        if lm >= 0:
-            return QPoint(self.minus[lm])
-        raise KeyError(f"node {node} not on either side")
 
     def copy(self) -> "QHalfMap":
         return QHalfMap(self.domain, self.Q, self.n, self.plus.copy(),
@@ -300,7 +287,7 @@ class _InterfaceState:
             self.groups.append(self._neighbors(dom, sel))
 
     def _neighbors(self, dom, sel):
-        def side_nb(side, loc):
+        def nb_of(side, loc):
             nb = side.nb[loc[sel]]                     # (M, 4) local ids
             ok = nb >= 0
             if ok.any():
@@ -308,9 +295,9 @@ class _InterfaceState:
                 ok &= tags != INTERFACE
             return nb, ok
 
-        pnb, pok = side_nb(dom.plus, self.lp)
+        pnb, pok = nb_of(dom.plus, self.lp)
         if self.Q > 1:
-            mnb, mok = side_nb(dom.minus, self.lm)
+            mnb, mok = nb_of(dom.minus, self.lm)
         else:
             mnb = mok = None
         return (sel, pnb, pok, mnb, mok)
@@ -406,8 +393,6 @@ def minimize(dom: HalfDomain, data: DataSpec,
     guarantees weak descent.
     """
     config = config or SolverConfig()
-    if config.rematch_every != 1:
-        raise ValueError("only rematch_every=1 keeps the descent guarantee")
     if not 0.0 < config.omega < 2.0:
         raise ValueError("omega outside (0, 2) loses the descent guarantee")
     Q, n = data.Q, data.n
@@ -446,8 +431,7 @@ def minimize(dom: HalfDomain, data: DataSpec,
         decrease = e_prev - e_new
         e_prev = e_new
         sweeps = sweep
-        if sweep % config.energy_stride == 0 or sweep == config.max_sweeps:
-            trace.append(e_new)
+        trace.append(e_new)
         if config.update_stop > 0:
             if max_update < config.update_stop:
                 converged, reason = True, "update_stop"

@@ -55,6 +55,18 @@ def test_negative_q_is_usage_error(tmp_path):
     assert rc == 2
 
 
+def test_scalar_solve_beyond_six_sheets(tmp_path):
+    # scalar sheets are matched by rank, so no sheet count is out of reach
+    cfg = {"kind": "solve", "label": "q7", "domain": {"h": 0.0625}, "Q": 7,
+           "data": {"generator": "linear"}, "checks": [{"type": "converged"}]}
+    rc = main(["solve", "--config", write_config(tmp_path, cfg),
+               "--out", str(tmp_path)])
+    assert rc == 0
+    report = read_report(tmp_path / "q7-report.json")
+    assert report["summary"]["Q"] == 7
+    assert report["summary"]["converged"] is True
+
+
 def test_unknown_field_is_usage_error(tmp_path):
     cfg = {"kind": "metric-suite", "sede": 3}
     rc = main(["metric-suite", "--config", write_config(tmp_path, cfg),

@@ -149,7 +149,7 @@ def test_mesh_csv_dump(tmp_path, straight_64):
 def test_side_graphs_are_consistent(parabola_64):
     dom = parabola_64
     for name in ("plus", "minus"):
-        sg = dom.side(name)
+        sg = getattr(dom, name)
         # free nodes are exactly the interior nodes of that side
         want = INTERIOR_PLUS if name == "plus" else INTERIOR_MINUS
         assert np.all(sg.tag[sg.free] == want)
