@@ -146,18 +146,20 @@ class HalfDomain:
     plus: SideGraph = None
     minus: SideGraph = None
     full: SideGraph = None
-    _node_of_ij: dict = field(default=None, repr=False)
+    id_grid: np.ndarray = field(default=None, repr=False)  # (i, j) + imax -> id or -1
 
     @property
     def n_nodes(self) -> int:
         return self.xy.shape[0]
 
-    def node_at(self, i: int, j: int) -> int:
-        if self._node_of_ij is None:
-            self._node_of_ij = {
-                (int(a), int(b)): k for k, (a, b) in enumerate(self.ij)
-            }
-        return self._node_of_ij.get((i, j), -1)
+    def node_at(self, i, j):
+        """Global id of grid node (i, j), -1 off the disk; scalars or arrays."""
+        g = self.id_grid
+        imax = (g.shape[0] - 1) // 2
+        a, b = np.asarray(i) + imax, np.asarray(j) + imax
+        ok = (a >= 0) & (a < g.shape[0]) & (b >= 0) & (b < g.shape[1])
+        out = np.where(ok, g[np.where(ok, a, 0), np.where(ok, b, 0)], -1)
+        return int(out) if out.ndim == 0 else out
 
     def counts(self) -> dict:
         return {TAG_NAMES[t]: int(np.sum(self.tag == t)) for t in TAG_NAMES}
@@ -267,7 +269,8 @@ def build_halfdisk(
         if np.any(a * b < 0):
             raise ConstructionError("opposite sides are grid-adjacent; refine h")
 
-    dom = HalfDomain(R=R, h=h, interface=interface, xy=xy, ij=ij, tag=tag, nb=nb)
+    dom = HalfDomain(R=R, h=h, interface=interface, xy=xy, ij=ij, tag=tag, nb=nb,
+                     id_grid=id_grid)
     dom.plus = _build_side(dom, "plus", {INTERIOR_PLUS, BOUNDARY_PLUS, INTERFACE}, INTERIOR_PLUS)
     dom.minus = _build_side(dom, "minus", {INTERIOR_MINUS, BOUNDARY_MINUS, INTERFACE}, INTERIOR_MINUS)
     dom.full = _build_side(dom, "full", set(TAG_NAMES), None)

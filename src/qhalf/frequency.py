@@ -490,9 +490,8 @@ def blow_up_rescale(u: QHalfMap, p, r: float, target_h: Optional[float] = None):
         fy = (gy - j0)[:, None, None]
         corners = np.empty((side_new.n_nodes, 4), dtype=np.intp)
         for c, (di, dj) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
-            for k in range(side_new.n_nodes):
-                g = dom.node_at(int(i0[k] + di), int(j0[k] + dj))
-                corners[k, c] = side_old.loc[g] if g >= 0 else -1
+            g = dom.node_at(i0 + di, j0 + dj)
+            corners[:, c] = np.where(g >= 0, side_old.loc[g], -1)
         wts = np.stack(((1 - fx[:, 0, 0]) * (1 - fy[:, 0, 0]),
                         fx[:, 0, 0] * (1 - fy[:, 0, 0]),
                         (1 - fx[:, 0, 0]) * fy[:, 0, 0],
@@ -559,10 +558,8 @@ def homogeneity_defect(u, i0: float, s: float = 0.5,
         cand = np.nonzero(even & (rr >= 2 * min_cells * dom.h))[0]
         if cand.size == 0:
             continue
-        half_loc = np.empty(cand.size, dtype=np.intp)
-        for k, v in enumerate(cand):
-            g = dom.node_at(int(ij[v, 0] // 2), int(ij[v, 1] // 2))
-            half_loc[k] = side.loc[g] if g >= 0 else -1
+        g = dom.node_at(ij[cand, 0] // 2, ij[cand, 1] // 2)
+        half_loc = np.where(g >= 0, side.loc[g], -1)
         ok = half_loc >= 0
         cand, half_loc = cand[ok], half_loc[ok]
         if cand.size == 0:

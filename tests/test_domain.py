@@ -57,6 +57,22 @@ def test_tags_partition_and_side_balance(straight_64):
     assert counts["interface"] > 0
 
 
+def test_node_at_matches_coordinate_lookup(parabola_64):
+    # Reference: a dict from grid coordinates to node ids, built per node.
+    dom = parabola_64
+    ref = {(int(i), int(j)): k for k, (i, j) in enumerate(dom.ij)}
+    rng = np.random.default_rng(3)
+    ii = rng.integers(-80, 81, size=2000)
+    jj = rng.integers(-80, 81, size=2000)
+    expected = np.array([ref.get((int(i), int(j)), -1) for i, j in zip(ii, jj)])
+    assert np.array_equal(dom.node_at(ii, jj), expected)
+    assert (expected >= 0).any() and (expected < 0).any()
+    for i, j in ((0, 0), (64, 0), (65, 0), (-64, 3), (1000, -1000)):
+        assert dom.node_at(i, j) == ref.get((i, j), -1)
+    assert np.array_equal(dom.node_at(dom.ij[:, 0], dom.ij[:, 1]),
+                          np.arange(dom.n_nodes))
+
+
 def test_interior_nodes_have_full_stencils(straight_64):
     dom = straight_64
     interior = (dom.tag == INTERIOR_PLUS) | (dom.tag == INTERIOR_MINUS)

@@ -7,6 +7,8 @@ from qhalf import data_maps
 from qhalf.domain import build_halfdisk, INTERFACE
 from qhalf.solver import (
     SolverConfig,
+    _pinned_mask,
+    _solve_harmonic,
     check_collapsed,
     collapse_decompose,
     dirichlet_energy,
@@ -45,6 +47,45 @@ def test_single_sheet_matches_direct_solve(dom32):
     ref = harmonic_reference(dom32, "plus", bfn, bfn)
     err = np.abs(u.plus[:, 0, :] - ref).max()
     assert err < 1e-8
+
+
+def test_harmonic_solve_matches_per_node_assembly(dom32):
+    # Reference: the 5-point system assembled node by node, right-hand side
+    # accumulated in stencil order, factored the same way.
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    side = dom32.minus
+    pinned = _pinned_mask(side, collapsed=True)
+    values = np.random.default_rng(5).standard_normal((side.n_nodes, 3))
+    free_idx = np.nonzero(~pinned)[0]
+    pos = -np.ones(side.n_nodes, dtype=np.int64)
+    pos[free_idx] = np.arange(free_idx.size)
+    rows, cols, vals = [], [], []
+    rhs = np.zeros((free_idx.size, 3))
+    for r, v in enumerate(free_idx):
+        rows.append(r)
+        cols.append(r)
+        vals.append(4.0)
+        for w in side.nb[v]:
+            if pinned[w]:
+                rhs[r] += values[w]
+            else:
+                rows.append(r)
+                cols.append(pos[w])
+                vals.append(-1.0)
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(free_idx.size,) * 2)
+    solve = spla.factorized(A.tocsc())
+    expected = values.copy()
+    expected[free_idx] = np.column_stack([solve(rhs[:, c]) for c in range(3)])
+    assert np.array_equal(_solve_harmonic(side, pinned, values), expected)
+
+
+def test_harmonic_solve_rejects_free_node_on_the_rim(dom16):
+    side = dom16.plus
+    pinned = np.zeros(side.n_nodes, dtype=bool)
+    with pytest.raises(RuntimeError, match="missing neighbor"):
+        _solve_harmonic(side, pinned, np.zeros((side.n_nodes, 1)))
 
 
 def test_energy_scales_with_sheet_copies(dom16):
@@ -103,6 +144,62 @@ def test_minimize_independent_of_sheet_storage_order(dom32):
             assert gap == 0.0
 
 
+def _refinement_data():
+    return data_maps.odd_cubic(Q=3, amplitude=0.01, taper=3.0,
+                               plus_weights=[-1.0, 0.25, 1.0],
+                               minus_weights=[-0.55, 1.0])
+
+
+@pytest.fixture(scope="module")
+def rankwise_reference(dom32):
+    # Independent Q > 1 reference: for scalar sheets the energy of a map is
+    # at least the sum of its rank functions' energies, so the collapsed
+    # minimizer is the direct 5-point solve of each rank of the sorted
+    # boundary data, with every rank pinned to phi on the interface.
+    data = _refinement_data()
+    ref = {}
+    for side_name, gen, q in (("plus", data.plus, 3), ("minus", data.minus, 2)):
+        ranks = []
+        for k in range(q):
+            def bfn(xy, gen=gen, k=k):
+                return np.sort(np.asarray(gen(xy)), axis=1)[:, k, :]
+
+            ranks.append(harmonic_reference(dom32, side_name, bfn, data.phi))
+        ref[side_name] = np.stack(ranks, axis=1)
+    energy = (edge_energy(ref["plus"], dom32.plus.edges)
+              + edge_energy(ref["minus"], dom32.minus.edges))
+    return ref, energy
+
+
+def _refinement_config(dom, init):
+    return SolverConfig(init=init, update_stop=1e-12, max_sweeps=200000,
+                        omega=suggested_omega(dom))
+
+
+def test_harmonic_start_is_rankwise_reference(dom32, rankwise_reference):
+    ref, energy = rankwise_reference
+    u, info = minimize(dom32, _refinement_data(),
+                       _refinement_config(dom32, "harmonic"))
+    assert info.converged and info.stop_reason == "update_stop"
+    assert info.sweeps == 1
+    for side_name in ("plus", "minus"):
+        got = np.sort(getattr(u, side_name), axis=1)
+        assert np.abs(got - ref[side_name]).max() < 1e-12
+    assert info.energy == pytest.approx(energy, rel=1e-12)
+
+
+@pytest.mark.parametrize("init", ["mean", "collapsed"])
+def test_sweeps_land_on_rankwise_reference(dom32, rankwise_reference, init):
+    ref, energy = rankwise_reference
+    u, info = minimize(dom32, _refinement_data(),
+                       _refinement_config(dom32, init))
+    assert info.converged
+    for side_name in ("plus", "minus"):
+        got = np.sort(getattr(u, side_name), axis=1)
+        assert np.abs(got - ref[side_name]).max() < 1e-9
+    assert info.energy == pytest.approx(energy, rel=1e-9)
+
+
 def test_multistart_agreement(dom16):
     data = data_maps.odd_cubic(Q=2, amplitude=0.05)
     cfg = SolverConfig(update_stop=1e-11, max_sweeps=60000)
@@ -148,6 +245,12 @@ def test_collapse_decompose_odd_data(dom16):
     rep = collapse_decompose(u, info)
     # sheet means stay odd across the straight interface
     assert rep.odd_defect is not None
+    mirror = {(int(i), int(j)): k for k, (i, j) in enumerate(dom16.ij)}
+    pairs = [(v, mirror[(int(i), -int(j))]) for v, (i, j) in enumerate(dom16.ij)
+             if j > 0 and (int(i), -int(j)) in mirror]
+    m = rep.mean_field
+    assert rep.odd_defect == max(float(np.abs(m[v] + m[w]).max())
+                                 for v, w in pairs)
     assert rep.odd_defect < 1e-7
     # the glued mean is discrete harmonic up to solver tolerance
     assert rep.harmonic_defect < 1e-4
