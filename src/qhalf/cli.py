@@ -31,15 +31,17 @@ from .domain import (
     InterfaceSpec,
     build_distance_field,
     build_halfdisk,
+    grid_half_width,
 )
 from .frequency import (
+    DOUBLING_COLUMNS,
     FrequencyConfig,
     calibrate_kappa,
     check_doubling_bounds,
     check_monotonicity,
     check_outer_identity,
     frequency_scan,
-    smallest_reliable_decade,
+    homogeneity_defect,
 )
 from .holomorphic import (
     ZeroMatchError,
@@ -62,6 +64,10 @@ from .surface import build_surface, density_at, surface_image, two_circles_densi
 
 KINDS = ("metric-suite", "solve", "frequency", "collapse", "zeros",
          "decay", "density", "two-circles")
+
+# Largest bounding grid build_halfdisk may allocate: R/h <= 511, four
+# times the finest shipped R/h of 128.
+MAX_GRID_CELLS = 2**20
 
 
 class UsageError(Exception):
@@ -102,6 +108,15 @@ def validate_config(cfg):
     if err is not None:
         path = ".".join(str(p) for p in err.absolute_path)
         raise UsageError(err.message, path)
+    dcfg = cfg.get("domain", {})
+    spacings = [("domain.h", dcfg["h"])] if "h" in dcfg else []
+    spacings += [(f"domain.h_values.{i}", h)
+                 for i, h in enumerate(dcfg.get("h_values", []))]
+    for path, h in spacings:
+        side = 2.0 * grid_half_width(dcfg.get("R", 1.0), h) + 1.0
+        if side * side > MAX_GRID_CELLS:
+            raise UsageError(f"grid spacing {h} needs a {side:.0f}^2 "
+                             f"grid, above {MAX_GRID_CELLS} cells", path)
 
 
 def load_config(path):
@@ -206,29 +221,6 @@ def _base_report(cfg):
 def _frequency_series(scan):
     header = ["r", "D", "H", "E", "Gq", "I"]
     rows = list(zip(scan.r, scan.D, scan.H, scan.E, scan.Gq, scan.I))
-    return header, rows
-
-
-def _doubling_series(scan, rep, m=2):
-    """Per-pair H and D growth ratios against the two-sided bounds."""
-    idx = smallest_reliable_decade(scan)
-    lam, i0, c = rep.lam, rep.i0, rep.c_eff
-    lo_h, hi_h = m - 1 + 2 * i0 / lam, m - 1 + 2 * lam * i0
-    lo_d, hi_d = m - 2 + 2 * i0 / lam, m - 2 + 2 * lam * i0
-    rows = []
-    for ai in range(idx.size):
-        for bi in range(ai + 1, idx.size):
-            a, b = idx[ai], idx[bi]
-            s, t = scan.r[a], scan.r[b]
-            ratio, gap = t / s, np.exp(c * (t - s))
-            rows.append((s, t,
-                         scan.H[b] / scan.H[a],
-                         ratio**lo_h / gap, ratio**hi_h * gap,
-                         scan.D[b] / scan.D[a],
-                         ratio**lo_d / (gap * lam**2),
-                         ratio**hi_d * gap * lam**2))
-    header = ["s", "t", "H_ratio", "H_lower", "H_upper",
-              "D_ratio", "D_lower", "D_upper"]
     return header, rows
 
 
@@ -496,11 +488,10 @@ def _run_frequency(cfg):
         if t == "i-value":
             target = ccfg["target"]
             tol = ccfg.get("tol", 0.02)
-            vals = scan.I[scan.reliable]
-            worst = float(np.abs(vals - target).max()) if vals.size else math.inf
+            worst = float(np.abs(scan.I[scan.reliable] - target).max())
             report["checks"].append(_check_row(
                 f"frequency-near-{target:g}", worst <= tol, worst, tol,
-                expect=expect))
+                expect=expect, homogeneity=homogeneity_defect(u, scan.i0)))
         elif t == "outer-identity":
             tol = ccfg.get("tol", 0.05)
             ok, worst = check_outer_identity(scan, tol)
@@ -521,7 +512,7 @@ def _run_frequency(cfg):
                 "doubling-bounds", rep.passed, worst, 0.0, expect=expect,
                 h_pass=rep.h_pass, d_pass=rep.d_pass,
                 range_pass=rep.range_pass, pairs=rep.pairs, c_eff=rep.c_eff))
-            series["doubling"] = _doubling_series(scan, rep)
+            series["doubling"] = (list(DOUBLING_COLUMNS), rep.rows)
         else:
             raise UsageError(f"check {t!r} does not apply to frequency",
                              "checks")

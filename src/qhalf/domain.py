@@ -192,6 +192,11 @@ def _interface_angles(spec: InterfaceSpec, R: float):
     return angles
 
 
+def grid_half_width(R: float, h: float) -> float:
+    """floor(R/h): nodes per half axis of the bounding grid (inf allowed)."""
+    return float(np.floor(R / h + 1e-9))
+
+
 def build_halfdisk(
     R: float,
     h: float,
@@ -217,7 +222,7 @@ def build_halfdisk(
                 f"below the {min_angle_deg:.1f} deg transversality threshold"
             )
 
-    imax = int(np.floor(R / h + 1e-9))
+    imax = int(grid_half_width(R, h))
     rng_i = np.arange(-imax, imax + 1)
     II, JJ = np.meshgrid(rng_i, rng_i, indexing="ij")
     XX, YY = II * h, JJ * h

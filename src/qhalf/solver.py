@@ -97,6 +97,9 @@ class GridField:
     def n(self) -> int:
         return self.values.shape[2]
 
+    def fields(self):
+        return [self]
+
 
 @dataclass
 class QHalfMap:
@@ -128,21 +131,6 @@ def edge_energy(values: np.ndarray, edges: np.ndarray) -> float:
         return 0.0
     c2 = batch_match_cost2(values[edges[:, 0]], values[edges[:, 1]])
     return float(c2.sum())
-
-
-def dirichlet_energy(u) -> float:
-    """Total grid Dirichlet energy of a QHalfMap or a single GridField.
-
-    With unit edge weights this approximates the integral of |Du|^2 in
-    two dimensions (the h^2 area factor cancels against 1/h^2 from the
-    difference quotients).
-    """
-    if isinstance(u, GridField):
-        return edge_energy(u.values, u.side.edges)
-    total = edge_energy(u.plus, u.domain.plus.edges)
-    if u.Q > 1:
-        total += edge_energy(u.minus, u.domain.minus.edges)
-    return total
 
 
 def _pinned_mask(side: SideGraph, collapsed: bool) -> np.ndarray:
@@ -460,54 +448,6 @@ def minimize(dom: HalfDomain, data: DataSpec,
     return u, info
 
 
-def multistart_minimize(dom: HalfDomain, data: DataSpec,
-                        config: Optional[SolverConfig] = None,
-                        inits=("harmonic", "mean", "collapsed")):
-    """Run minimize from several starts; report energy and value spread.
-
-    Returns (best_map, best_info, report). The report's value_spread is
-    the largest matching distance between any two resulting maps at any
-    node, a uniqueness diagnostic for the reached minimum.
-    """
-    from dataclasses import replace
-
-    config = config or SolverConfig()
-    results = []
-    for name in inits:
-        u, info = minimize(dom, data, replace(config, init=name))
-        results.append((name, u, info))
-    energies = {name: info.energy for name, _, info in results}
-    spread = 0.0
-    for i in range(len(results)):
-        for j in range(i + 1, len(results)):
-            a, b = results[i][1], results[j][1]
-            c2 = batch_match_cost2(a.plus, b.plus)
-            if a.Q > 1:
-                c2m = batch_match_cost2(a.minus, b.minus)
-                m = max(float(c2.max()), float(c2m.max()))
-            else:
-                m = float(c2.max())
-            spread = max(spread, np.sqrt(m))
-    best = min(results, key=lambda r: r[2].energy)
-    report = {
-        "energies": energies,
-        "value_spread": spread,
-        "all_converged": all(info.converged for _, _, info in results),
-        "best_init": best[0],
-    }
-    return best[1], best[2], report
-
-
-def check_collapsed(u: QHalfMap, tol: float = 1e-9):
-    """Largest matching distance from the interface trace to Q copies of phi."""
-    if_ids = u.interface_ids()
-    lp = u.domain.plus.loc[if_ids]
-    diff = u.plus[lp] - u.phi[:, None, :]
-    per_node = np.sqrt(np.einsum("mqn,mqn->m", diff, diff))
-    worst = float(per_node.max()) if per_node.size else 0.0
-    return worst <= tol, worst
-
-
 @dataclass
 class CollapseReport:
     mean_field: np.ndarray      # (N_global, n) glued sheet means
@@ -528,7 +468,7 @@ def collapse_decompose(u: QHalfMap, info: SolveInfo) -> CollapseReport:
     the largest 5-point residual |sum(neighbors) - 4 v| of the glued
     mean over nodes with full stencils, including interface nodes whose
     stencil spans both sides; unit edge weights, the same convention as
-    dirichlet_energy, so a derivative kink across the interface shows
+    edge_energy, so a derivative kink across the interface shows
     up at scale h rather than 1/h. odd_defect (straight interface only)
     is the largest |m(x, y) + m(x, -y)| over mirror node pairs.
     """
@@ -685,30 +625,3 @@ def interpolate_annulus(f: QHalfMap, g: QHalfMap, lam: float):
                                  lam=lam, fitted_constant=fitted,
                                  band_nodes=n_band)
     return out, report
-
-
-def minimality_spot_check(u: QHalfMap, rng, trials: int = 50,
-                          scale: float = 1e-3) -> float:
-    """Perturb random free nodes and report the largest energy drop found.
-
-    A correct local minimum never yields a noticeably negative value; the
-    returned number is min(0, largest decrease) over the trials, in
-    energy units.
-    """
-    dom = u.domain
-    worst = 0.0
-    base = dirichlet_energy(u)
-    for _ in range(trials):
-        side_name = "plus" if (u.Q == 1 or rng.random() < 0.5) else "minus"
-        side = getattr(dom, side_name)
-        V = u.plus if side_name == "plus" else u.minus
-        free_idx = np.nonzero(side.free & (side.tag != INTERFACE))[0]
-        if free_idx.size == 0 or V.shape[1] == 0:
-            continue
-        v = int(rng.choice(free_idx))
-        old = V[v].copy()
-        V[v] = old + scale * rng.standard_normal(old.shape)
-        e = dirichlet_energy(u)
-        V[v] = old
-        worst = min(worst, e - base)
-    return worst

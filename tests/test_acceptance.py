@@ -90,10 +90,14 @@ def test_criterion_04_outer_variation_identity(refinement):
 def test_criterion_05_homogeneous_frequencies(outdir):
     rc, report, _ = run_preset("frequency-linear", outdir)
     assert rc == 0
-    assert by_name(report)["frequency-near-1"]["value"] <= 0.02
+    row = by_name(report)["frequency-near-1"]
+    assert row["value"] <= 0.02
+    assert row["homogeneity"] <= 0.01  # u(x/2) against 2^{-i0} u(x)
     rc, report, _ = run_preset("frequency-sqrt-branch", outdir)
     assert rc == 0
-    assert by_name(report)["frequency-near-1.5"]["value"] <= 0.03
+    row = by_name(report)["frequency-near-1.5"]
+    assert row["value"] <= 0.03
+    assert row["homogeneity"] <= 0.01
 
 
 def test_criterion_06_almost_monotone_frequency(outdir):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,3 +183,47 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "collapse-refinement" in proc.stdout
+
+
+@pytest.mark.parametrize("check", [{"type": "monotonicity"},
+                                   {"type": "doubling"},
+                                   {"type": "outer-identity"}])
+def test_scan_without_reliable_radius_fails(tmp_path, check):
+    # every radius in [0.1, 0.2] is thinner than 8 cells at h = 1/64, so
+    # there is nothing to check; the run must fail rather than pass on 0
+    cfg = {"kind": "frequency", "label": "thin", "domain": {"h": 1 / 64},
+           "Q": 2, "data": {"generator": "linear"}, "source": "sample",
+           "scan": {"r_max": 0.2, "r_min": 0.1}, "checks": [check]}
+    assert run(cfg, out_dir=str(tmp_path)) == 1
+    report = read_report(tmp_path / "thin-report.json")
+    assert not report["passed"]
+    assert report["error"]["type"] == "ResolutionError"
+
+
+def test_oversized_grid_is_usage_error(tmp_path, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("grid built before the size check")
+
+    monkeypatch.setattr("qhalf.cli.build_halfdisk", no_build)
+    solve = {"kind": "solve", "domain": {"h": 1 / 512}, "Q": 1,
+             "data": {"generator": "linear"}}
+    collapse = {"kind": "collapse", "Q": 3, "data": {"generator": "linear"},
+                "domain": {"R": 2.0, "h_values": [1 / 32, 1 / 256]}}
+    for cfg, path in ((solve, "domain.h"), (collapse, "domain.h_values.1")):
+        with pytest.raises(UsageError) as err:
+            validate_config(cfg)
+        assert err.value.path == path
+        rc = main([cfg["kind"], "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path)])
+        assert rc == 2
+    # R/h = 511 is the largest accepted bounding grid
+    validate_config(dict(solve, domain={"h": 1 / 511}))
+    validate_config(dict(collapse, domain={"R": 2.0, "h_values": [2 / 511]}))
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("True ")

@@ -9,15 +9,11 @@ from qhalf.solver import (
     SolverConfig,
     _pinned_mask,
     _solve_harmonic,
-    check_collapsed,
     collapse_decompose,
-    dirichlet_energy,
     edge_energy,
     harmonic_reference,
     interpolate_annulus,
-    minimality_spot_check,
     minimize,
-    multistart_minimize,
     sample_map,
     suggested_omega,
 )
@@ -155,17 +151,19 @@ def rankwise_reference(dom32):
     # Independent Q > 1 reference: for scalar sheets the energy of a map is
     # at least the sum of its rank functions' energies, so the collapsed
     # minimizer is the direct 5-point solve of each rank of the sorted
-    # boundary data, with every rank pinned to phi on the interface.
+    # boundary data, with every rank pinned to phi on the interface. One
+    # solve per side carries all ranks as channels.
     data = _refinement_data()
     ref = {}
     for side_name, gen, q in (("plus", data.plus, 3), ("minus", data.minus, 2)):
-        ranks = []
-        for k in range(q):
-            def bfn(xy, gen=gen, k=k):
-                return np.sort(np.asarray(gen(xy)), axis=1)[:, k, :]
+        def bfn(xy, gen=gen):
+            return np.sort(np.asarray(gen(xy)), axis=1)[:, :, 0]
 
-            ranks.append(harmonic_reference(dom32, side_name, bfn, data.phi))
-        ref[side_name] = np.stack(ranks, axis=1)
+        def ifn(xy, q=q):
+            return np.tile(data.phi(xy), (1, q))
+
+        ranks = harmonic_reference(dom32, side_name, bfn, ifn)
+        ref[side_name] = ranks[:, :, None]
     energy = (edge_energy(ref["plus"], dom32.plus.edges)
               + edge_energy(ref["minus"], dom32.minus.edges))
     return ref, energy
@@ -200,23 +198,13 @@ def test_sweeps_land_on_rankwise_reference(dom32, rankwise_reference, init):
     assert info.energy == pytest.approx(energy, rel=1e-9)
 
 
-def test_multistart_agreement(dom16):
-    data = data_maps.odd_cubic(Q=2, amplitude=0.05)
-    cfg = SolverConfig(update_stop=1e-11, max_sweeps=60000)
-    u, info, report = multistart_minimize(dom16, data, cfg)
-    assert report["all_converged"]
-    energies = list(report["energies"].values())
-    assert max(energies) - min(energies) < 1e-8 * max(energies)
-    assert report["value_spread"] < 1e-4
-
-
 def test_collapsed_interface_is_pinned(dom16):
     data = data_maps.odd_cubic(Q=3, amplitude=0.05)
     cfg = SolverConfig(init="harmonic", eps_stop=1e-12, max_sweeps=5000)
     u, info = minimize(dom16, data, cfg)
-    ok, worst = check_collapsed(u)
-    assert ok
-    assert worst == 0.0
+    if_ids = np.nonzero(dom16.tag == INTERFACE)[0]
+    for V, side in ((u.plus, dom16.plus), (u.minus, dom16.minus)):
+        assert np.abs(V[side.loc[if_ids]] - u.phi[:, None, :]).max() == 0.0
 
 
 def test_free_interface_descends_and_keeps_phi(dom16):
@@ -266,16 +254,6 @@ def test_collapse_decompose_refuses_unconverged(dom16):
     assert not info.converged
     with pytest.raises(ValueError):
         collapse_decompose(u, info)
-
-
-def test_minimizer_passes_spot_check(dom16):
-    data = data_maps.odd_cubic(Q=2, amplitude=0.05)
-    u, info = minimize(dom16, data, SolverConfig(init="harmonic",
-                                                 update_stop=1e-12,
-                                                 max_sweeps=40000))
-    rng = np.random.default_rng(7)
-    drop = minimality_spot_check(u, rng, trials=40, scale=1e-4)
-    assert drop > -1e-12
 
 
 def test_interpolation_constant_pair():
