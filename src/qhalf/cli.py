@@ -68,6 +68,9 @@ KINDS = ("metric-suite", "solve", "frequency", "collapse", "zeros",
 # Largest bounding grid build_halfdisk may allocate: R/h <= 511, four
 # times the finest shipped R/h of 128.
 MAX_GRID_CELLS = 2**20
+# Largest Q x (bounding grid cells) a run may allocate as sheet values,
+# 64 MB of floats per array: Q = 8 on the largest accepted grid.
+MAX_SHEET_VALUES = 2**23
 
 
 class UsageError(Exception):
@@ -112,11 +115,20 @@ def validate_config(cfg):
     spacings = [("domain.h", dcfg["h"])] if "h" in dcfg else []
     spacings += [(f"domain.h_values.{i}", h)
                  for i, h in enumerate(dcfg.get("h_values", []))]
+    sheet_counts = [("Q", cfg["Q"])] if "Q" in cfg else []
+    q_param = cfg.get("data", {}).get("params", {}).get("Q")
+    if isinstance(q_param, int):
+        sheet_counts.append(("data.params.Q", q_param))
     for path, h in spacings:
         side = 2.0 * grid_half_width(dcfg.get("R", 1.0), h) + 1.0
         if side * side > MAX_GRID_CELLS:
             raise UsageError(f"grid spacing {h} needs a {side:.0f}^2 "
                              f"grid, above {MAX_GRID_CELLS} cells", path)
+        for q_path, q in sheet_counts:
+            if q * side * side > MAX_SHEET_VALUES:
+                raise UsageError(f"Q={q} sheets on the {side:.0f}^2 grid of "
+                                 f"{path} exceed {MAX_SHEET_VALUES} values",
+                                 q_path)
 
 
 def load_config(path):

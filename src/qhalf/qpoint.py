@@ -163,9 +163,11 @@ def batch_match_values(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     sheet i of U[m]. Scalar sheets with Q >= 3 are matched by rank: the
     k-th smallest sheet of V goes to the sheet of U with rank k, and ties
     in U resolve by stable argsort order. Otherwise every permutation is
-    tried and ties resolve to the lexicographically first one. Either way
-    the matched multiset and the cost are the same, and the result is
-    deterministic.
+    tried and ties resolve to the lexicographically first one, so at
+    Q = 2 a tie in U keeps V's storage order. Either way the matched
+    multiset and the cost are the same, and the result is deterministic.
+    Collapsed scalar solves skip this kernel: they store every row in rank
+    order and so break ties by rank at every Q (see the solver module).
     """
     U = np.asarray(U, dtype=float)
     V = np.asarray(V, dtype=float)

@@ -22,6 +22,17 @@ rank-sorted boundary data on its own; the discrete maximum principle
 keeps those extensions ordered, so the sorted-to-sorted matching is
 optimal on every edge and the start attains that bound. The sweeps then
 run as usual and certify it, stopping after one.
+
+Every collapsed scalar solve, from any init, stores each row of sheet
+values in rank order. Sorted goes to sorted under the optimal matching,
+so the matching step is the identity: a sweep takes the plain mean of
+the four neighbor rows, one precomputed sparse product per color, and
+re-sorts the few rows that over-relaxation pushed out of order; the
+energy is one sparse incidence product per side. A tie between sheets
+of a node is thus broken by rank at every Q. (The permutation table of
+batch_match_values breaks it by storage order at Q = 2, which can move a
+sweep elsewhere; the rank rule makes the sweeps independent of storage
+order.) Free-interface and vector-valued solves keep the matched path.
 """
 
 from __future__ import annotations
@@ -221,12 +232,24 @@ def _pin_interface_collapsed(u: QHalfMap):
 
 
 class _SideState:
-    """Per-side sweep bookkeeping: free interior nodes split by color."""
+    """Per-side sweep bookkeeping: free interior nodes split by color.
 
-    def __init__(self, side: SideGraph, values: np.ndarray, omega: float):
+    With ranked=True every row of values is kept in rank order (scalar
+    sheets, collapsed solve). Sorted goes to sorted under the optimal
+    matching, so the matched neighbor mean of a color is one precomputed
+    sparse product: nb_sum[c] holds 1.0 at the four neighbors of each
+    node, in stencil order, and the edge energy is the squared norm of
+    incidence @ V, one +1/-1 row per edge. Otherwise each neighbor is
+    matched to the node with batch_match_values and the energy is
+    edge_energy.
+    """
+
+    def __init__(self, side: SideGraph, values: np.ndarray, omega: float,
+                 ranked: bool):
         self.side = side
         self.values = values
         self.omega = omega
+        self.ranked = ranked
         interior = side.free & ~(side.tag == INTERFACE)
         self.color_idx = []
         for c in (0, 1):
@@ -234,6 +257,13 @@ class _SideState:
             self.color_idx.append(idx)
             if idx.size and (side.nb[idx] < 0).any():
                 raise RuntimeError("interior node missing a neighbor")
+        if ranked:
+            # Rows in stencil order, never canonicalised: the products sum
+            # in the same order as the matched path.
+            self.nb_sum = [_row_matrix(side.nb[idx], np.ones(4), side.n_nodes)
+                           for idx in self.color_idx]
+            self.incidence = _row_matrix(side.edges, np.array([1.0, -1.0]),
+                                         side.n_nodes)
 
     def sweep_color(self, c: int) -> float:
         idx = self.color_idx[c]
@@ -241,18 +271,39 @@ class _SideState:
         if idx.size == 0 or V.shape[1] == 0:
             return 0.0
         U = V[idx]
-        W = V[self.side.nb[idx]]          # (M, 4, q, n)
-        if V.shape[1] == 1:
-            target = W.mean(axis=1)
+        if self.ranked:
+            flat = V.reshape(V.shape[0], -1)
+            target = (self.nb_sum[c] @ flat).reshape(U.shape) / 4.0
         else:
+            W = V[self.side.nb[idx]]          # (M, 4, q, n)
             acc = np.zeros_like(U)
             for k in range(4):
                 acc += batch_match_values(U, W[:, k])
             target = acc / 4.0
         new = U + self.omega * (target - U)
         delta = float(np.max(np.abs(new - U)))
+        if self.ranked:
+            # omega > 1 can swap neighboring ranks; re-sort those rows only.
+            swapped = (new[:, 1:] < new[:, :-1]).any(axis=(1, 2))
+            if swapped.any():
+                new[swapped] = np.sort(new[swapped], axis=1)
         V[idx] = new
         return delta
+
+    def energy(self) -> float:
+        V = self.values
+        if not self.ranked:
+            return edge_energy(V, self.side.edges)
+        d = self.incidence @ V.reshape(V.shape[0], -1)
+        return float(np.einsum("mq,mq->m", d, d).sum())
+
+
+def _row_matrix(cols: np.ndarray, weights: np.ndarray, n_cols: int):
+    """CSR matrix whose row i carries weights at cols[i], in that order."""
+    rows, k = cols.shape
+    return sp.csr_matrix((np.tile(weights, rows), cols.ravel(),
+                          np.arange(0, rows * k + 1, k)),
+                         shape=(rows, n_cols))
 
 
 class _InterfaceState:
@@ -390,6 +441,8 @@ def minimize(dom: HalfDomain, data: DataSpec,
     scalar sheets the start is the rank-wise harmonic extension, already
     the global minimizer (see the module docstring); the first sweep
     moves no node beyond rounding and certifies it against the stop rule.
+    Collapsed scalar solves return every row of sheet values in rank
+    order, whatever the storage order of the boundary data.
     """
     config = config or SolverConfig()
     if not 0.0 < config.omega < 2.0:
@@ -397,15 +450,20 @@ def minimize(dom: HalfDomain, data: DataSpec,
     Q, n = data.Q, data.n
     Vp, Vm, phi = _initial_values(dom, data, config)
 
-    state_p = _SideState(dom.plus, Vp, config.omega)
-    state_m = _SideState(dom.minus, Vm, config.omega)
+    # Collapsed scalar solves keep every row in rank order, so every
+    # optimal matching in the sweeps is the identity (module docstring).
+    ranked = config.collapsed and n == 1
+    if ranked:
+        Vp.sort(axis=1)
+        Vm.sort(axis=1)
+    state_p = _SideState(dom.plus, Vp, config.omega, ranked)
+    state_m = _SideState(dom.minus, Vm, config.omega, ranked)
     iface = None
     if not config.collapsed:
         iface = _InterfaceState(dom, Vp, Vm, phi, Q, config.omega)
 
     def total_energy():
-        return (edge_energy(Vp, dom.plus.edges)
-                + edge_energy(Vm, dom.minus.edges))
+        return state_p.energy() + state_m.energy()
 
     e0 = total_energy()
     e_prev = e0

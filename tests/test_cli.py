@@ -221,6 +221,25 @@ def test_oversized_grid_is_usage_error(tmp_path, monkeypatch):
     validate_config(dict(collapse, domain={"R": 2.0, "h_values": [2 / 511]}))
 
 
+def test_oversized_sheet_count_is_usage_error(tmp_path, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("grid built before the size check")
+
+    monkeypatch.setattr("qhalf.cli.build_halfdisk", no_build)
+    big = {"kind": "solve", "domain": {"h": 1 / 32}, "Q": 10**6,
+           "data": {"generator": "linear"}}
+    in_params = {"kind": "solve", "domain": {"h": 1 / 32},
+                 "data": {"generator": "linear", "params": {"Q": 10**6}}}
+    for cfg, path in ((big, "Q"), (in_params, "data.params.Q")):
+        with pytest.raises(UsageError) as err:
+            validate_config(cfg)
+        assert err.value.path == path
+        rc = main([cfg["kind"], "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path)])
+        assert rc == 2
+    validate_config(dict(big, Q=7, domain={"h": 1 / 16}))
+
+
 def test_readme_library_example_runs(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Library use", 1)[1]

@@ -5,8 +5,10 @@ import pytest
 
 from qhalf import data_maps
 from qhalf.domain import build_halfdisk, INTERFACE
+from qhalf.qpoint import batch_match_values
 from qhalf.solver import (
     SolverConfig,
+    _SideState,
     _pinned_mask,
     _solve_harmonic,
     collapse_decompose,
@@ -117,11 +119,13 @@ def test_monotone_energy_trace(dom16):
     assert info.energy < info.initial_energy
 
 
-def test_minimize_independent_of_sheet_storage_order(dom32):
+@pytest.mark.parametrize("init", ["harmonic", "mean"])
+def test_minimize_independent_of_sheet_storage_order(dom32, init):
     # The collapse-refinement data at its coarsest grid, with the sheets
     # stored in three orders: the minimizer is the same multiset, reached
-    # by the same sweeps, to the last bit.
-    cfg = SolverConfig(update_stop=1e-12, max_sweeps=200000,
+    # by the same sweeps, to the last bit. The harmonic start is exact;
+    # the mean start leaves the work to the sweeps.
+    cfg = SolverConfig(init=init, update_stop=1e-12, max_sweeps=200000,
                        omega=suggested_omega(dom32))
     runs = []
     for plus_w, minus_w in (([-1.0, 0.25, 1.0], [-0.55, 1.0]),
@@ -138,6 +142,41 @@ def test_minimize_independent_of_sheet_storage_order(dom32):
         for a, b in ((u.plus, u0.plus), (u.minus, u0.minus)):
             gap = np.abs(np.sort(a, axis=1) - np.sort(b, axis=1)).max()
             assert gap == 0.0
+
+
+@pytest.mark.parametrize("Q", [1, 2, 3, 4])
+def test_ranked_step_matches_matched_mean(dom16, Q):
+    # Reference: the matched-mean step on rows in arbitrary storage order,
+    # every neighbor matched to the node by the kernel. The ranked step
+    # runs on the same rows sorted and must land on the sorted result.
+    side = dom16.plus
+    omega = 1.7
+    V = np.random.default_rng(Q).standard_normal((side.n_nodes, Q, 1))
+    state = _SideState(side, np.sort(V, axis=1), omega, ranked=True)
+    assert state.energy() == edge_energy(V, side.edges)
+    for c in (0, 1):
+        idx = state.color_idx[c]
+        U = V[idx]
+        W = V[side.nb[idx]]
+        acc = np.zeros_like(U)
+        for k in range(4):
+            acc += batch_match_values(U, W[:, k])
+        new = U + omega * (acc / 4.0 - U)
+        delta = float(np.max(np.abs(new - U)))
+        V[idx] = new
+        assert state.sweep_color(c) == delta
+        assert np.array_equal(state.values, np.sort(V, axis=1))
+        assert state.energy() == edge_energy(V, side.edges)
+
+
+@pytest.mark.parametrize("Q", [2, 3, 4])
+def test_collapsed_scalar_solve_keeps_rows_rank_sorted(dom16, Q):
+    data = data_maps.odd_cubic(Q=Q, amplitude=0.5)
+    cfg = SolverConfig(init="mean", max_sweeps=25, omega=suggested_omega(dom16))
+    u, info = minimize(dom16, data, cfg)
+    assert info.sweeps == 25
+    for V in (u.plus, u.minus):
+        assert np.all(np.diff(V, axis=1) >= 0.0)
 
 
 def _refinement_data():
