@@ -7,6 +7,11 @@ header line, so two runs of the same config and seed agree byte for byte
 below the first line. CSV series for plotting are written next to the
 report.
 
+validate_config checks every config rule before any work starts: the
+schema, grid and sheet budgets, the boundary data, and the CHECKS table
+of which check types each kind accepts and what they need. The runners
+assume a valid config and have no error branches of their own.
+
 Exit codes: 0 all checks passed, 1 a check or the pipeline itself
 failed, 2 the config or command line is malformed.
 """
@@ -26,7 +31,6 @@ import jsonschema
 
 from . import data_maps
 from .domain import (
-    BOUNDARY_MINUS,
     BOUNDARY_PLUS,
     InterfaceSpec,
     build_distance_field,
@@ -72,6 +76,19 @@ MAX_GRID_CELLS = 2**20
 # 64 MB of floats per array: Q = 8 on the largest accepted grid.
 MAX_SHEET_VALUES = 2**23
 
+# The only list of check types: kind -> check type -> what the check needs
+# beyond the schema (None: nothing). validate_config enforces it.
+CHECKS = {
+    "solve": {"converged": None, "classical-reference": "Q = 1",
+              "interpolation-bound": "to be the only check"},
+    "collapse": {"spread-decreasing": None, "spread-max": None,
+                 "spread-vs-oscillation": None, "defect-decreasing": None,
+                 "odd-defect-vs-oscillation": "a straight interface",
+                 "outer-identity-refinement": "two or more grid spacings"},
+    "frequency": {"i-value": None, "outer-identity": None,
+                  "monotonicity": None, "doubling": None},
+}
+
 
 class UsageError(Exception):
     """Config or command-line problem; carries the offending field path."""
@@ -103,7 +120,7 @@ def _load_schema():
 
 
 def validate_config(cfg):
-    """Schema-check a config dict; raises UsageError with a field path."""
+    """Check every config rule before any work; raises UsageError with a path."""
     if not isinstance(cfg, dict):
         raise UsageError("config must be a JSON object")
     validator = jsonschema.Draft202012Validator(_load_schema())
@@ -111,7 +128,10 @@ def validate_config(cfg):
     if err is not None:
         path = ".".join(str(p) for p in err.absolute_path)
         raise UsageError(err.message, path)
-    dcfg = cfg.get("domain", {})
+    kind, dcfg = cfg["kind"], cfg.get("domain", {})
+    spacing = {"solve": "h", "frequency": "h", "collapse": "h_values"}.get(kind)
+    if spacing is not None and spacing not in dcfg:
+        raise UsageError(f"{kind} needs domain.{spacing}", f"domain.{spacing}")
     spacings = [("domain.h", dcfg["h"])] if "h" in dcfg else []
     spacings += [(f"domain.h_values.{i}", h)
                  for i, h in enumerate(dcfg.get("h_values", []))]
@@ -129,6 +149,22 @@ def validate_config(cfg):
                 raise UsageError(f"Q={q} sheets on the {side:.0f}^2 grid of "
                                  f"{path} exceed {MAX_SHEET_VALUES} values",
                                  q_path)
+    checks = cfg.get("checks", [])
+    interp = any(c["type"] == "interpolation-bound" for c in checks)
+    spec = _data_from(cfg) if spacing is not None and not interp else None
+    iface = _interface_from(dcfg.get("interface"))
+    met = {None: True, "Q = 1": spec is not None and spec.Q == 1,
+           "a straight interface": iface.kind == "straight",
+           "two or more grid spacings": len(dcfg.get("h_values", [])) >= 2,
+           "to be the only check": len(checks) == 1}
+    table = CHECKS.get(kind, {})
+    for i, ccfg in enumerate(checks):
+        t = ccfg["type"]
+        if t not in table:
+            raise UsageError(f"check {t!r} does not apply to kind {kind!r}",
+                             f"checks.{i}.type")
+        if not met[table[t]]:
+            raise UsageError(f"check {t!r} needs {table[t]}", f"checks.{i}.type")
 
 
 def load_config(path):
@@ -209,13 +245,6 @@ def _scan_cfg(cfg):
     return FrequencyConfig(**s) if s else None
 
 
-def _need(cfg, key, path=None):
-    if key not in cfg:
-        raise UsageError(f"kind {cfg['kind']!r} requires {path or key!r}",
-                         path or key)
-    return cfg[key]
-
-
 def _check_row(name, ok, value, bound, expect="pass", **extra):
     observed = "pass" if ok else "fail"
     row = {"name": name, "observed": observed, "expect": expect,
@@ -276,13 +305,10 @@ def _boundary_oscillation(dom, data):
 
 
 def _run_solve(cfg):
-    dcfg = _need(cfg, "domain")
+    dcfg = cfg["domain"]
     checks_cfg = cfg.get("checks", [])
-    interp = [c for c in checks_cfg if c["type"] == "interpolation-bound"]
-    if interp:
-        return _run_interpolation_suite(cfg, dcfg, interp[0])
-    if "h" not in dcfg:
-        raise UsageError("solve needs a grid spacing", "domain.h")
+    if checks_cfg and checks_cfg[0]["type"] == "interpolation-bound":
+        return _run_interpolation_suite(cfg, dcfg, checks_cfg[0])
     dom = _domain_from(dcfg, dcfg["h"])
     data = _data_from(cfg)
     u, info = minimize(dom, data, _solver_from(cfg.get("solver"), dom))
@@ -292,8 +318,6 @@ def _run_solve(cfg):
                          "stop_reason": info.stop_reason}
     for ccfg in checks_cfg:
         if ccfg["type"] == "classical-reference":
-            if data.Q != 1:
-                raise UsageError("classical-reference needs Q=1", "checks")
             tol = ccfg.get("tol", 1e-8)
 
             def bfn(xy):
@@ -309,9 +333,6 @@ def _run_solve(cfg):
                 "solver-converged", info.converged, info.max_update,
                 cfg.get("solver", {}).get("update_stop"),
                 expect=ccfg.get("expect", "pass")))
-        else:
-            raise UsageError(f"check {ccfg['type']!r} does not apply to a "
-                             "plain solve", "checks")
     return RunResult(report)
 
 
@@ -333,8 +354,6 @@ def _run_interpolation_suite(cfg, dcfg, ccfg):
     constant is the worst ratio of band energy to the weighted collar
     bound over all pairs and band widths.
     """
-    if "h" not in dcfg:
-        raise UsageError("solve needs a grid spacing", "domain.h")
     dom = _domain_from(dcfg, dcfg["h"])
     rng = np.random.default_rng(cfg.get("seed", 0))
     pairs = ccfg.get("pairs", 50)
@@ -370,16 +389,13 @@ def _run_interpolation_suite(cfg, dcfg, ccfg):
 
 
 def _run_collapse(cfg):
-    dcfg = _need(cfg, "domain")
-    hs = dcfg.get("h_values")
-    if not hs:
-        raise UsageError("collapse needs the refinement list", "domain.h_values")
+    dcfg = cfg["domain"]
     data = _data_from(cfg)
     report = _base_report(cfg)
     series = {}
     levels = []
     solves = []
-    for h in hs:
+    for h in dcfg["h_values"]:
         dom = _domain_from(dcfg, h)
         u, info = minimize(dom, data, _solver_from(cfg.get("solver"), dom))
         rep = collapse_decompose(u, info)
@@ -421,18 +437,12 @@ def _run_collapse(cfg):
                 step, 0.0, expect=expect))
         elif t == "odd-defect-vs-oscillation":
             odd = levels[-1]["odd_defect"]
-            if odd is None:
-                raise UsageError("odd-defect check needs a straight interface",
-                                 "checks")
             ratio = ccfg.get("ratio", 0.02)
             val = float(odd / osc)
             report["checks"].append(_check_row(
                 "odd-defect-vs-oscillation", val <= ratio, val, ratio,
                 expect=expect))
         elif t == "outer-identity-refinement":
-            if len(solves) < 2:
-                raise UsageError("identity refinement needs at least two "
-                                 "grid spacings", "domain.h_values")
             tol = ccfg.get("tol", 0.05)
             shrink_min = ccfg.get("shrink_min", 1.5)
             worsts = []
@@ -449,9 +459,6 @@ def _run_collapse(cfg):
                 "outer-identity-refinement", ok, worsts[1], tol,
                 expect=expect, coarse=worsts[0], shrink=shrink,
                 shrink_min=shrink_min))
-        else:
-            raise UsageError(f"check {t!r} does not apply to collapse",
-                             "checks")
 
     header = ["h", "sheet_spread", "harmonic_defect", "odd_defect",
               "oscillation", "energy"]
@@ -463,9 +470,7 @@ def _run_collapse(cfg):
 
 
 def _run_frequency(cfg):
-    dcfg = _need(cfg, "domain")
-    if "h" not in dcfg:
-        raise UsageError("frequency needs a grid spacing", "domain.h")
+    dcfg = cfg["domain"]
     dom = _domain_from(dcfg, dcfg["h"])
     data = _data_from(cfg)
     source = cfg.get("source", "minimize")
@@ -525,9 +530,6 @@ def _run_frequency(cfg):
                 h_pass=rep.h_pass, d_pass=rep.d_pass,
                 range_pass=rep.range_pass, pairs=rep.pairs, c_eff=rep.c_eff))
             series["doubling"] = (list(DOUBLING_COLUMNS), rep.rows)
-        else:
-            raise UsageError(f"check {t!r} does not apply to frequency",
-                             "checks")
     report["summary"].update({"h": scan.h, "i0": scan.i0,
                               "c_mono": scan.c_mono,
                               "reliable_radii": int(scan.reliable.sum()),
@@ -606,7 +608,7 @@ def _run_density(cfg):
     depth = cfg.get("depth", 8)
     report = _base_report(cfg)
     series = {}
-    for pt in _need(cfg, "points"):
+    for pt in cfg["points"]:
         name = pt["name"]
         if "coords" in pt:
             point = np.asarray(pt["coords"], dtype=float)
@@ -642,8 +644,7 @@ def _run_density(cfg):
 
 
 def _run_two_circles(cfg):
-    r1 = _need(cfg, "r_inner")
-    r2 = _need(cfg, "r_outer")
+    r1, r2 = cfg["r_inner"], cfg["r_outer"]
     point = complex(cfg["point"][0], cfg["point"][1]) if "point" in cfg else None
     radii = np.asarray(cfg["radii"], float) if "radii" in cfg else None
     rep = two_circles_density(r1, r2, point=point, radii=radii)
@@ -767,8 +768,6 @@ def run(config, out_dir="qhalf-out", seed=None):
     os.makedirs(out_dir, exist_ok=True)
     try:
         result = _RUNNERS[cfg["kind"]](cfg)
-    except UsageError:
-        raise
     except Exception as exc:
         report = {"kind": cfg["kind"], "label": label, "passed": False,
                   "error": {"type": type(exc).__name__, "message": str(exc)}}

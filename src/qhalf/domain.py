@@ -15,7 +15,6 @@ exactly; for a graph interface it is built from tube coordinates
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -517,19 +516,3 @@ def validate_distance_field(dom: HalfDomain, fld: DistanceField, caps: dict = No
         all_ok &= ok
     report["ok"] = all_ok
     return report
-
-
-def dump_mesh_csv(dom: HalfDomain, fld: DistanceField, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "x", "y", "tag", "d", "dx_d", "dy_d"])
-        for k in range(dom.n_nodes):
-            writer.writerow([
-                k,
-                repr(float(dom.xy[k, 0])),
-                repr(float(dom.xy[k, 1])),
-                TAG_NAMES[int(dom.tag[k])],
-                repr(float(fld.d[k])),
-                repr(float(fld.grad[k, 0])),
-                repr(float(fld.grad[k, 1])),
-            ])

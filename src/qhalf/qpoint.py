@@ -13,7 +13,6 @@ enumeration in g_distance_bruteforce is the oracle it is tested against.
 from __future__ import annotations
 
 import itertools
-import json
 from functools import lru_cache
 
 import numpy as np
@@ -55,9 +54,6 @@ class QPoint:
         order = np.lexsort(self.sheets.T[::-1])
         return self.sheets[order]
 
-    def permuted(self, perm) -> "QPoint":
-        return QPoint(self.sheets[list(perm)])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, QPoint):
             return NotImplemented
@@ -68,18 +64,6 @@ class QPoint:
     def __repr__(self) -> str:
         return f"QPoint(Q={self.Q}, n={self.n}, sheets={self.sheets.tolist()})"
 
-    def to_json(self) -> str:
-        payload = {"Q": self.Q, "n": self.n, "sheets": self.sheets.ravel().tolist()}
-        return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "QPoint":
-        payload = json.loads(text)
-        q, n = int(payload["Q"]), int(payload["n"])
-        flat = np.asarray(payload["sheets"], dtype=float)
-        if flat.size != q * n:
-            raise ValueError(f"expected {q * n} values, got {flat.size}")
-        return QPoint(flat.reshape(q, n))
 
 
 def _as_sheets(p) -> np.ndarray:
@@ -116,11 +100,6 @@ def g_distance_bruteforce(a, b) -> float:
         if total < best:
             best = total
     return float(np.sqrt(best))
-
-
-def eta_mean(a) -> np.ndarray:
-    """Mean of the sheets, a single vector in R^n."""
-    return _as_sheets(a).mean(axis=0)
 
 
 @lru_cache(maxsize=None)

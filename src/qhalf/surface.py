@@ -91,9 +91,6 @@ class BranchedSurface:
     tau: float
     fillet: float
     straight_x: float
-    grid_h: float
-    grid: np.ndarray
-    grid_density: np.ndarray
 
     @property
     def cap_radius(self) -> float:
@@ -152,13 +149,11 @@ class BranchedSurface:
 
 
 def build_surface(alpha: float = 0.5, tau: float = 1.2, fillet: float = 0.2,
-                  straight_x: float = 1.6,
-                  grid_h: float = 0.02) -> BranchedSurface:
-    """Construct the surface with a cell-centered sample grid.
+                  straight_x: float = 1.6) -> BranchedSurface:
+    """Construct the surface after checking its shape parameters.
 
     tau must cover the segment zeros meant to act as boundary touching
-    points (the default covers moduli 1 and e^{-pi}). Grid nodes sit at
-    cell centers so none land on the axis or the origin.
+    points (the default covers moduli 1 and e^{-pi}).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
@@ -166,17 +161,8 @@ def build_surface(alpha: float = 0.5, tau: float = 1.2, fillet: float = 0.2,
         raise ValueError("need 0 < fillet < tau")
     if straight_x <= fillet:
         raise ValueError("straight_x must exceed the fillet radius")
-    x_max = straight_x + tau + fillet
-    cap = tau + fillet
-    xs = np.arange(0.5 * grid_h, x_max, grid_h)
-    ys = np.arange(-cap + 0.5 * grid_h, cap, grid_h)
-    gx, gy = np.meshgrid(xs, ys)
-    nodes = (gx + 1j * gy).ravel()
-    nodes = nodes[_contains(nodes, tau, fillet, straight_x)]
-    dens = area_density(nodes, alpha)
     return BranchedSurface(alpha=alpha, tau=tau, fillet=fillet,
-                           straight_x=straight_x, grid_h=grid_h,
-                           grid=nodes, grid_density=dens)
+                           straight_x=straight_x)
 
 
 # ---------------------------------------------------------------------------
@@ -535,19 +521,3 @@ def two_circles_density(r_inner: float, r_outer: float, point=None,
         exact, loc = 0.0, "outside"
     return TwoCirclesReport(exact=exact, radii=radii, ratios=ratios,
                             location=loc)
-
-
-def dump_surface_csv(surface, path):
-    """Write the sample grid: parameter, image coordinates, area element."""
-    pts = surface.image(surface.grid)
-    data = np.column_stack([surface.grid.real, surface.grid.imag,
-                            pts, surface.grid_density])
-    np.savetxt(path, data, delimiter=",",
-               header="x,y,u1,u2,v1,v2,area_density", comments="")
-
-
-def dump_curve_csv(scan: BoundaryScan, path):
-    """Write the boundary scan samples: parameter, preimage, image."""
-    data = np.column_stack([scan.t, scan.z.real, scan.z.imag, scan.points])
-    np.savetxt(path, data, delimiter=",",
-               header="t,x,y,u1,u2,v1,v2", comments="")

@@ -6,39 +6,27 @@ of the pytest output is one pass/fail verdict and the numbers behind it
 live in version-controlled configs.
 """
 
-import time
-
 import pytest
 
-from qhalf.cli import load_preset, read_report, run
 
-
-@pytest.fixture(scope="module")
-def outdir(tmp_path_factory):
-    return tmp_path_factory.mktemp("acceptance")
-
-
-def run_preset(name, outdir):
-    cfg = load_preset(name)
-    t0 = time.monotonic()
-    rc = run(cfg, out_dir=str(outdir))
-    elapsed = time.monotonic() - t0
-    report = read_report(outdir / f"{name}-report.json")
-    return rc, report, elapsed
+@pytest.fixture
+def run_preset(preset_run):
+    """run_preset(name) -> (exit code, report, seconds); one run per session."""
+    return lambda name: preset_run(name)[:3]
 
 
 def by_name(report):
     return {c["name"]: c for c in report["checks"]}
 
 
-@pytest.fixture(scope="module")
-def refinement(outdir):
+@pytest.fixture
+def refinement(run_preset):
     """Shared three-grid collapsed solve; two criteria read from it."""
-    return run_preset("collapse-refinement", outdir)
+    return run_preset("collapse-refinement")
 
 
-def test_criterion_01_metric_oracle_suite(outdir):
-    rc, report, elapsed = run_preset("metric-suite", outdir)
+def test_criterion_01_metric_oracle_suite(run_preset):
+    rc, report, elapsed = run_preset("metric-suite")
     assert rc == 0
     checks = by_name(report)
     assert checks["assignment-matches-bruteforce"]["value"] <= 1e-12
@@ -51,8 +39,8 @@ def test_criterion_01_metric_oracle_suite(outdir):
     assert elapsed < 10.0
 
 
-def test_criterion_02_classical_limit_solve(outdir):
-    rc, report, elapsed = run_preset("solve-classical", outdir)
+def test_criterion_02_classical_limit_solve(run_preset):
+    rc, report, elapsed = run_preset("solve-classical")
     assert rc == 0
     assert report["summary"]["Q"] == 1
     assert report["summary"]["h"] == 1.0 / 64
@@ -87,27 +75,27 @@ def test_criterion_04_outer_variation_identity(refinement):
     assert row["coarse"] > row["value"]
 
 
-def test_criterion_05_homogeneous_frequencies(outdir):
-    rc, report, _ = run_preset("frequency-linear", outdir)
+def test_criterion_05_homogeneous_frequencies(run_preset):
+    rc, report, _ = run_preset("frequency-linear")
     assert rc == 0
     row = by_name(report)["frequency-near-1"]
     assert row["value"] <= 0.02
     assert row["homogeneity"] <= 0.01  # u(x/2) against 2^{-i0} u(x)
-    rc, report, _ = run_preset("frequency-sqrt-branch", outdir)
+    rc, report, _ = run_preset("frequency-sqrt-branch")
     assert rc == 0
     row = by_name(report)["frequency-near-1.5"]
     assert row["value"] <= 0.03
     assert row["homogeneity"] <= 0.01
 
 
-def test_criterion_06_almost_monotone_frequency(outdir):
-    rc, report, _ = run_preset("monotonicity-wavy", outdir)
+def test_criterion_06_almost_monotone_frequency(run_preset):
+    rc, report, _ = run_preset("monotonicity-wavy")
     assert rc == 0
     row = by_name(report)["almost-monotone"]
     assert row["ok"] and row["value"] <= 0.02
     assert report["summary"]["kappa"] > 0.0
     # the drop map must fail the very same check
-    rc, report, _ = run_preset("monotonicity-control", outdir)
+    rc, report, _ = run_preset("monotonicity-control")
     assert rc == 0
     row = by_name(report)["almost-monotone"]
     assert row["expect"] == "fail"
@@ -115,8 +103,8 @@ def test_criterion_06_almost_monotone_frequency(outdir):
     assert row["ok"]
 
 
-def test_criterion_07_doubling_bounds(outdir):
-    rc, report, _ = run_preset("doubling-bounds", outdir)
+def test_criterion_07_doubling_bounds(run_preset):
+    rc, report, _ = run_preset("doubling-bounds")
     assert rc == 0
     row = by_name(report)["doubling-bounds"]
     assert row["h_pass"] and row["d_pass"] and row["range_pass"]
@@ -124,8 +112,8 @@ def test_criterion_07_doubling_bounds(outdir):
     assert row["value"] <= 0.0         # worst overshoot outside the bounds
 
 
-def test_criterion_08_zero_rings(outdir):
-    rc, report, elapsed = run_preset("zeros-three-rings", outdir)
+def test_criterion_08_zero_rings(run_preset):
+    rc, report, elapsed = run_preset("zeros-three-rings")
     assert rc == 0
     assert len(report["checks"]) == 3
     for row in report["checks"]:
@@ -136,8 +124,8 @@ def test_criterion_08_zero_rings(outdir):
     assert elapsed < 60.0
 
 
-def test_criterion_09_flat_extension_decay(outdir):
-    rc, report, _ = run_preset("decay-orders", outdir)
+def test_criterion_09_flat_extension_decay(run_preset):
+    rc, report, _ = run_preset("decay-orders")
     assert rc == 0
     checks = by_name(report)
     expected = 0.5 / 3.0
@@ -148,14 +136,14 @@ def test_criterion_09_flat_extension_decay(outdir):
     assert checks["order-0-envelope"]["ok"]
 
 
-def test_criterion_10_densities(outdir):
-    rc, report, el_flat = run_preset("two-circles", outdir)
+def test_criterion_10_densities(run_preset):
+    rc, report, el_flat = run_preset("two-circles")
     assert rc == 0
     checks = by_name(report)
     assert checks["exact-value"]["value"] == 1.5
     assert abs(checks["ratio-limit"]["value"] - 1.5) <= 0.015
     assert checks["analytic-model"]["value"] <= 1e-4
-    rc, report, el_surf = run_preset("density-suite", outdir)
+    rc, report, el_surf = run_preset("density-suite")
     assert rc == 0
     checks = by_name(report)
     assert abs(checks["density-double-point"]["value"] - 1.5) <= 0.05 * 1.5
@@ -166,8 +154,8 @@ def test_criterion_10_densities(outdir):
     assert el_flat + el_surf < 300.0
 
 
-def test_criterion_11_interpolation_estimate(outdir):
-    rc, report, _ = run_preset("interpolation-bound", outdir)
+def test_criterion_11_interpolation_estimate(run_preset):
+    rc, report, _ = run_preset("interpolation-bound")
     assert rc == 0
     assert report["summary"]["pairs"] == 50
     assert report["summary"]["lams"] == [0.1, 0.2]

@@ -246,3 +246,79 @@ def test_readme_library_example_runs(capsys):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.startswith("True ")
+
+
+def _preset_plus(name, *checks):
+    cfg = load_preset(name)
+    cfg["checks"] = cfg.get("checks", []) + list(checks)
+    return cfg
+
+
+def _without_target():
+    cfg = load_preset("frequency-linear")
+    del cfg["checks"][0]["target"]
+    return cfg
+
+
+_SINE = {"kind": "sine-wave", "amplitude": 0.05, "wavenumber": 3}
+_LINEAR = {"generator": "linear"}
+GUARD_CASES = [
+    ("frequency-check-on-collapse-kind",
+     _preset_plus("collapse-refinement", {"type": "monotonicity"}),
+     "checks.5.type"),
+    ("collapse-check-on-frequency-kind",
+     _preset_plus("monotonicity-wavy", {"type": "spread-max"}),
+     "checks.1.type"),
+    ("frequency-check-on-solve-kind",
+     _preset_plus("solve-classical", {"type": "doubling"}), "checks.2.type"),
+    ("classical-reference-q3",
+     {"kind": "solve", "domain": {"h": 1 / 16}, "Q": 3, "data": _LINEAR,
+      "checks": [{"type": "converged"}, {"type": "classical-reference"}]},
+     "checks.1.type"),
+    ("odd-defect-on-sine-wave",
+     {"kind": "collapse", "Q": 2, "data": _LINEAR,
+      "domain": {"h_values": [1 / 16, 1 / 32], "interface": _SINE},
+      "checks": [{"type": "odd-defect-vs-oscillation"}]},
+     "checks.0.type"),
+    ("identity-refinement-one-spacing",
+     _preset_plus("collapse-q3-linear", {"type": "outer-identity-refinement"}),
+     "checks.1.type"),
+    ("interpolation-bound-mix",
+     _preset_plus("interpolation-bound", {"type": "converged"},
+                  {"type": "classical-reference"},
+                  {"type": "interpolation-bound", "c_max": 1e-9}),
+     "checks.0.type"),
+    ("i-value-without-target", _without_target(), "checks.0"),
+    ("solve-without-data",
+     {"kind": "solve", "domain": {"h": 1 / 16}, "Q": 1,
+      "checks": [{"type": "converged"}]},
+     "data"),
+    ("frequency-without-h",
+     {"kind": "frequency", "domain": {"h_values": [1 / 16]}, "Q": 2,
+      "data": _LINEAR},
+     "domain.h"),
+    ("collapse-without-h-values",
+     {"kind": "collapse", "domain": {"h": 1 / 16}, "Q": 3, "data": _LINEAR},
+     "domain.h_values"),
+    ("bad-generator-params",
+     {"kind": "frequency", "domain": {"h": 1 / 16}, "Q": 2, "source": "sample",
+      "data": {"generator": "linear", "params": {"slop": 2.0}}},
+     "data.params"),
+]
+
+
+@pytest.mark.parametrize("cfg, path", [c[1:] for c in GUARD_CASES],
+                         ids=[c[0] for c in GUARD_CASES])
+def test_config_rules_fail_before_any_work(tmp_path, monkeypatch, cfg, path):
+    def no_work(*args, **kwargs):
+        raise AssertionError("pipeline work started before validation")
+
+    for name in ("minimize", "build_halfdisk", "sample_map",
+                 "interpolate_annulus"):
+        monkeypatch.setattr(f"qhalf.cli.{name}", no_work)
+    with pytest.raises(UsageError) as err:
+        validate_config(cfg)
+    assert err.value.path == path
+    rc = main([cfg["kind"], "--config", write_config(tmp_path, cfg),
+               "--out", str(tmp_path)])
+    assert rc == 2

@@ -14,7 +14,6 @@ from qhalf.domain import (
     InterfaceSpec,
     build_distance_field,
     build_halfdisk,
-    dump_mesh_csv,
     validate_distance_field,
 )
 
@@ -150,16 +149,6 @@ def test_wavy_interface_builds():
     assert fld.defects.tangency <= 1e-6
     assert np.all(fld.d >= 0)
     assert fld.monotonicity_constant < 10.0
-
-
-def test_mesh_csv_dump(tmp_path, straight_64):
-    dom = straight_64
-    fld = build_distance_field(dom)
-    path = tmp_path / "mesh.csv"
-    dump_mesh_csv(dom, fld, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == dom.n_nodes + 1
-    assert lines[0] == "node,x,y,tag,d,dx_d,dy_d"
 
 
 def test_side_graphs_are_consistent(parabola_64):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from qhalf.surface import (BranchedSurface, area_density, boundary_curve,
-                           build_surface, density_at, dump_curve_csv,
-                           dump_surface_csv, surface_image,
+                           build_surface, density_at, surface_image,
                            two_circles_density)
 
 # value of the product at 0.7 + 0.2i, frozen from high-precision
@@ -33,12 +32,16 @@ def test_build_validation():
 
 
 def test_grid_inside_positive_density(surf):
-    assert surf.grid.size > 10000
-    assert np.all(surf.contains(surf.grid))
-    assert np.all(surf.grid_density > 0.0)
-    # cell-centered grid keeps clear of the axis and the origin
-    assert surf.grid.real.min() > 0.0
-    assert np.abs(surf.grid).min() > 0.0
+    # cell-centred lattice over the bounding box: no node on the axis or
+    # at the origin, where the area element vanishes
+    h = 0.02
+    xs = np.arange(0.5 * h, surf.x_max, h)
+    ys = np.arange(-surf.cap_radius + 0.5 * h, surf.cap_radius, h)
+    gx, gy = np.meshgrid(xs, ys)
+    nodes = (gx + 1j * gy).ravel()
+    nodes = nodes[surf.contains(nodes)]
+    assert nodes.size > 10000
+    assert np.all(surf.area_element(nodes) > 0.0)
 
 
 def test_boundary_point_geometry(surf):
@@ -209,17 +212,3 @@ def test_two_circles_validation():
         two_circles_density(2.0, 1.0)
     with pytest.raises(ValueError):
         two_circles_density(1.0, 2.0, radii=np.array([0.0]))
-
-
-def test_csv_dumps(surf, scan, tmp_path):
-    gpath = tmp_path / "grid.csv"
-    cpath = tmp_path / "curve.csv"
-    dump_surface_csv(surf, gpath)
-    dump_curve_csv(scan, cpath)
-    grid = np.loadtxt(gpath, delimiter=",", skiprows=1)
-    assert grid.shape == (surf.grid.size, 7)
-    assert np.all(np.isfinite(grid))
-    assert np.all(grid[:, 6] > 0.0)
-    curve = np.loadtxt(cpath, delimiter=",", skiprows=1)
-    assert curve.shape == (len(scan.t), 7)
-    assert np.all(np.isfinite(curve))
