@@ -32,9 +32,11 @@ import jsonschema
 from . import data_maps
 from .domain import (
     BOUNDARY_PLUS,
+    ConstructionError,
     InterfaceSpec,
     build_distance_field,
     build_halfdisk,
+    check_spacing,
     grid_half_width,
 )
 from .frequency import (
@@ -139,8 +141,13 @@ def validate_config(cfg):
     q_param = cfg.get("data", {}).get("params", {}).get("Q")
     if isinstance(q_param, int):
         sheet_counts.append(("data.params.Q", q_param))
+    R = dcfg.get("R", 1.0)
     for path, h in spacings:
-        side = 2.0 * grid_half_width(dcfg.get("R", 1.0), h) + 1.0
+        try:
+            check_spacing(R, h)
+        except ConstructionError as exc:
+            raise UsageError(str(exc), path)
+        side = 2.0 * grid_half_width(R, h) + 1.0
         if side * side > MAX_GRID_CELLS:
             raise UsageError(f"grid spacing {h} needs a {side:.0f}^2 "
                              f"grid, above {MAX_GRID_CELLS} cells", path)
@@ -149,6 +156,9 @@ def validate_config(cfg):
                 raise UsageError(f"Q={q} sheets on the {side:.0f}^2 grid of "
                                  f"{path} exceed {MAX_SHEET_VALUES} values",
                                  q_path)
+    scan = cfg.get("scan", {})
+    if scan.get("r_min", 0.0) >= scan.get("r_max", math.inf):
+        raise UsageError("scan.r_min must be below scan.r_max", "scan.r_max")
     checks = cfg.get("checks", [])
     interp = any(c["type"] == "interpolation-bound" for c in checks)
     spec = _data_from(cfg) if spacing is not None and not interp else None

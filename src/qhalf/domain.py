@@ -196,6 +196,12 @@ def grid_half_width(R: float, h: float) -> float:
     return float(np.floor(R / h + 1e-9))
 
 
+def check_spacing(R: float, h: float) -> None:
+    """Raise ConstructionError unless h is below R/8, the coarsest grid."""
+    if not h < R / 8.0:
+        raise ConstructionError(f"grid spacing h={h} must be below R/8={R / 8.0}")
+
+
 def build_halfdisk(
     R: float,
     h: float,
@@ -205,8 +211,7 @@ def build_halfdisk(
     """Clipped grid on the disk of radius R split by the interface."""
     if interface is None:
         interface = InterfaceSpec.straight()
-    if not h < R / 8.0:
-        raise ConstructionError(f"grid spacing h={h} must be below R/8={R / 8.0}")
+    check_spacing(R, h)
 
     if interface.kind == "graph":
         p0, _, _ = interface.values(0.0)

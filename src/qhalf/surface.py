@@ -20,6 +20,11 @@ and the segment portion is covered by the strict monotonicity of
 Im z^3 = -y^3 along it (the image curve flattens at the origin, so a
 sampling scan alone could never resolve that pinch).
 
+The image and the area element come from one fused evaluation of
+(g, g') per point, and the quadtree evaluates each cell centre once for
+its membership, its distance from the ball centre and its Lipschitz
+reach.
+
 The two-circles configuration (two stacked flat disks spanning
 concentric circles) is computed in closed form as a reference: exact
 circle-circle overlap areas give the ratio sequence, converging to
@@ -32,49 +37,39 @@ from dataclasses import dataclass
 from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 
-from .holomorphic import branch_product, branch_product_prime, find_zeros_numeric
+from .holomorphic import branch_product, branch_product_and_prime, find_zeros_numeric
+
+
+def _image_and_area(z, alpha):
+    """Image rows and area element from one fused evaluation of (g, g')."""
+    g, gp = branch_product_and_prime(z, alpha)
+    cube = z ** 3
+    pts = np.stack([cube.real, cube.imag, g.real, g.imag], axis=-1)
+    return pts, 9.0 * np.abs(z) ** 4 + np.abs(gp) ** 2
 
 
 def surface_image(z, alpha: float = 0.5):
     """Rows (Re z^3, Im z^3, Re g, Im g); shape (4,) for scalar input."""
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    cube = z ** 3
-    gv = np.atleast_1d(branch_product(z, alpha))
-    out = np.stack([cube.real, cube.imag, gv.real, gv.imag], axis=-1)
-    return out[0] if scalar else out
+    return _image_and_area(np.asarray(z, dtype=complex), alpha)[0]
 
 
 def area_density(z, alpha: float = 0.5):
     """Area element 9|z|^4 + |g'|^2 of the map, extended by 0 at 0."""
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = 9.0 * np.abs(z) ** 4
-    nz = z != 0
-    if np.any(nz):
-        out[nz] += np.abs(branch_product_prime(z[nz], alpha)) ** 2
-    return float(out[0]) if scalar else out
+    return _image_and_area(np.asarray(z, dtype=complex), alpha)[1]
 
 
 def _top_profile(x, tau, fillet, straight_x):
+    """Upper edge of the region over x; each arc is evaluated only where
+    it applies (the fillet for x <= fillet, the cap past straight_x)."""
     x = np.asarray(x, dtype=float)
     cap_r = tau + fillet
-    with np.errstate(invalid="ignore"):
-        fillet_y = tau + np.sqrt(np.maximum(fillet ** 2 - (x - fillet) ** 2,
-                                            0.0))
-        cap_y = np.sqrt(np.maximum(cap_r ** 2 - (x - straight_x) ** 2, 0.0))
-    return np.where(x <= fillet, fillet_y,
-                    np.where(x <= straight_x, cap_r, cap_y))
-
-
-def _contains(z, tau, fillet, straight_x):
-    z = np.asarray(z, dtype=complex)
-    x, y = z.real, z.imag
-    x_max = straight_x + tau + fillet
-    top = _top_profile(x, tau, fillet, straight_x)
-    return (x > 0.0) & (x < x_max) & (np.abs(y) < top)
+    out = np.full(x.shape, cap_r)
+    lo = x <= fillet
+    hi = x > straight_x
+    out[lo] = tau + np.sqrt(np.maximum(fillet ** 2 - (x[lo] - fillet) ** 2,
+                                       0.0))
+    out[hi] = np.sqrt(np.maximum(cap_r ** 2 - (x[hi] - straight_x) ** 2, 0.0))
+    return out
 
 
 @dataclass
@@ -101,13 +96,12 @@ class BranchedSurface:
         return self.straight_x + self.cap_radius
 
     def contains(self, z):
-        return _contains(z, self.tau, self.fillet, self.straight_x)
+        x, y = np.real(z), np.imag(z)
+        top = _top_profile(x, self.tau, self.fillet, self.straight_x)
+        return (x > 0.0) & (x < self.x_max) & (np.abs(y) < top)
 
     def image(self, z):
         return surface_image(z, self.alpha)
-
-    def area_element(self, z):
-        return area_density(z, self.alpha)
 
     def _piece_lengths(self):
         f, tau, x = self.fillet, self.tau, self.straight_x
@@ -339,34 +333,27 @@ def _preimage_seeds(surface, p1, p2, r_max, gap_tol=1e-7):
     return seeds
 
 
-def _member(surface, z, p, r):
-    """Inside the region and the image within r of p."""
-    z = np.asarray(z, dtype=complex)
-    ok = surface.contains(z)
-    out = np.zeros(z.shape, dtype=bool)
-    if np.any(ok):
-        pts = surface_image(z[ok], surface.alpha)
-        out[ok] = np.linalg.norm(pts - p, axis=1) < r
-    return out
-
-
-_PROBES = np.array([0.0, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j,
-                    1 + 0j, -1 + 0j, 1j, -1j])
-_MIDS = 0.5 * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
-
-
-def _image_gap_and_density(surface, z, p):
-    """Distance of the image from p and the area element; the slit
-    (where the product is undefined) reports an infinite gap."""
-    z = np.asarray(z, dtype=complex)
-    ok = (z.real > 0.0) | (z.imag != 0.0)
+def _gap_and_area(surface, z, p, ok):
+    """Distance of the image from p and the area element on the mask ok,
+    from one fused evaluation; an infinite gap and 0 elsewhere."""
     gap = np.full(z.shape, np.inf)
     dens = np.zeros(z.shape)
     if np.any(ok):
-        pts = surface_image(z[ok], surface.alpha)
+        pts, dens[ok] = _image_and_area(z[ok], surface.alpha)
         gap[ok] = np.linalg.norm(pts - p, axis=1)
-        dens[ok] = area_density(z[ok], surface.alpha)
     return gap, dens
+
+
+def _member(surface, z, p, r):
+    """Inside the region and the image within r of p."""
+    return _gap_and_area(surface, z, p, surface.contains(z))[0] < r
+
+
+# membership probes around a cell centre, in half-widths; the centre is
+# decided from its own evaluation, which also gives the Lipschitz data
+_PROBES = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j, 1 + 0j, -1 + 0j,
+                    1j, -1j])
+_MIDS = 0.5 * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
 
 
 def _quadtree_mass(surface, center, w, p, r, depth):
@@ -379,18 +366,20 @@ def _quadtree_mass(surface, center, w, p, r, depth):
     cz = (center + w * (g[:, None] + 1j * g[None, :])).ravel()
     hw = np.full(cz.size, w / side)
     mass = 0.0
-    for level in range(depth):
+    for _ in range(depth):
+        # the slit, where the product is undefined, gets an infinite gap
+        gap, dens = _gap_and_area(surface, cz, p,
+                                  (cz.real > 0.0) | (cz.imag != 0.0))
         probes = cz[:, None] + hw[:, None] * _PROBES[None, :]
-        m = _member(surface, probes.ravel(), p, r).reshape(probes.shape)
-        n_in = m.sum(axis=1)
-        full = n_in == len(_PROBES)
+        m = _member(surface, probes, p, r)
+        n_in = m.sum(axis=1) + (surface.contains(cz) & (gap < r))
+        full = n_in == len(_PROBES) + 1
         if np.any(full):
             zs = cz[full, None] + hw[full, None] * _MIDS[None, :]
             J = area_density(zs.ravel(), surface.alpha).reshape(zs.shape)
             mass += float((J.mean(axis=1) * (2.0 * hw[full]) ** 2).sum())
         # drop a cell only when a Lipschitz bound proves its image
         # stays clear of the ball; probes alone are not a proof
-        gap, dens = _image_gap_and_density(surface, cz, p)
         reach = 1.5 * np.sqrt(np.maximum(dens, 1e-12) * 2.0) * hw
         empty = (n_in == 0) & (gap > r + reach)
         mixed = ~full & ~empty
@@ -402,11 +391,9 @@ def _quadtree_mass(surface, center, w, p, r, depth):
     g = (np.arange(4) + 0.5) / 2.0 - 1.0
     offs = (g[:, None] + 1j * g[None, :]).ravel()
     zs = cz[:, None] + hw[:, None] * offs[None, :]
-    m = _member(surface, zs.ravel(), p, r).reshape(zs.shape)
-    J = np.zeros(zs.shape)
-    if np.any(m):
-        J[m] = area_density(zs[m], surface.alpha)
-    mass += float(((J * m).mean(axis=1) * (2.0 * hw) ** 2).sum())
+    gap, dens = _gap_and_area(surface, zs, p, surface.contains(zs))
+    J = np.where(gap < r, dens, 0.0)
+    mass += float((J.mean(axis=1) * (2.0 * hw) ** 2).sum())
     return mass
 
 

@@ -147,15 +147,18 @@ def test_empty_series_writes_header_only(tmp_path):
 
 
 def test_pipeline_failure_writes_error_report(tmp_path):
-    # spacing too coarse for the disk: domain construction must fail
-    cfg = {"kind": "solve", "label": "coarse", "domain": {"h": 0.5}, "Q": 1,
-           "data": {"generator": "quadratic-harmonic"}}
+    # a valid config whose scan finds no annulus wide enough at this h:
+    # only the pipeline can see that, so it fails there
+    cfg = {"kind": "frequency", "label": "thin", "domain": {"h": 1 / 64},
+           "Q": 2, "data": {"generator": "linear"}, "source": "sample",
+           "scan": {"r_max": 0.2, "r_min": 0.1}}
+    validate_config(cfg)
     rc = run(cfg, out_dir=str(tmp_path))
     assert rc == 1
-    report = read_report(tmp_path / "coarse-report.json")
+    report = read_report(tmp_path / "thin-report.json")
     assert not report["passed"]
-    assert report["error"]["type"] == "ConstructionError"
-    assert "grid spacing" in report["error"]["message"]
+    assert report["error"]["type"] == "ResolutionError"
+    assert "reliable radius" in report["error"]["message"]
 
 
 def test_expected_failure_inverts_exit_code(tmp_path):
@@ -300,6 +303,20 @@ GUARD_CASES = [
     ("collapse-without-h-values",
      {"kind": "collapse", "domain": {"h": 1 / 16}, "Q": 3, "data": _LINEAR},
      "domain.h_values"),
+    ("scan-r-min-above-r-max",
+     dict(load_preset("monotonicity-wavy"), scan={"r_min": 0.8, "r_max": 0.3}),
+     "scan.r_max"),
+    ("scan-r-min-equals-r-max",
+     dict(load_preset("frequency-linear"), scan={"r_min": 0.5, "r_max": 0.5}),
+     "scan.r_max"),
+    ("spacing-above-r-over-8",
+     {"kind": "solve", "domain": {"h": 0.5}, "Q": 1,
+      "data": {"generator": "quadratic-harmonic"}},
+     "domain.h"),
+    ("spacing-r-over-8-in-ladder",
+     {"kind": "collapse", "Q": 3, "data": _LINEAR,
+      "domain": {"R": 2.0, "h_values": [1 / 16, 0.25]}},
+     "domain.h_values.1"),
     ("bad-generator-params",
      {"kind": "frequency", "domain": {"h": 1 / 16}, "Q": 2, "source": "sample",
       "data": {"generator": "linear", "params": {"slop": 2.0}}},

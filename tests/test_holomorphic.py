@@ -7,8 +7,7 @@ from qhalf.holomorphic import (
     ZeroMatchError,
     branch_factor,
     branch_product,
-    branch_product_prime,
-    cauchy_riemann_residual,
+    branch_product_and_prime,
     decay_constant,
     derivative_decay_check,
     fd_weights,
@@ -101,13 +100,63 @@ def test_prime_matches_finite_difference():
     h = 1e-5
     for z in (0.7 + 0.2j, 1.3 - 0.4j, 0.05 + 1.3j):
         fd = (branch_product(z + h) - branch_product(z - h)) / (2 * h)
-        np.testing.assert_allclose(branch_product_prime(z), fd, rtol=1e-5)
+        np.testing.assert_allclose(branch_product_and_prime(z)[1], fd,
+                                   rtol=1e-5)
 
 
 def test_log_derivative_consistency():
     for z in (0.7 + 0.2j, 0.05 + 1.3j, 1.4 - 0.9j):
-        ratio = branch_product_prime(z) / branch_product(z)
-        np.testing.assert_allclose(log_derivative(z), ratio, rtol=1e-10)
+        g, gp = branch_product_and_prime(z)
+        np.testing.assert_allclose(log_derivative(z), gp / g, rtol=1e-10)
+    pts = _sample_points(np.random.default_rng(7), 400)
+    g, gp = branch_product_and_prime(pts)
+    np.testing.assert_allclose(gp, log_derivative(pts) * g, rtol=1e-10)
+
+
+def _sample_points(rng, n):
+    # moduli e^{-pi}..e^{pi}, angles across the slit plane
+    r = np.exp(rng.uniform(-np.pi, np.pi, n))
+    return r * np.exp(1j * rng.uniform(-0.95 * np.pi, 0.95 * np.pi, n))
+
+
+def _four_factor_product(z):
+    return np.prod([branch_factor(z, k) for k in range(4)], axis=0)
+
+
+def test_fused_product_matches_four_factors():
+    rng = np.random.default_rng(11)
+    zeros = np.concatenate([predicted_zero_set(k, range(-1, 2))
+                            for k in range(4)])
+    pts = _sample_points(rng, 4000)
+    near = np.min(np.abs(pts[:, None] - zeros[None, :])
+                  / np.abs(zeros)[None, :], axis=1) < 0.05
+    far = pts[~near]
+    assert far.size > 3000
+    g, _ = branch_product_and_prime(far)
+    np.testing.assert_allclose(g, _four_factor_product(far), rtol=1e-12)
+    # next to the closed-form zeros the relative error is unbounded;
+    # the absolute one stays at rounding level
+    for z0 in zeros:
+        z = z0 + abs(z0) * np.concatenate(
+            [[0.0], 10.0 ** rng.uniform(-9, -2, 40)
+             * np.exp(2j * np.pi * rng.uniform(size=40))])
+        g, _ = branch_product_and_prime(z)
+        assert np.max(np.abs(g - _four_factor_product(z))) < 1e-13
+    for alpha in (0.3, 0.7):
+        g, _ = branch_product_and_prime(far[:200], alpha)
+        np.testing.assert_allclose(
+            g, branch_product(far[:200], alpha), rtol=1e-12)
+
+
+def test_fused_evaluator_shapes_origin_and_slit():
+    g, gp = branch_product_and_prime(0.7 + 0.2j)
+    assert isinstance(g, complex) and isinstance(gp, complex)
+    np.testing.assert_allclose(g, G_AT_P, rtol=1e-13)
+    g, gp = branch_product_and_prime(np.array([0.0, 0.7 + 0.2j]))
+    assert g.shape == gp.shape == (2,)
+    assert g[0] == 0.0 and gp[0] == 0.0
+    with pytest.raises(ValueError):
+        branch_product_and_prime(-1.0)
 
 
 def test_phase_and_log_abs_below_underflow():
@@ -116,14 +165,6 @@ def test_phase_and_log_abs_below_underflow():
     assert branch_product(z) == 0.0
     assert product_log_abs(z) < -2e4
     assert np.isfinite(product_phase(z))
-
-
-def test_cauchy_riemann_residual_quadratic():
-    pts = [0.8 + 0.35j, 0.85 + 0.3j, 0.75 + 0.42j]
-    r1 = cauchy_riemann_residual(pts, 1e-3)
-    r2 = cauchy_riemann_residual(pts, 5e-4)
-    assert r1 < 1e-5
-    assert 2.8 < r1 / r2 < 5.5
 
 
 def test_find_zeros_unit_ring():

@@ -1,5 +1,7 @@
 """Metric axioms and matching operations for unordered Q-tuples."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,6 +78,30 @@ def test_bruteforce_size_limit():
     b = QPoint(np.ones((9, 1)))
     with pytest.raises(ValueError):
         g_distance_bruteforce(a, b)
+
+
+def loop_bruteforce(a, b):
+    """The per-permutation loop that the vectorised oracle replaced."""
+    d = a[:, None, :] - b[None, :, :]
+    cost = np.einsum("ijk,ijk->ij", d, d)
+    q = a.shape[0]
+    best = np.inf
+    for perm in itertools.permutations(range(q)):
+        total = cost[range(q), perm].sum()
+        if total < best:
+            best = total
+    return float(np.sqrt(best))
+
+
+def test_bruteforce_equals_permutation_loop():
+    rng = np.random.default_rng(5)
+    for q in range(1, 7):
+        for n in range(1, 5):
+            for _ in range(4):
+                # small integers are tie-heavy, uniform floats are not
+                for a, b in (rng.integers(-2, 3, size=(2, q, n)).astype(float),
+                             rng.uniform(-2.0, 2.0, size=(2, q, n))):
+                    assert g_distance_bruteforce(a, b) == loop_bruteforce(a, b)
 
 
 def test_metric_axioms_random_triples():

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from qhalf.surface import (BranchedSurface, area_density, boundary_curve,
-                           build_surface, density_at, surface_image,
-                           two_circles_density)
+from qhalf.surface import (BranchedSurface, _top_profile, area_density,
+                           boundary_curve, build_surface, density_at,
+                           surface_image, two_circles_density)
 
 # value of the product at 0.7 + 0.2i, frozen from high-precision
 # evaluation (same point as in the holomorphic tests)
@@ -41,7 +41,7 @@ def test_grid_inside_positive_density(surf):
     nodes = (gx + 1j * gy).ravel()
     nodes = nodes[surf.contains(nodes)]
     assert nodes.size > 10000
-    assert np.all(surf.area_element(nodes) > 0.0)
+    assert np.all(area_density(nodes, surf.alpha) > 0.0)
 
 
 def test_boundary_point_geometry(surf):
@@ -64,6 +64,35 @@ def test_boundary_point_geometry(surf):
     assert np.allclose(speed, 1.0, atol=1e-5)
 
 
+def where_top_profile(x, tau, fillet, straight_x):
+    """Both arcs over every x, then selected by np.where."""
+    x = np.asarray(x, dtype=float)
+    cap_r = tau + fillet
+    with np.errstate(invalid="ignore"):
+        fillet_y = tau + np.sqrt(np.maximum(fillet ** 2 - (x - fillet) ** 2,
+                                            0.0))
+        cap_y = np.sqrt(np.maximum(cap_r ** 2 - (x - straight_x) ** 2, 0.0))
+    return np.where(x <= fillet, fillet_y,
+                    np.where(x <= straight_x, cap_r, cap_y))
+
+
+def test_top_profile_matches_where_form(surf):
+    shape = (surf.tau, surf.fillet, surf.straight_x)
+    x = np.concatenate([
+        [-0.3, -1e-12, 0.0, 0.5 * surf.fillet, surf.fillet,
+         np.nextafter(surf.fillet, 1.0), 1.0, surf.straight_x,
+         np.nextafter(surf.straight_x, 9.0), surf.straight_x + 0.7,
+         surf.x_max, surf.x_max + 0.2, 5.0],
+        np.linspace(-0.5, surf.x_max + 0.5, 997)])
+    for arr in (x, x.reshape(10, 101)):
+        assert np.array_equal(_top_profile(arr, *shape),
+                              where_top_profile(arr, *shape))
+    for x0 in x[:13]:
+        got = _top_profile(x0, *shape)
+        assert got.ndim == 0
+        assert got == where_top_profile(x0, *shape)
+
+
 def test_contains_samples(surf):
     inside = [0.5 + 1.39j, 0.05 + 1.3j, 2.9 + 0.0j, 1.6 - 1.39j, 0.01 + 0.0j]
     outside = [0.5 + 1.41j, 0.05 + 1.35j, 3.01 + 0.0j, -0.1 + 0.5j,
@@ -83,7 +112,8 @@ def test_image_and_area_element(surf):
     h = 1e-6
     for z in (z0, 2.0 + 0.5j, 0.3 - 0.9j):
         fd = (surface_image(z + h) - surface_image(z - h)) / (2 * h)
-        assert np.isclose(np.sum(fd ** 2), surf.area_element(z), rtol=1e-4)
+        assert np.isclose(np.sum(fd ** 2), area_density(z, surf.alpha),
+                          rtol=1e-4)
 
 
 def test_boundary_scan_clean(scan):
