@@ -48,6 +48,7 @@ from .frequency import (
     check_outer_identity,
     frequency_scan,
     homogeneity_defect,
+    scan_bounds,
 )
 from .holomorphic import (
     ZeroMatchError,
@@ -175,6 +176,17 @@ def validate_config(cfg):
                              f"checks.{i}.type")
         if not met[table[t]]:
             raise UsageError(f"check {t!r} needs {table[t]}", f"checks.{i}.type")
+    # A bound left out takes its default at each scanned spacing.
+    refine = any(c["type"] == "outer-identity-refinement" for c in checks)
+    scanned = {"frequency": spacings,
+               "collapse": spacings[-2:] if refine else []}.get(kind, [])
+    for path, h in scanned:
+        r_min, r_max = scan_bounds(FrequencyConfig(**scan), R, h)
+        if r_min >= r_max:
+            at = ("scan.r_max" if "r_max" in scan
+                  else "scan.r_min" if "r_min" in scan else path)
+            raise UsageError(f"scan radii r_min={r_min:g} and r_max={r_max:g} "
+                             f"leave nothing to scan at h={h:g}", at)
 
 
 def load_config(path):
@@ -504,7 +516,7 @@ def _run_frequency(cfg):
         k = ccfg.get("kappa", 0.0)
         if k == "calibrated":
             if "value" not in kappa_cache:
-                kappa_cache["value"] = calibrate_kappa(dom)[0]
+                kappa_cache["value"] = calibrate_kappa(dom, dist)[0]
                 report["summary"]["kappa"] = kappa_cache["value"]
             return kappa_cache["value"]
         return float(k)

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import DistanceField, HalfDomain, INTERFACE, build_distance_field
+from .domain import DistanceField, HalfDomain, INTERFACE
 from .qpoint import batch_match_cost2, batch_match_values
 from .solver import GridField
 
@@ -196,6 +196,14 @@ def annulus_sums(u, dist: DistanceField, r: float):
     return D, H, E, Gq
 
 
+def scan_bounds(cfg: FrequencyConfig, R: float, h: float):
+    """(r_min, r_max) of a scan, with the defaults r_min = 2 min_radial_cells h
+    (the smallest reliable radius) and r_max = R - 4h."""
+    r_max = cfg.r_max if cfg.r_max is not None else R - 4 * h
+    r_min = cfg.r_min if cfg.r_min is not None else 2 * cfg.min_radial_cells * h
+    return r_min, r_max
+
+
 def frequency_scan(u, dist: DistanceField,
                    cfg: Optional[FrequencyConfig] = None) -> FrequencyScan:
     """Evaluate all frequency quantities on a geometric radii ladder.
@@ -208,8 +216,7 @@ def frequency_scan(u, dist: DistanceField,
     cfg = cfg or FrequencyConfig()
     quads = _as_quads(u, dist)
     h = quads[0].h
-    r_max = cfg.r_max if cfg.r_max is not None else u.domain.R - 4 * h
-    r_min = cfg.r_min if cfg.r_min is not None else 2 * cfg.min_radial_cells * h
+    r_min, r_max = scan_bounds(cfg, u.domain.R, h)
     if r_max <= r_min:
         raise ResolutionError("no radii between r_min and r_max; refine h")
 
@@ -351,11 +358,12 @@ def check_doubling_bounds(scan: FrequencyScan, lam: float = 1.2,
                           c_eff=c_eff, rows=rows)
 
 
-def calibrate_kappa(dom: HalfDomain):
+def calibrate_kappa(dom: HalfDomain, dist: DistanceField):
     """Fit the quadrature constant on the single-sheet harmonic case.
 
-    Solves the Q=1 problem with data x^2 - y^2, scans it, and finds the
-    smallest c >= 0 making e^{c r} I nondecreasing on reliable radii.
+    Solves the Q=1 problem with data x^2 - y^2, scans it with dist, the
+    domain's distance field, and finds the smallest c >= 0 making
+    e^{c r} I nondecreasing on reliable radii.
     Returns kappa with c = kappa * h / r_min.
     """
     from . import data_maps
@@ -367,7 +375,6 @@ def calibrate_kappa(dom: HalfDomain):
     u, info = minimize(dom, data, cfg)
     if not info.converged:
         raise RuntimeError("calibration solve did not converge")
-    dist = build_distance_field(dom)
     scan = frequency_scan(u, dist)
     idx = np.nonzero(scan.reliable)[0]
     c_needed = 0.0

@@ -25,14 +25,18 @@ run as usual and certify it, stopping after one.
 
 Every collapsed scalar solve, from any init, stores each row of sheet
 values in rank order. Sorted goes to sorted under the optimal matching,
-so the matching step is the identity: a sweep takes the plain mean of
-the four neighbor rows, one precomputed sparse product per color, and
-re-sorts the few rows that over-relaxation pushed out of order; the
-energy is one sparse incidence product per side. A tie between sheets
-of a node is thus broken by rank at every Q. (The permutation table of
-batch_match_values breaks it by storage order at Q = 2, which can move a
-sweep elsewhere; the rank rule makes the sweeps independent of storage
-order.) Free-interface and vector-valued solves keep the matched path.
+so the matching step is the identity and a sweep takes the plain mean of
+the four neighbor rows. Both sides then live in one flat buffer ordered
+by color: the free rows of color 0 of both sides, those of color 1, then
+the pinned rows. A color half-sweep reads its rows as one slice, forms
+their neighbor means with one precomputed sparse product, writes the
+slice back and re-sorts the few rows that over-relaxation pushed out of
+order; the energy is one sparse incidence product over both sides. A tie
+between sheets of a node is thus broken by rank at every Q. (The
+permutation table of batch_match_values breaks it by storage order at
+Q = 2, which can move a sweep elsewhere; the rank rule makes the sweeps
+independent of storage order.) Free-interface and vector-valued solves
+keep the matched path, one state per side.
 """
 
 from __future__ import annotations
@@ -232,38 +236,18 @@ def _pin_interface_collapsed(u: QHalfMap):
 
 
 class _SideState:
-    """Per-side sweep bookkeeping: free interior nodes split by color.
+    """Matched sweeps on one side: free interior nodes split by color.
 
-    With ranked=True every row of values is kept in rank order (scalar
-    sheets, collapsed solve). Sorted goes to sorted under the optimal
-    matching, so the matched neighbor mean of a color is one precomputed
-    sparse product: nb_sum[c] holds 1.0 at the four neighbors of each
-    node, in stencil order, and the edge energy is the squared norm of
-    incidence @ V, one +1/-1 row per edge. Otherwise each neighbor is
-    matched to the node with batch_match_values and the energy is
-    edge_energy.
+    Each neighbor is matched to the node with batch_match_values, and the
+    energy is edge_energy. Used by free-interface and vector-valued
+    solves; collapsed scalar solves run on _RankedState.
     """
 
-    def __init__(self, side: SideGraph, values: np.ndarray, omega: float,
-                 ranked: bool):
+    def __init__(self, side: SideGraph, values: np.ndarray, omega: float):
         self.side = side
         self.values = values
         self.omega = omega
-        self.ranked = ranked
-        interior = side.free & ~(side.tag == INTERFACE)
-        self.color_idx = []
-        for c in (0, 1):
-            idx = np.nonzero(interior & (side.color == c))[0]
-            self.color_idx.append(idx)
-            if idx.size and (side.nb[idx] < 0).any():
-                raise RuntimeError("interior node missing a neighbor")
-        if ranked:
-            # Rows in stencil order, never canonicalised: the products sum
-            # in the same order as the matched path.
-            self.nb_sum = [_row_matrix(side.nb[idx], np.ones(4), side.n_nodes)
-                           for idx in self.color_idx]
-            self.incidence = _row_matrix(side.edges, np.array([1.0, -1.0]),
-                                         side.n_nodes)
+        self.color_idx = [_color_rows(side, c) for c in (0, 1)]
 
     def sweep_color(self, c: int) -> float:
         idx = self.color_idx[c]
@@ -271,38 +255,131 @@ class _SideState:
         if idx.size == 0 or V.shape[1] == 0:
             return 0.0
         U = V[idx]
-        if self.ranked:
-            flat = V.reshape(V.shape[0], -1)
-            target = (self.nb_sum[c] @ flat).reshape(U.shape) / 4.0
-        else:
-            W = V[self.side.nb[idx]]          # (M, 4, q, n)
-            acc = np.zeros_like(U)
-            for k in range(4):
-                acc += batch_match_values(U, W[:, k])
-            target = acc / 4.0
+        W = V[self.side.nb[idx]]          # (M, 4, q, n)
+        acc = np.zeros_like(U)
+        for k in range(4):
+            acc += batch_match_values(U, W[:, k])
+        target = acc / 4.0
         new = U + self.omega * (target - U)
         delta = float(np.max(np.abs(new - U)))
-        if self.ranked:
-            # omega > 1 can swap neighboring ranks; re-sort those rows only.
-            swapped = (new[:, 1:] < new[:, :-1]).any(axis=(1, 2))
-            if swapped.any():
-                new[swapped] = np.sort(new[swapped], axis=1)
         V[idx] = new
         return delta
 
     def energy(self) -> float:
-        V = self.values
-        if not self.ranked:
-            return edge_energy(V, self.side.edges)
-        d = self.incidence @ V.reshape(V.shape[0], -1)
-        return float(np.einsum("mq,mq->m", d, d).sum())
+        return edge_energy(self.values, self.side.edges)
+
+
+def _color_rows(side: SideGraph, c: int) -> np.ndarray:
+    """Interior (non-interface) free nodes of one color, full stencils only."""
+    interior = side.free & ~(side.tag == INTERFACE)
+    idx = np.nonzero(interior & (side.color == c))[0]
+    if idx.size and (side.nb[idx] < 0).any():
+        raise RuntimeError("interior node missing a neighbor")
+    return idx
+
+
+class _RankedState:
+    """Both sides of a collapsed scalar solve in one color-blocked buffer.
+
+    Every row is kept in rank order, so the matched neighbor mean is the
+    plain mean (module docstring). buf holds one float per sheet value:
+    the color-0 free rows of plus then minus, the color-1 free rows of
+    plus then minus, then every other row (pinned boundary and
+    interface). Color c's rows are the slice bounds[c]; nb_sum[c] carries
+    1.0 at their four neighbor entries in stencil order (never
+    canonicalised, so each sum adds in the order of the matched path).
+    The energy is incidence @ buf, one +1/-1 row per edge and sheet, plus
+    edges first; each side's squares are summed on their own and the two
+    sums added plus then minus.
+    """
+
+    def __init__(self, sides, values, omega: float):
+        self.values = values              # per side (Ns, q, 1), rank sorted
+        self.omega = omega
+        widths = [V.shape[1] for V in values]
+        used = [s for s in range(len(sides)) if widths[s]]
+        parts = {s: [_color_rows(sides[s], c) for c in (0, 1)] for s in used}
+        for s in used:
+            pinned = np.ones(sides[s].n_nodes, dtype=bool)
+            pinned[np.concatenate(parts[s])] = False
+            parts[s].append(np.nonzero(pinned)[0])
+        self.blocks = [(s, parts[s][part]) for part in range(3) for s in used]
+        ends = np.cumsum([widths[s] * rows.size for s, rows in self.blocks])
+        self.starts = np.concatenate(([0], ends))
+        # Positions in the index type of the sparse products, so no copy.
+        index = np.int32 if ends[-1] < 2**31 else np.int64
+        pos = [np.empty(side.n_nodes, dtype=index) for side in sides]
+        self.buf = np.empty(self.starts[-1])
+        for (s, rows), lo, hi in zip(self.blocks, self.starts, ends):
+            pos[s][rows] = lo + widths[s] * np.arange(rows.size)
+            self.buf[lo:hi] = values[s][rows].ravel()
+
+        def entries(s, nodes):
+            # Rows (node, sheet) of buffer entries, one column per nodes column.
+            base = pos[s][nodes]
+            out = np.empty((base.shape[0], widths[s], base.shape[1]), index)
+            for k in range(widths[s]):
+                out[:, k] = base + k
+            return out.reshape(-1, base.shape[1])
+
+        n = len(used)
+        self.bounds, self.nb_sum, self.sort_blocks = [], [], []
+        for c in (0, 1):
+            part = self.blocks[c * n:(c + 1) * n]
+            at = self.starts[c * n:(c + 1) * n + 1]
+            self.bounds.append((at[0], at[-1]))
+            cols = [entries(s, sides[s].nb[rows]) for s, rows in part]
+            self.nb_sum.append(_row_matrix(np.concatenate(cols), np.ones(4),
+                                           self.buf.size))
+            # Rows a sweep can swap: each side block with two or more sheets.
+            self.sort_blocks.append(
+                [(lo - at[0], hi - at[0], widths[s])
+                 for (s, _), lo, hi in zip(part, at, at[1:]) if widths[s] >= 2])
+        cols = [entries(s, sides[s].edges) for s in used]
+        at = np.cumsum([0] + [c.shape[0] for c in cols])
+        self.edge_split = [(lo, hi, widths[s])
+                           for s, lo, hi in zip(used, at, at[1:])]
+        self.incidence = _row_matrix(np.concatenate(cols),
+                                     np.array([1.0, -1.0]), self.buf.size)
+
+    def sweep_color(self, c: int) -> float:
+        lo, hi = self.bounds[c]
+        if hi == lo:
+            return 0.0
+        U = self.buf[lo:hi]
+        target = (self.nb_sum[c] @ self.buf) / 4.0
+        new = U + self.omega * (target - U)
+        delta = float(np.max(np.abs(new - U)))
+        # omega > 1 can swap neighboring ranks; re-sort those rows only.
+        for a, b, q in self.sort_blocks[c]:
+            block = new[a:b].reshape(-1, q)
+            swapped = (block[:, 1:] < block[:, :-1]).any(axis=1)
+            if swapped.any():
+                block[swapped] = np.sort(block[swapped], axis=1)
+        self.buf[lo:hi] = new
+        return delta
+
+    def energy(self) -> float:
+        d = self.incidence @ self.buf
+        total = 0.0
+        for lo, hi, q in self.edge_split:
+            e = d[lo:hi].reshape(-1, q)
+            total += float(np.einsum("mq,mq->m", e, e).sum())
+        return total
+
+    def unpack(self):
+        """Write the buffer back into the per-side value arrays."""
+        for (s, rows), lo, hi in zip(self.blocks, self.starts, self.starts[1:]):
+            V = self.values[s]
+            V[rows] = self.buf[lo:hi].reshape(rows.size, V.shape[1], 1)
+        return self.values
 
 
 def _row_matrix(cols: np.ndarray, weights: np.ndarray, n_cols: int):
     """CSR matrix whose row i carries weights at cols[i], in that order."""
     rows, k = cols.shape
     return sp.csr_matrix((np.tile(weights, rows), cols.ravel(),
-                          np.arange(0, rows * k + 1, k)),
+                          np.arange(0, rows * k + 1, k, dtype=cols.dtype)),
                          shape=(rows, n_cols))
 
 
@@ -441,8 +518,10 @@ def minimize(dom: HalfDomain, data: DataSpec,
     scalar sheets the start is the rank-wise harmonic extension, already
     the global minimizer (see the module docstring); the first sweep
     moves no node beyond rounding and certifies it against the stop rule.
-    Collapsed scalar solves return every row of sheet values in rank
-    order, whatever the storage order of the boundary data.
+    Collapsed scalar solves sweep both sides in one color-blocked
+    _RankedState and return every row of sheet values in rank order,
+    whatever the storage order of the boundary data; other solves sweep
+    one matched _SideState per side, plus the free interface rows.
     """
     config = config or SolverConfig()
     if not 0.0 < config.omega < 2.0:
@@ -456,14 +535,16 @@ def minimize(dom: HalfDomain, data: DataSpec,
     if ranked:
         Vp.sort(axis=1)
         Vm.sort(axis=1)
-    state_p = _SideState(dom.plus, Vp, config.omega, ranked)
-    state_m = _SideState(dom.minus, Vm, config.omega, ranked)
-    iface = None
+        sides = [_RankedState((dom.plus, dom.minus), (Vp, Vm), config.omega)]
+    else:
+        sides = [_SideState(dom.plus, Vp, config.omega),
+                 _SideState(dom.minus, Vm, config.omega)]
+    states = list(sides)
     if not config.collapsed:
-        iface = _InterfaceState(dom, Vp, Vm, phi, Q, config.omega)
+        states.append(_InterfaceState(dom, Vp, Vm, phi, Q, config.omega))
 
     def total_energy():
-        return state_p.energy() + state_m.energy()
+        return sum(side.energy() for side in sides)
 
     e0 = total_energy()
     e_prev = e0
@@ -477,10 +558,8 @@ def minimize(dom: HalfDomain, data: DataSpec,
     for sweep in range(1, config.max_sweeps + 1):
         max_update = 0.0
         for c in (0, 1):
-            max_update = max(max_update,
-                             state_p.sweep_color(c), state_m.sweep_color(c))
-            if iface is not None:
-                max_update = max(max_update, iface.sweep_color(c))
+            for state in states:
+                max_update = max(max_update, state.sweep_color(c))
         e_new = total_energy()
         if e_new > e_prev * (1 + 1e-10) + 1e-12:
             raise RuntimeError(
@@ -497,6 +576,8 @@ def minimize(dom: HalfDomain, data: DataSpec,
             converged, reason = True, "eps_stop"
             break
 
+    if ranked:
+        sides[0].unpack()
     u = QHalfMap(dom, Q, n, Vp, Vm, phi, config.collapsed)
     info = SolveInfo(converged=converged, sweeps=sweeps, energy=e_prev,
                      initial_energy=e0, last_decrease=decrease,

@@ -309,6 +309,17 @@ GUARD_CASES = [
     ("scan-r-min-equals-r-max",
      dict(load_preset("frequency-linear"), scan={"r_min": 0.5, "r_max": 0.5}),
      "scan.r_max"),
+    ("scan-r-min-above-default-r-max",
+     dict(load_preset("frequency-linear"), scan={"r_min": 0.99}), "scan.r_min"),
+    ("scan-r-max-below-default-r-min",
+     dict(load_preset("frequency-linear"), scan={"r_max": 0.2}), "scan.r_max"),
+    ("scan-r-min-above-default-r-max-in-ladder",
+     dict(load_preset("collapse-refinement"), scan={"r_min": 0.95}),
+     "scan.r_min"),
+    ("scan-defaults-cross",
+     {"kind": "frequency", "domain": {"h": 1 / 16}, "Q": 2, "source": "sample",
+      "data": _LINEAR},
+     "domain.h"),
     ("spacing-above-r-over-8",
      {"kind": "solve", "domain": {"h": 0.5}, "Q": 1,
       "data": {"generator": "quadratic-harmonic"}},

@@ -8,7 +8,9 @@ from qhalf.domain import build_halfdisk, INTERFACE
 from qhalf.qpoint import batch_match_values
 from qhalf.solver import (
     SolverConfig,
+    _RankedState,
     _SideState,
+    _initial_values,
     _pinned_mask,
     _solve_harmonic,
     collapse_decompose,
@@ -146,27 +148,51 @@ def test_minimize_independent_of_sheet_storage_order(dom32, init):
 
 @pytest.mark.parametrize("Q", [1, 2, 3, 4])
 def test_ranked_step_matches_matched_mean(dom16, Q):
-    # Reference: the matched-mean step on rows in arbitrary storage order,
-    # every neighbor matched to the node by the kernel. The ranked step
-    # runs on the same rows sorted and must land on the sorted result.
-    side = dom16.plus
+    # Reference: the matched state on the rows of both sides in arbitrary
+    # storage order, every neighbor matched to the node by the kernel. The
+    # ranked state runs on the same rows sorted, in one color-blocked
+    # buffer, and must land on the sorted result; for Q >= 3 the minus
+    # rows have two or more sheets, so its re-sort runs too.
+    sides = (dom16.plus, dom16.minus)
     omega = 1.7
-    V = np.random.default_rng(Q).standard_normal((side.n_nodes, Q, 1))
-    state = _SideState(side, np.sort(V, axis=1), omega, ranked=True)
-    assert state.energy() == edge_energy(V, side.edges)
+    rng = np.random.default_rng(Q)
+    V = [rng.standard_normal((side.n_nodes, q, 1))
+         for side, q in zip(sides, (Q, Q - 1))]
+    matched = [_SideState(side, v, omega) for side, v in zip(sides, V)]
+    state = _RankedState(sides, tuple(np.sort(v, axis=1) for v in V), omega)
+
+    def reference_energy():
+        return sum(edge_energy(v, side.edges) for side, v in zip(sides, V))
+
+    assert state.energy() == reference_energy()
     for c in (0, 1):
-        idx = state.color_idx[c]
-        U = V[idx]
-        W = V[side.nb[idx]]
-        acc = np.zeros_like(U)
-        for k in range(4):
-            acc += batch_match_values(U, W[:, k])
-        new = U + omega * (acc / 4.0 - U)
-        delta = float(np.max(np.abs(new - U)))
-        V[idx] = new
+        delta = max(st.sweep_color(c) for st in matched)
         assert state.sweep_color(c) == delta
-        assert np.array_equal(state.values, np.sort(V, axis=1))
-        assert state.energy() == edge_energy(V, side.edges)
+        for got, v in zip(state.unpack(), V):
+            assert np.array_equal(got, np.sort(v, axis=1))
+        assert state.energy() == reference_energy()
+
+
+def test_ranked_minimize_matches_matched_sweeps(dom16):
+    # A whole ranked solve against the same sweeps run by the matched
+    # per-side states from the same start: same trace, same values.
+    data = data_maps.odd_cubic(Q=3, amplitude=0.5)
+    cfg = SolverConfig(init="mean", max_sweeps=25, omega=suggested_omega(dom16))
+    u, info = minimize(dom16, data, cfg)
+
+    Vp, Vm, _ = _initial_values(dom16, data, cfg)
+    states = [_SideState(dom16.plus, np.sort(Vp, axis=1), cfg.omega),
+              _SideState(dom16.minus, np.sort(Vm, axis=1), cfg.omega)]
+    trace = [sum(st.energy() for st in states)]
+    for _ in range(cfg.max_sweeps):
+        for c in (0, 1):
+            for st in states:
+                st.sweep_color(c)
+        trace.append(sum(st.energy() for st in states))
+    assert info.sweeps == cfg.max_sweeps
+    assert info.energy_trace == trace
+    for got, st in ((u.plus, states[0]), (u.minus, states[1])):
+        assert np.array_equal(got, np.sort(st.values, axis=1))
 
 
 @pytest.mark.parametrize("Q", [2, 3, 4])
