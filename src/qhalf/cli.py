@@ -163,6 +163,11 @@ def validate_config(cfg):
     checks = cfg.get("checks", [])
     interp = any(c["type"] == "interpolation-bound" for c in checks)
     spec = _data_from(cfg) if spacing is not None and not interp else None
+    solves = kind != "frequency" or cfg.get("source", "minimize") == "minimize"
+    if spec is not None and solves and spec.n != 1:
+        raise UsageError(f"generator {cfg['data']['generator']!r} yields "
+                         f"n={spec.n}, but a solve takes scalar sheets (n=1)",
+                         "data.generator")
     iface = _interface_from(dcfg.get("interface"))
     met = {None: True, "Q = 1": spec is not None and spec.Q == 1,
            "a straight interface": iface.kind == "straight",

@@ -127,23 +127,6 @@ def log_derivative(z, alpha: float = 0.5):
     return complex(acc[0]) if scalar else acc
 
 
-def product_log_abs(z, alpha: float = 0.5):
-    """log |product| computed without forming small exponentials.
-
-    Returns -inf at exact zeros. Stable wherever |z|^{-alpha} is
-    representable, far below where the product itself underflows.
-    """
-    z, scalar = _prep(z)
-    logz = np.log(z)
-    x = logz.real
-    acc = -4.0 * np.real(z ** (-alpha))
-    for ph in _K_PHASES:
-        y = logz.imag + ph
-        with np.errstate(divide="ignore"):
-            acc = acc + 0.5 * np.log(np.sin(x) ** 2 + np.sinh(y) ** 2)
-    return float(acc[0]) if scalar else acc
-
-
 def product_phase(z, alpha: float = 0.5):
     """Phase of the product (mod 2 pi), usable at any magnitude."""
     z, scalar = _prep(z)

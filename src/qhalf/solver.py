@@ -1,11 +1,9 @@
 """Dirichlet-energy minimization for multivalued maps on the split half-disk.
 
-A map assigns Q unordered sheets to every node of the upper side and Q-1
-sheets to every node of the lower side. The interface row carries a
-single-valued trace phi; the upper trace is required to contain phi as a
-sheet. In collapsed mode all upper sheets on the interface are pinned to
-phi (and all lower sheets too); in free mode the remaining Q-1 interface
-sheets are unknowns shared by both sides.
+A map assigns Q unordered scalar sheets to every node of the upper side
+and Q-1 to every node of the lower side. The interface row carries a
+single-valued trace phi, and every sheet of both sides is pinned to phi
+there: the collapsed boundary picture, the only one minimize solves.
 
 The energy is the sum over grid edges of the squared matching distance
 between endpoint values. Minimization runs matched-mean Gauss-Seidel
@@ -14,29 +12,27 @@ four neighbor values after optimally matching each neighbor's sheets to
 the node's current sheets. Every sweep weakly decreases the energy, which
 is asserted.
 
-Collapsed scalar solves (n = 1, interface pinned to phi) start exactly at
-the minimizer. For scalar sheets the matching distance is the distance
-between sorted tuples, so no map has less energy than the sum of its rank
-functions' energies. The harmonic start extends each rank of the
-rank-sorted boundary data on its own; the discrete maximum principle
-keeps those extensions ordered, so the sorted-to-sorted matching is
-optimal on every edge and the start attains that bound. The sweeps then
-run as usual and certify it, stopping after one.
+The harmonic start is exactly the minimizer. For scalar sheets the
+matching distance is the distance between sorted tuples, so no map has
+less energy than the sum of its rank functions' energies. The harmonic
+start extends each rank of the rank-sorted boundary data on its own; the
+discrete maximum principle keeps those extensions ordered, so the
+sorted-to-sorted matching is optimal on every edge and the start attains
+that bound. The sweeps then run as usual and certify it, stopping after
+one.
 
-Every collapsed scalar solve, from any init, stores each row of sheet
-values in rank order. Sorted goes to sorted under the optimal matching,
-so the matching step is the identity and a sweep takes the plain mean of
-the four neighbor rows. Both sides then live in one flat buffer ordered
-by color: the free rows of color 0 of both sides, those of color 1, then
-the pinned rows. A color half-sweep reads its rows as one slice, forms
-their neighbor means with one precomputed sparse product, writes the
-slice back and re-sorts the few rows that over-relaxation pushed out of
-order; the energy is one sparse incidence product over both sides. A tie
-between sheets of a node is thus broken by rank at every Q. (The
-permutation table of batch_match_values breaks it by storage order at
-Q = 2, which can move a sweep elsewhere; the rank rule makes the sweeps
-independent of storage order.) Free-interface and vector-valued solves
-keep the matched path, one state per side.
+Every solve, from any init, stores each row of sheet values in rank
+order. Sorted goes to sorted under the optimal matching, so the matching
+step is the identity and a sweep takes the plain mean of the four
+neighbor rows. Both sides live in one flat buffer ordered by color: the
+free rows of color 0 of both sides, those of color 1, then the pinned
+rows. A color half-sweep reads its rows as one slice, forms their
+neighbor means with one precomputed sparse product, writes the slice back
+and re-sorts the few rows that over-relaxation pushed out of order; the
+energy is one sparse incidence product over both sides. A tie between
+sheets of a node is thus broken by rank at every Q, which makes the
+sweeps independent of storage order. (The permutation table of
+batch_match_values breaks it by storage order at Q = 2.)
 """
 
 from __future__ import annotations
@@ -64,8 +60,7 @@ class SolverConfig:
     max_sweeps: int = 50000
     eps_stop: float = 1e-12        # stop when energy decrease < eps_stop * E0
     update_stop: float = 0.0       # if > 0, stop on max nodal update instead
-    collapsed: bool = True
-    init: str = "harmonic"         # harmonic | mean | collapsed
+    init: str = "harmonic"         # harmonic | mean
     omega: float = 1.0             # over-relaxation, descent holds on (0, 2)
 
 
@@ -92,7 +87,6 @@ class SolveInfo:
     max_update: float
     stop_reason: str
     init: str
-    collapsed: bool
     energy_trace: list = field(default_factory=list)
 
 
@@ -148,11 +142,9 @@ def edge_energy(values: np.ndarray, edges: np.ndarray) -> float:
     return float(c2.sum())
 
 
-def _pinned_mask(side: SideGraph, collapsed: bool) -> np.ndarray:
-    pinned = (side.tag == BOUNDARY_PLUS) | (side.tag == BOUNDARY_MINUS)
-    if collapsed:
-        pinned |= side.tag == INTERFACE
-    return pinned
+def _pinned_mask(side: SideGraph) -> np.ndarray:
+    return ((side.tag == BOUNDARY_PLUS) | (side.tag == BOUNDARY_MINUS)
+            | (side.tag == INTERFACE))
 
 
 def _solve_harmonic(side: SideGraph, pinned: np.ndarray,
@@ -201,7 +193,7 @@ def harmonic_reference(dom: HalfDomain, side_name: str,
     probe = np.atleast_2d(boundary_fn(side.xy[:1]))
     n = probe.shape[1]
     vals = np.zeros((side.n_nodes, n))
-    pinned = _pinned_mask(side, collapsed=True)
+    pinned = _pinned_mask(side)
     bmask = (side.tag == BOUNDARY_PLUS) | (side.tag == BOUNDARY_MINUS)
     imask = side.tag == INTERFACE
     if bmask.any():
@@ -235,51 +227,16 @@ def _pin_interface_collapsed(u: QHalfMap):
         u.minus[lm] = u.phi[:, None, :]
 
 
-class _SideState:
-    """Matched sweeps on one side: free interior nodes split by color.
-
-    Each neighbor is matched to the node with batch_match_values, and the
-    energy is edge_energy. Used by free-interface and vector-valued
-    solves; collapsed scalar solves run on _RankedState.
-    """
-
-    def __init__(self, side: SideGraph, values: np.ndarray, omega: float):
-        self.side = side
-        self.values = values
-        self.omega = omega
-        self.color_idx = [_color_rows(side, c) for c in (0, 1)]
-
-    def sweep_color(self, c: int) -> float:
-        idx = self.color_idx[c]
-        V = self.values
-        if idx.size == 0 or V.shape[1] == 0:
-            return 0.0
-        U = V[idx]
-        W = V[self.side.nb[idx]]          # (M, 4, q, n)
-        acc = np.zeros_like(U)
-        for k in range(4):
-            acc += batch_match_values(U, W[:, k])
-        target = acc / 4.0
-        new = U + self.omega * (target - U)
-        delta = float(np.max(np.abs(new - U)))
-        V[idx] = new
-        return delta
-
-    def energy(self) -> float:
-        return edge_energy(self.values, self.side.edges)
-
-
 def _color_rows(side: SideGraph, c: int) -> np.ndarray:
-    """Interior (non-interface) free nodes of one color, full stencils only."""
-    interior = side.free & ~(side.tag == INTERFACE)
-    idx = np.nonzero(interior & (side.color == c))[0]
+    """Interior free nodes of one color, full stencils only."""
+    idx = np.nonzero(side.free & (side.color == c))[0]
     if idx.size and (side.nb[idx] < 0).any():
         raise RuntimeError("interior node missing a neighbor")
     return idx
 
 
 class _RankedState:
-    """Both sides of a collapsed scalar solve in one color-blocked buffer.
+    """Both sides of a solve in one color-blocked buffer.
 
     Every row is kept in rank order, so the matched neighbor mean is the
     plain mean (module docstring). buf holds one float per sheet value:
@@ -287,7 +244,8 @@ class _RankedState:
     plus then minus, then every other row (pinned boundary and
     interface). Color c's rows are the slice bounds[c]; nb_sum[c] carries
     1.0 at their four neighbor entries in stencil order (never
-    canonicalised, so each sum adds in the order of the matched path).
+    canonicalised, so each sum adds neighbors in the order of the
+    matched mean, one neighbor at a time).
     The energy is incidence @ buf, one +1/-1 row per edge and sheet, plus
     edges first; each side's squares are summed on their own and the two
     sums added plus then minus.
@@ -383,81 +341,6 @@ def _row_matrix(cols: np.ndarray, weights: np.ndarray, n_cols: int):
                          shape=(rows, n_cols))
 
 
-class _InterfaceState:
-    """Free-interface updates: the shared z-sheets on interface nodes.
-
-    On the plus side the interface value is [z_1..z_{Q-1}, phi] with phi
-    held fixed; on the minus side it is exactly z. Each update sets z to
-    the mean of the matched sheets contributed by all non-interface
-    neighbors on both sides (interface-interface edges carry no energy).
-    """
-
-    def __init__(self, dom: HalfDomain, Vp: np.ndarray, Vm: np.ndarray,
-                 phi: np.ndarray, Q: int, omega: float):
-        self.Q = Q
-        self.omega = omega
-        self.Vp, self.Vm, self.phi = Vp, Vm, phi
-        if_ids = np.nonzero(dom.tag == INTERFACE)[0]
-        self.lp = dom.plus.loc[if_ids]
-        self.lm = dom.minus.loc[if_ids] if Q > 1 else None
-        # Interface nodes at the rim lack a full stencil; they stay pinned.
-        full = (dom.nb[if_ids] >= 0).all(axis=1)
-        self.groups = []  # per color: (sel, plus_nb, plus_ok, minus_nb, minus_ok)
-        for c in (0, 1):
-            sel = np.nonzero((dom.plus.color[self.lp] == c) & full)[0]
-            self.groups.append(self._neighbors(dom, sel))
-
-    def _neighbors(self, dom, sel):
-        def nb_of(side, loc):
-            nb = side.nb[loc[sel]]                     # (M, 4) local ids
-            ok = nb >= 0
-            if ok.any():
-                tags = np.where(ok, side.tag[np.maximum(nb, 0)], INTERFACE)
-                ok &= tags != INTERFACE
-            return nb, ok
-
-        pnb, pok = nb_of(dom.plus, self.lp)
-        if self.Q > 1:
-            mnb, mok = nb_of(dom.minus, self.lm)
-        else:
-            mnb = mok = None
-        return (sel, pnb, pok, mnb, mok)
-
-    def sweep_color(self, c: int) -> float:
-        if self.Q == 1:
-            return 0.0  # no free sheets: interface is pinned to phi
-        sel, pnb, pok, mnb, mok = self.groups[c]
-        if sel.size == 0:
-            return 0.0
-        Q, n = self.Q, self.Vp.shape[2]
-        lp_sel = self.lp[sel]
-        lm_sel = self.lm[sel]
-        Up = self.Vp[lp_sel]              # (M, Q, n), phi in the last slot
-        Um = self.Vm[lm_sel]              # (M, Q-1, n)
-        acc = np.zeros((sel.size, Q - 1, n))
-        count = np.zeros(sel.size)
-        for k in range(4):
-            ok = pok[:, k]
-            if ok.any():
-                Wk = self.Vp[pnb[ok, k]]
-                matched = batch_match_values(Up[ok], Wk)
-                acc[ok] += matched[:, : Q - 1]
-                count[ok] += 1.0
-            ok = mok[:, k]
-            if ok.any():
-                Wk = self.Vm[mnb[ok, k]]
-                acc[ok] += batch_match_values(Um[ok], Wk)
-                count[ok] += 1.0
-        if (count == 0).any():
-            raise RuntimeError("interface node with no energy-carrying neighbor")
-        target = acc / count[:, None, None]
-        newz = Um + self.omega * (target - Um)
-        delta = float(np.max(np.abs(newz - Um)))
-        self.Vm[lm_sel] = newz
-        self.Vp[lp_sel, : Q - 1] = newz
-        return delta
-
-
 def _initial_values(dom: HalfDomain, data: DataSpec, config: SolverConfig):
     Q, n = data.Q, data.n
     if_ids = np.nonzero(dom.tag == INTERFACE)[0]
@@ -480,29 +363,20 @@ def _initial_values(dom: HalfDomain, data: DataSpec, config: SolverConfig):
     Vm, bm, im = seed_side(dom.minus, Q - 1, data.minus)
 
     if config.init == "harmonic":
-        if config.collapsed and n == 1:
-            # Harmonic extension per rank: the exact minimizer (module doc).
-            Vp, Vm = np.sort(Vp, axis=1), np.sort(Vm, axis=1)
-        pinned_p = _pinned_mask(dom.plus, collapsed=True)
-        Vp = _solve_harmonic(dom.plus, pinned_p,
+        # Harmonic extension per rank: the exact minimizer (module doc).
+        Vp, Vm = np.sort(Vp, axis=1), np.sort(Vm, axis=1)
+        Vp = _solve_harmonic(dom.plus, _pinned_mask(dom.plus),
                              Vp.reshape(dom.plus.n_nodes, -1)).reshape(Vp.shape)
         if Q > 1:
-            pinned_m = _pinned_mask(dom.minus, collapsed=True)
-            Vm = _solve_harmonic(dom.minus, pinned_m,
+            Vm = _solve_harmonic(dom.minus, _pinned_mask(dom.minus),
                                  Vm.reshape(dom.minus.n_nodes, -1)).reshape(Vm.shape)
     elif config.init == "mean":
-        for V, b, i, side in ((Vp, bp, ip, dom.plus), (Vm, bm, im, dom.minus)):
+        for V, b, i in ((Vp, bp, ip), (Vm, bm, im)):
             if V.shape[1] == 0:
                 continue
             pinned = b | i
             const = V[pinned].mean(axis=(0, 1))
             V[~pinned] = const
-    elif config.init == "collapsed":
-        const = phi.mean(axis=0)
-        for V, b, i in ((Vp, bp, ip), (Vm, bm, im)):
-            if V.shape[1] == 0:
-                continue
-            V[~(b | i)] = const
     else:
         raise ValueError(f"unknown init {config.init!r}")
     return Vp, Vm, phi
@@ -510,43 +384,33 @@ def _initial_values(dom: HalfDomain, data: DataSpec, config: SolverConfig):
 
 def minimize(dom: HalfDomain, data: DataSpec,
              config: Optional[SolverConfig] = None):
-    """Run matched-mean sweeps to a local energy minimum.
+    """Run matched-mean sweeps on scalar sheets to the energy minimum.
 
-    Returns (QHalfMap, SolveInfo). Energy decrease is asserted after
-    every sweep; a violation raises RuntimeError since the update rule
-    guarantees weak descent. With init "harmonic", collapsed mode and
-    scalar sheets the start is the rank-wise harmonic extension, already
-    the global minimizer (see the module docstring); the first sweep
-    moves no node beyond rounding and certifies it against the stop rule.
-    Collapsed scalar solves sweep both sides in one color-blocked
-    _RankedState and return every row of sheet values in rank order,
-    whatever the storage order of the boundary data; other solves sweep
-    one matched _SideState per side, plus the free interface rows.
+    Returns (QHalfMap, SolveInfo). Every solve is collapsed (all sheets
+    pinned to phi on the interface) and scalar; data with n != 1 raises
+    ValueError before any work. Energy decrease is asserted after every
+    sweep; a violation raises RuntimeError since the update rule
+    guarantees weak descent. With init "harmonic" the start is the
+    rank-wise harmonic extension, already the global minimizer (see the
+    module docstring); the first sweep moves no node beyond rounding and
+    certifies it against the stop rule. Both sides sweep in one
+    color-blocked _RankedState, and every returned row of sheet values is
+    in rank order, whatever the storage order of the boundary data.
     """
     config = config or SolverConfig()
     if not 0.0 < config.omega < 2.0:
         raise ValueError("omega outside (0, 2) loses the descent guarantee")
-    Q, n = data.Q, data.n
+    if data.n != 1:
+        raise ValueError(f"minimize solves scalar sheets (n = 1), "
+                         f"not n = {data.n}")
     Vp, Vm, phi = _initial_values(dom, data, config)
+    # Every row in rank order makes every optimal matching in the sweeps
+    # the identity (module docstring).
+    Vp.sort(axis=1)
+    Vm.sort(axis=1)
+    state = _RankedState((dom.plus, dom.minus), (Vp, Vm), config.omega)
 
-    # Collapsed scalar solves keep every row in rank order, so every
-    # optimal matching in the sweeps is the identity (module docstring).
-    ranked = config.collapsed and n == 1
-    if ranked:
-        Vp.sort(axis=1)
-        Vm.sort(axis=1)
-        sides = [_RankedState((dom.plus, dom.minus), (Vp, Vm), config.omega)]
-    else:
-        sides = [_SideState(dom.plus, Vp, config.omega),
-                 _SideState(dom.minus, Vm, config.omega)]
-    states = list(sides)
-    if not config.collapsed:
-        states.append(_InterfaceState(dom, Vp, Vm, phi, Q, config.omega))
-
-    def total_energy():
-        return sum(side.energy() for side in sides)
-
-    e0 = total_energy()
+    e0 = state.energy()
     e_prev = e0
     trace = [e0]
     converged = False
@@ -558,9 +422,8 @@ def minimize(dom: HalfDomain, data: DataSpec,
     for sweep in range(1, config.max_sweeps + 1):
         max_update = 0.0
         for c in (0, 1):
-            for state in states:
-                max_update = max(max_update, state.sweep_color(c))
-        e_new = total_energy()
+            max_update = max(max_update, state.sweep_color(c))
+        e_new = state.energy()
         if e_new > e_prev * (1 + 1e-10) + 1e-12:
             raise RuntimeError(
                 f"energy increased on sweep {sweep}: {e_prev} -> {e_new}")
@@ -576,14 +439,12 @@ def minimize(dom: HalfDomain, data: DataSpec,
             converged, reason = True, "eps_stop"
             break
 
-    if ranked:
-        sides[0].unpack()
-    u = QHalfMap(dom, Q, n, Vp, Vm, phi, config.collapsed)
+    state.unpack()
+    u = QHalfMap(dom, data.Q, 1, Vp, Vm, phi, True)
     info = SolveInfo(converged=converged, sweeps=sweeps, energy=e_prev,
                      initial_energy=e0, last_decrease=decrease,
                      max_update=max_update, stop_reason=reason,
-                     init=config.init, collapsed=config.collapsed,
-                     energy_trace=trace)
+                     init=config.init, energy_trace=trace)
     return u, info
 
 

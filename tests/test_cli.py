@@ -263,6 +263,12 @@ def _without_target():
     return cfg
 
 
+def _with_solver(name, **fields):
+    cfg = load_preset(name)
+    cfg["solver"] = dict(cfg.get("solver", {}), **fields)
+    return cfg
+
+
 _SINE = {"kind": "sine-wave", "amplitude": 0.05, "wavenumber": 3}
 _LINEAR = {"generator": "linear"}
 GUARD_CASES = [
@@ -332,6 +338,19 @@ GUARD_CASES = [
      {"kind": "frequency", "domain": {"h": 1 / 16}, "Q": 2, "source": "sample",
       "data": {"generator": "linear", "params": {"slop": 2.0}}},
      "data.params"),
+    ("solver-collapsed-field",
+     _with_solver("solve-classical", collapsed=False), "solver"),
+    ("solver-init-collapsed",
+     _with_solver("solve-classical", init="collapsed"), "solver.init"),
+    ("vector-data-on-collapse-kind",
+     {"kind": "collapse", "domain": {"h_values": [1 / 16, 1 / 32]},
+      "data": {"generator": "sqrt-branch"},
+      "checks": [{"type": "spread-decreasing"}]},
+     "data.generator"),
+    ("vector-data-on-minimize-source",
+     {k: v for k, v in load_preset("frequency-sqrt-branch").items()
+      if k != "source"},
+     "data.generator"),
 ]
 
 

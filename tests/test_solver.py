@@ -9,7 +9,7 @@ from qhalf.qpoint import batch_match_values
 from qhalf.solver import (
     SolverConfig,
     _RankedState,
-    _SideState,
+    _color_rows,
     _initial_values,
     _pinned_mask,
     _solve_harmonic,
@@ -21,6 +21,41 @@ from qhalf.solver import (
     sample_map,
     suggested_omega,
 )
+
+
+class _MatchedSide:
+    """Reference sweeps on one side, sheets in any storage order.
+
+    Each neighbor row is matched to the node's current sheets by
+    batch_match_values and the node moves toward the mean of the matched
+    rows; the energy is edge_energy. The ranked state must reproduce this
+    on the same rows sorted.
+    """
+
+    def __init__(self, side, values, omega):
+        self.side = side
+        self.values = values
+        self.omega = omega
+        self.color_idx = [_color_rows(side, c) for c in (0, 1)]
+
+    def sweep_color(self, c):
+        idx = self.color_idx[c]
+        V = self.values
+        if idx.size == 0 or V.shape[1] == 0:
+            return 0.0
+        U = V[idx]
+        W = V[self.side.nb[idx]]          # (M, 4, q, n)
+        acc = np.zeros_like(U)
+        for k in range(4):
+            acc += batch_match_values(U, W[:, k])
+        target = acc / 4.0
+        new = U + self.omega * (target - U)
+        delta = float(np.max(np.abs(new - U)))
+        V[idx] = new
+        return delta
+
+    def energy(self):
+        return edge_energy(self.values, self.side.edges)
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +91,7 @@ def test_harmonic_solve_matches_per_node_assembly(dom32):
     import scipy.sparse.linalg as spla
 
     side = dom32.minus
-    pinned = _pinned_mask(side, collapsed=True)
+    pinned = _pinned_mask(side)
     values = np.random.default_rng(5).standard_normal((side.n_nodes, 3))
     free_idx = np.nonzero(~pinned)[0]
     pos = -np.ones(side.n_nodes, dtype=np.int64)
@@ -114,7 +149,7 @@ def test_linear_field_energy_refines_to_halfdisk_area():
 
 def test_monotone_energy_trace(dom16):
     data = data_maps.odd_cubic(Q=3, amplitude=0.1)
-    cfg = SolverConfig(init="collapsed", eps_stop=1e-13, max_sweeps=3000)
+    cfg = SolverConfig(init="mean", eps_stop=1e-13, max_sweeps=3000)
     u, info = minimize(dom16, data, cfg)
     tr = np.array(info.energy_trace)
     assert np.all(np.diff(tr) <= tr[:-1] * 1e-10 + 1e-12)
@@ -148,7 +183,7 @@ def test_minimize_independent_of_sheet_storage_order(dom32, init):
 
 @pytest.mark.parametrize("Q", [1, 2, 3, 4])
 def test_ranked_step_matches_matched_mean(dom16, Q):
-    # Reference: the matched state on the rows of both sides in arbitrary
+    # Reference: _MatchedSide on the rows of both sides in arbitrary
     # storage order, every neighbor matched to the node by the kernel. The
     # ranked state runs on the same rows sorted, in one color-blocked
     # buffer, and must land on the sorted result; for Q >= 3 the minus
@@ -158,7 +193,7 @@ def test_ranked_step_matches_matched_mean(dom16, Q):
     rng = np.random.default_rng(Q)
     V = [rng.standard_normal((side.n_nodes, q, 1))
          for side, q in zip(sides, (Q, Q - 1))]
-    matched = [_SideState(side, v, omega) for side, v in zip(sides, V)]
+    matched = [_MatchedSide(side, v, omega) for side, v in zip(sides, V)]
     state = _RankedState(sides, tuple(np.sort(v, axis=1) for v in V), omega)
 
     def reference_energy():
@@ -175,14 +210,14 @@ def test_ranked_step_matches_matched_mean(dom16, Q):
 
 def test_ranked_minimize_matches_matched_sweeps(dom16):
     # A whole ranked solve against the same sweeps run by the matched
-    # per-side states from the same start: same trace, same values.
+    # reference from the same start: same trace, same values.
     data = data_maps.odd_cubic(Q=3, amplitude=0.5)
     cfg = SolverConfig(init="mean", max_sweeps=25, omega=suggested_omega(dom16))
     u, info = minimize(dom16, data, cfg)
 
     Vp, Vm, _ = _initial_values(dom16, data, cfg)
-    states = [_SideState(dom16.plus, np.sort(Vp, axis=1), cfg.omega),
-              _SideState(dom16.minus, np.sort(Vm, axis=1), cfg.omega)]
+    states = [_MatchedSide(dom16.plus, np.sort(Vp, axis=1), cfg.omega),
+              _MatchedSide(dom16.minus, np.sort(Vm, axis=1), cfg.omega)]
     trace = [sum(st.energy() for st in states)]
     for _ in range(cfg.max_sweeps):
         for c in (0, 1):
@@ -251,7 +286,7 @@ def test_harmonic_start_is_rankwise_reference(dom32, rankwise_reference):
     assert info.energy == pytest.approx(energy, rel=1e-12)
 
 
-@pytest.mark.parametrize("init", ["mean", "collapsed"])
+@pytest.mark.parametrize("init", ["mean"])
 def test_sweeps_land_on_rankwise_reference(dom32, rankwise_reference, init):
     ref, energy = rankwise_reference
     u, info = minimize(dom32, _refinement_data(),
@@ -272,23 +307,14 @@ def test_collapsed_interface_is_pinned(dom16):
         assert np.abs(V[side.loc[if_ids]] - u.phi[:, None, :]).max() == 0.0
 
 
-def test_free_interface_descends_and_keeps_phi(dom16):
-    data = data_maps.odd_cubic(Q=2, amplitude=0.05)
-    cfg = SolverConfig(collapsed=False, init="harmonic",
-                       eps_stop=1e-13, max_sweeps=4000)
-    u, info = minimize(dom16, data, cfg)
-    # phi slot untouched on the interface rows of the plus side
-    if_ids = np.nonzero(dom16.tag == INTERFACE)[0]
-    lp = dom16.plus.loc[if_ids]
-    assert np.abs(u.plus[lp, -1, :] - u.phi).max() == 0.0
-    # shared z identical between sides
-    lm = dom16.minus.loc[if_ids]
-    assert np.abs(u.plus[lp, :1, :] - u.minus[lm]).max() == 0.0
-    # free interface reaches at most the collapsed energy
-    uc, infoc = minimize(dom16, data, SolverConfig(init="harmonic",
-                                                   eps_stop=1e-13,
-                                                   max_sweeps=4000))
-    assert info.energy <= infoc.energy * (1 + 1e-9)
+def test_minimize_refuses_vector_valued_data(dom16, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("solve started on vector-valued data")
+
+    for name in ("_initial_values", "_RankedState"):
+        monkeypatch.setattr(f"qhalf.solver.{name}", no_work)
+    with pytest.raises(ValueError, match="n = 1"):
+        minimize(dom16, data_maps.sqrt_branch())
 
 
 def test_collapse_decompose_odd_data(dom16):
@@ -314,7 +340,7 @@ def test_collapse_decompose_odd_data(dom16):
 
 def test_collapse_decompose_refuses_unconverged(dom16):
     data = data_maps.odd_cubic(Q=3, amplitude=0.05)
-    cfg = SolverConfig(init="collapsed", max_sweeps=3)
+    cfg = SolverConfig(init="mean", max_sweeps=3)
     u, info = minimize(dom16, data, cfg)
     assert not info.converged
     with pytest.raises(ValueError):
