@@ -23,7 +23,10 @@ sampling scan alone could never resolve that pinch).
 The image and the area element come from one fused evaluation of
 (g, g') per point, and the quadtree evaluates each cell centre once for
 its membership, its distance from the ball centre and its Lipschitz
-reach.
+reach. The quadtree keeps only cells whose closed square meets the
+region's bounding box: at a boundary point about half of every box lies
+outside the region, and there the continued product gives no Lipschitz
+reason to drop a cell.
 
 The two-circles configuration (two stacked flat disks spanning
 concentric circles) is computed in closed form as a reference: exact
@@ -356,6 +359,15 @@ _PROBES = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j, 1 + 0j, -1 + 0j,
 _MIDS = 0.5 * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
 
 
+def _meets_box(surface, cz, hw):
+    """Keep the cells whose closed square meets the region's open
+    bounding box 0 < x < x_max, |y| < cap_radius; the others hold no
+    region point, so they add no mass at any depth."""
+    keep = ((cz.real + hw > 0.0) & (cz.real - hw < surface.x_max)
+            & (np.abs(cz.imag) - hw < surface.cap_radius))
+    return cz[keep], hw[keep]
+
+
 def _quadtree_mass(surface, center, w, p, r, depth):
     # Start from cells no larger than the preimage blob (radius about
     # r over the root of the area element), so a component strictly
@@ -365,6 +377,7 @@ def _quadtree_mass(surface, center, w, p, r, depth):
     g = (np.arange(side) + 0.5) * 2.0 / side - 1.0
     cz = (center + w * (g[:, None] + 1j * g[None, :])).ravel()
     hw = np.full(cz.size, w / side)
+    cz, hw = _meets_box(surface, cz, hw)
     mass = 0.0
     for _ in range(depth):
         # the slit, where the product is undefined, gets an infinite gap
@@ -387,6 +400,7 @@ def _quadtree_mass(surface, center, w, p, r, depth):
             return mass
         cz = (cz[mixed, None] + hw[mixed, None] * _MIDS[None, :]).ravel()
         hw = np.repeat(0.5 * hw[mixed], 4)
+        cz, hw = _meets_box(surface, cz, hw)
     # leftover straddling cells: membership-weighted 4x4 subsample
     g = (np.arange(4) + 0.5) / 2.0 - 1.0
     offs = (g[:, None] + 1j * g[None, :]).ravel()

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qhalf.surface import (BranchedSurface, _top_profile, area_density,
+from qhalf import surface as surface_mod
+from qhalf.surface import (_MIDS, _PROBES, BranchedSurface, _gap_and_area,
+                           _meets_box, _member, _top_profile, area_density,
                            boundary_curve, build_surface, density_at,
                            surface_image, two_circles_density)
 
@@ -211,6 +214,109 @@ def test_branch_point_density_between_wraps(surf):
     assert len(rep.seeds) == 1 and rep.seeds[0] == 0.0
     assert np.all(rep.ratios > 1.4)
     assert np.all(rep.ratios < 3.1)
+
+
+def unpruned_quadtree_mass(surface, center, w, p, r, depth):
+    """The quadtree without the bounding-box test: every cell, inside
+    the region's box or not, is probed, split and subsampled."""
+    j0 = area_density(center, surface.alpha)
+    side = max(2, int(np.ceil(w * np.sqrt(max(j0, 1e-12)) / r)))
+    g = (np.arange(side) + 0.5) * 2.0 / side - 1.0
+    cz = (center + w * (g[:, None] + 1j * g[None, :])).ravel()
+    hw = np.full(cz.size, w / side)
+    mass = 0.0
+    for _ in range(depth):
+        gap, dens = _gap_and_area(surface, cz, p,
+                                  (cz.real > 0.0) | (cz.imag != 0.0))
+        probes = cz[:, None] + hw[:, None] * _PROBES[None, :]
+        m = _member(surface, probes, p, r)
+        n_in = m.sum(axis=1) + (surface.contains(cz) & (gap < r))
+        full = n_in == len(_PROBES) + 1
+        if np.any(full):
+            zs = cz[full, None] + hw[full, None] * _MIDS[None, :]
+            J = area_density(zs.ravel(), surface.alpha).reshape(zs.shape)
+            mass += float((J.mean(axis=1) * (2.0 * hw[full]) ** 2).sum())
+        reach = 1.5 * np.sqrt(np.maximum(dens, 1e-12) * 2.0) * hw
+        empty = (n_in == 0) & (gap > r + reach)
+        mixed = ~full & ~empty
+        if not np.any(mixed):
+            return mass
+        cz = (cz[mixed, None] + hw[mixed, None] * _MIDS[None, :]).ravel()
+        hw = np.repeat(0.5 * hw[mixed], 4)
+    g = (np.arange(4) + 0.5) / 2.0 - 1.0
+    offs = (g[:, None] + 1j * g[None, :]).ravel()
+    zs = cz[:, None] + hw[:, None] * offs[None, :]
+    gap, dens = _gap_and_area(surface, zs, p, surface.contains(zs))
+    J = np.where(gap < r, dens, 0.0)
+    mass += float((J.mean(axis=1) * (2.0 * hw) ** 2).sum())
+    return mass
+
+
+# double point, segment boundary point, interior point, and the
+# theta-floor points on the cap apex and the top horizontal
+PRUNE_CASES = [(np.array([0.0, 1.0, 0.0, 0.0]), 0.07),
+               (0.75j, 0.05), (0.9 + 0.3j, 0.05), (3.0 + 0.0j, 0.08),
+               (1.0 + 1.4j, 0.05)]
+
+
+@pytest.mark.parametrize("point, r", PRUNE_CASES,
+                         ids=["double", "segment", "interior", "cap", "top"])
+def test_box_prune_keeps_ratios_bit_equal(surf, monkeypatch, point, r):
+    # Reference: the quadtree that keeps cells outside the region's box.
+    # Those cells hold no region point, so dropping them must leave the
+    # ratio unchanged to the last bit.
+    p = point if np.ndim(point) else surface_image(point)
+    radii = np.array([r])
+    pruned = density_at(surf, p, radii).ratios
+    monkeypatch.setattr(surface_mod, "_quadtree_mass", unpruned_quadtree_mass)
+    assert np.all(density_at(surf, p, radii).ratios == pruned)
+
+
+def test_box_prune_skips_cells_outside_the_region(surf, monkeypatch):
+    # At a segment point half of every box lies at x < 0, where the
+    # continued product gives no Lipschitz drop; the unpruned tree hands
+    # 520,740 points to contains, the pruned one 42,386.
+    calls = []
+    contains = BranchedSurface.contains
+
+    def counting(self, z):
+        calls.append(np.size(z))
+        return contains(self, z)
+
+    monkeypatch.setattr(BranchedSurface, "contains", counting)
+    rep = density_at(surf, surface_image(0.75j), np.array([0.05]), depth=8)
+    assert sum(calls) < 100_000
+    assert rep.ratios[0] == pytest.approx(0.49090884807084306, rel=1e-12)
+
+
+_SURF = build_surface()
+_ANCHORS = {"segment": 0.5j, "origin": 0j,
+            "cap end": complex(_SURF.x_max, 0.0),
+            "top edge": complex(1.0, _SURF.cap_radius),
+            "fillet": complex(0.0, _SURF.cap_radius)}
+# centre offsets in half-widths; dyadic ones put a cell edge exactly on
+# a box edge (x = 0, x = x_max, y = +-cap_radius)
+_UNITS = st.one_of(st.integers(-24, 24).map(lambda k: k / 16.0),
+                   st.floats(-1.5, 1.5, allow_nan=False))
+_HALF_WIDTH = st.one_of(st.integers(-12, 0).map(lambda k: 2.0 ** k),
+                        st.floats(1e-6, 0.5, allow_nan=False))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_ANCHORS)), _UNITS, _UNITS, _HALF_WIDTH,
+       st.booleans())
+def test_dropped_cells_hold_no_region_point(anchor, u, v, hw, flip):
+    # A cell the box test drops must hold no point of the open region:
+    # a 9x9 grid over its closed square, corners included, finds none.
+    c = _ANCHORS[anchor] + hw * complex(u, v)
+    if flip:
+        c = c.conjugate()
+    kept, _ = _meets_box(_SURF, np.array([c]), np.array([hw]))
+    if kept.size:
+        return
+    t = np.linspace(-1.0, 1.0, 9)
+    grid = c + hw * (t[:, None] + 1j * t[None, :])
+    assert not np.any(_SURF.contains(grid))
 
 
 def test_two_circles_on_inner_circle():
