@@ -21,6 +21,15 @@ sorted-to-sorted matching is optimal on every edge and the start attains
 that bound. The sweeps then run as usual and certify it, stopping after
 one.
 
+The start costs one sparse factorization per grid. Each side's free
+nodes carry the 5-point Laplacian, which is symmetric positive definite,
+so it is factored as such (symmetric fill-reducing order, diagonal
+pivots) and all ranks of a side are columns of one solve. When the
+reflection j -> -j carries the minus side's system onto the plus side's
+(the straight interface), the minus ranks are further columns of the
+plus solve; otherwise (a curved interface) the minus side is factored
+on its own.
+
 Every solve, from any init, stores each row of sheet values in rank
 order. Sorted goes to sorted under the optimal matching, so the matching
 step is the identity and a sweep takes the plain mean of the four
@@ -152,7 +161,10 @@ def _solve_harmonic(side: SideGraph, pinned: np.ndarray,
     """Solve the 5-point Laplace system channel-wise with Dirichlet data.
 
     values: (Ns, C) with pinned rows already filled. Returns (Ns, C) with
-    free rows replaced by the discrete harmonic extension.
+    free rows replaced by the discrete harmonic extension. The system
+    matrix is symmetric positive definite, so it is factored once as
+    such (symmetric ordering, diagonal pivots) and every channel is one
+    column of a single solve.
     """
     free_idx = np.nonzero(~pinned)[0]
     m = free_idx.size
@@ -175,10 +187,10 @@ def _solve_harmonic(side: SideGraph, pinned: np.ndarray,
     vals[:, 0] = 4.0
     keep = np.column_stack((np.ones(m, dtype=bool), ~nb_pinned))
     A = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(m, m))
-    solve = spla.factorized(A.tocsc())
+    lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     out = values.copy()
-    sol = np.column_stack([solve(rhs[:, c]) for c in range(rhs.shape[1])])
-    out[free_idx] = sol
+    out[free_idx] = lu.solve(rhs)
     return out
 
 
@@ -341,6 +353,32 @@ def _row_matrix(cols: np.ndarray, weights: np.ndarray, n_cols: int):
                          shape=(rows, n_cols))
 
 
+def _mirror_onto_plus(dom: HalfDomain) -> Optional[np.ndarray]:
+    """Plus-side index of each minus node's mirror (i, -j), or None.
+
+    Read off the grid: the reflection j -> -j must carry the minus side
+    one to one onto the plus side, keep every node's pinned status, and
+    send each neighbor table onto the mirror's once north and south
+    swap. Then the minus 5-point system is the plus one with its rows
+    renumbered, and one factorization serves both sides. A curved
+    interface whose snapped rows are not all j = 0 fails the test.
+    """
+    plus, minus = dom.plus, dom.minus
+    if minus.n_nodes != plus.n_nodes:
+        return None
+    ij = dom.ij[minus.ids]
+    image = dom.node_at(ij[:, 0], -ij[:, 1])
+    if (image < 0).any() or (plus.loc[image] < 0).any():
+        return None
+    mirror = plus.loc[image]
+    if not np.array_equal(_pinned_mask(minus), _pinned_mask(plus)[mirror]):
+        return None
+    nb = minus.nb[:, [0, 1, 3, 2]]          # E, W, S, N
+    if not np.array_equal(np.where(nb >= 0, mirror[nb], -1), plus.nb[mirror]):
+        return None
+    return mirror
+
+
 def _initial_values(dom: HalfDomain, data: DataSpec, config: SolverConfig):
     Q, n = data.Q, data.n
     if_ids = np.nonzero(dom.tag == INTERFACE)[0]
@@ -365,9 +403,20 @@ def _initial_values(dom: HalfDomain, data: DataSpec, config: SolverConfig):
     if config.init == "harmonic":
         # Harmonic extension per rank: the exact minimizer (module doc).
         Vp, Vm = np.sort(Vp, axis=1), np.sort(Vm, axis=1)
-        Vp = _solve_harmonic(dom.plus, _pinned_mask(dom.plus),
-                             Vp.reshape(dom.plus.n_nodes, -1)).reshape(Vp.shape)
-        if Q > 1:
+        chans = [Vp.reshape(dom.plus.n_nodes, -1)]
+        mirror = _mirror_onto_plus(dom) if Q > 1 else None
+        if mirror is not None:
+            # The minus ranks ride along as extra channels of the plus
+            # solve, each row placed at its mirror node.
+            chans.append(np.empty((dom.plus.n_nodes, Vm[0].size)))
+            chans[1][mirror] = Vm.reshape(dom.minus.n_nodes, -1)
+        sol = _solve_harmonic(dom.plus, _pinned_mask(dom.plus),
+                              np.hstack(chans))
+        k = Vp[0].size
+        Vp = sol[:, :k].reshape(Vp.shape)
+        if mirror is not None:
+            Vm = sol[mirror, k:].reshape(Vm.shape)
+        elif Q > 1:
             Vm = _solve_harmonic(dom.minus, _pinned_mask(dom.minus),
                                  Vm.reshape(dom.minus.n_nodes, -1)).reshape(Vm.shape)
     elif config.init == "mean":

@@ -326,7 +326,10 @@ def _preimage_seeds(surface, p1, p2, r_max, gap_tol=1e-7):
         if not _in_closed_region(surface, z, 1e-9):
             continue
         gap = abs(complex(branch_product(z, surface.alpha)) - p2)
-        if gap <= gap_tol:
+        # relative to the ball: near the branch point every sheet's p2
+        # is tiny, and an absolute test would take a nearby sheet for
+        # this one
+        if gap <= gap_tol * r_max:
             seeds.append(complex(z))
         else:
             reject_gaps.append(gap)

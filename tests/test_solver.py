@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from qhalf import data_maps
-from qhalf.domain import build_halfdisk, INTERFACE
+from qhalf.domain import build_halfdisk, INTERFACE, InterfaceSpec
 from qhalf.qpoint import batch_match_values
 from qhalf.solver import (
     SolverConfig,
     _RankedState,
     _color_rows,
     _initial_values,
+    _mirror_onto_plus,
     _pinned_mask,
     _solve_harmonic,
     collapse_decompose,
@@ -68,6 +69,13 @@ def dom32():
     return build_halfdisk(R=1.0, h=1.0 / 32)
 
 
+@pytest.fixture(scope="module")
+def sine32():
+    # No mirror symmetry between the sides: each side factors on its own.
+    return build_halfdisk(R=1.0, h=1.0 / 32,
+                          interface=InterfaceSpec.sine_wave(0.05, 3.0))
+
+
 def test_single_sheet_matches_direct_solve(dom32):
     # Q=1 sweep dynamics must land on the 5-point solution of the same
     # Dirichlet problem, computed here by a direct sparse factorization.
@@ -110,9 +118,10 @@ def test_harmonic_solve_matches_per_node_assembly(dom32):
                 cols.append(pos[w])
                 vals.append(-1.0)
     A = sp.csr_matrix((vals, (rows, cols)), shape=(free_idx.size,) * 2)
-    solve = spla.factorized(A.tocsc())
+    lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     expected = values.copy()
-    expected[free_idx] = np.column_stack([solve(rhs[:, c]) for c in range(3)])
+    expected[free_idx] = lu.solve(rhs)
     assert np.array_equal(_solve_harmonic(side, pinned, values), expected)
 
 
@@ -246,8 +255,7 @@ def _refinement_data():
                                minus_weights=[-0.55, 1.0])
 
 
-@pytest.fixture(scope="module")
-def rankwise_reference(dom32):
+def _rankwise_reference(dom):
     # Independent Q > 1 reference: for scalar sheets the energy of a map is
     # at least the sum of its rank functions' energies, so the collapsed
     # minimizer is the direct 5-point solve of each rank of the sorted
@@ -262,11 +270,16 @@ def rankwise_reference(dom32):
         def ifn(xy, q=q):
             return np.tile(data.phi(xy), (1, q))
 
-        ranks = harmonic_reference(dom32, side_name, bfn, ifn)
+        ranks = harmonic_reference(dom, side_name, bfn, ifn)
         ref[side_name] = ranks[:, :, None]
-    energy = (edge_energy(ref["plus"], dom32.plus.edges)
-              + edge_energy(ref["minus"], dom32.minus.edges))
+    energy = (edge_energy(ref["plus"], dom.plus.edges)
+              + edge_energy(ref["minus"], dom.minus.edges))
     return ref, energy
+
+
+@pytest.fixture(scope="module")
+def rankwise_reference(dom32):
+    return _rankwise_reference(dom32)
 
 
 def _refinement_config(dom, init):
@@ -274,16 +287,55 @@ def _refinement_config(dom, init):
                         omega=suggested_omega(dom))
 
 
-def test_harmonic_start_is_rankwise_reference(dom32, rankwise_reference):
-    ref, energy = rankwise_reference
-    u, info = minimize(dom32, _refinement_data(),
-                       _refinement_config(dom32, "harmonic"))
+@pytest.mark.parametrize("dom_name", ["dom32", "sine32"])
+def test_harmonic_start_is_rankwise_reference(request, dom_name):
+    # The straight interface shares one factorization between the sides,
+    # the sine wave factors each side on its own; both are exact.
+    dom = request.getfixturevalue(dom_name)
+    ref, energy = _rankwise_reference(dom)
+    u, info = minimize(dom, _refinement_data(),
+                       _refinement_config(dom, "harmonic"))
     assert info.converged and info.stop_reason == "update_stop"
     assert info.sweeps == 1
     for side_name in ("plus", "minus"):
         got = np.sort(getattr(u, side_name), axis=1)
         assert np.abs(got - ref[side_name]).max() < 1e-12
     assert info.energy == pytest.approx(energy, rel=1e-12)
+
+
+@pytest.mark.parametrize("dom_name", ["dom16", "dom32"])
+def test_shared_minus_solve_matches_its_own_factorization(request, dom_name):
+    # On the straight interface the minus ranks are solved as mirrored
+    # channels of the plus system; the result is the minus side's own
+    # direct solve up to rounding.
+    dom = request.getfixturevalue(dom_name)
+    assert _mirror_onto_plus(dom) is not None
+    data = _refinement_data()
+    _, shared, _ = _initial_values(dom, data, SolverConfig(init="harmonic"))
+    _, seeded, _ = _initial_values(dom, data, SolverConfig(init="mean"))
+    own = _solve_harmonic(dom.minus, _pinned_mask(dom.minus),
+                          np.sort(seeded, axis=1).reshape(dom.minus.n_nodes, -1))
+    own = own.reshape(shared.shape)
+    assert np.abs(shared - own).max() <= 1e-13 * np.abs(own).max()
+
+
+@pytest.mark.parametrize("dom_name, factorizations",
+                         [("dom32", 1), ("sine32", 2)])
+def test_one_factorization_per_grid_when_the_sides_mirror(
+        request, monkeypatch, dom_name, factorizations):
+    import scipy.sparse.linalg as spla
+
+    dom = request.getfixturevalue(dom_name)
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    minimize(dom, _refinement_data(), _refinement_config(dom, "harmonic"))
+    assert len(calls) == factorizations
 
 
 @pytest.mark.parametrize("init", ["mean"])

@@ -206,6 +206,24 @@ def test_density_validation(surf):
         density_at(surf, np.array([0.0, -s3, 0.0, 0.0]), np.array([1e-3]))
 
 
+def test_preimage_test_scales_with_the_ball(surf):
+    # Near the branch point every sheet's second coordinate is tiny. At
+    # z = 0.02i another sheet passes 9.6e-8 from p2, within reach of a
+    # ball of radius 8e-7 but not through p: the radius must be refused,
+    # not the sheet counted as a second preimage (which read density
+    # 1.435 at this regular point).
+    def radii(p):
+        return 0.1 * np.linalg.norm(p) * np.array([1.0, 0.7])
+
+    p = surface_image(0.02j)
+    with pytest.raises(ValueError, match="different sheet"):
+        density_at(surf, p, radii(p))
+    p = surface_image(0.06j)
+    rep = density_at(surf, p, radii(p))
+    assert len(rep.seeds) == 1
+    assert abs(rep.extrapolated - 0.5) < 0.01
+
+
 def test_branch_point_density_between_wraps(surf):
     # at the branch point itself the three sheets merge over the half
     # plane; at moderate radii the flat factor still adds area, so the
