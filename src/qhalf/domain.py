@@ -16,6 +16,7 @@ exactly; for a graph interface it is built from tube coordinates
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -135,6 +136,10 @@ class SideGraph:
 
 @dataclass
 class HalfDomain:
+    """The clipped grid, nodes in (i, j) order, and its side graphs: plus
+    and minus each carry the interface row; full, every node as one side
+    (only glued fields use it), is built on first access and then kept."""
+
     R: float
     h: float
     interface: InterfaceSpec
@@ -144,12 +149,15 @@ class HalfDomain:
     nb: np.ndarray           # (N, 4) global neighbors (E, W, N, S) or -1
     plus: SideGraph = None
     minus: SideGraph = None
-    full: SideGraph = None
     id_grid: np.ndarray = field(default=None, repr=False)  # (i, j) + imax -> id or -1
 
     @property
     def n_nodes(self) -> int:
         return self.xy.shape[0]
+
+    @cached_property
+    def full(self) -> SideGraph:
+        return _build_side(self, "full", set(TAG_NAMES), None)
 
     def node_at(self, i, j):
         """Global id of grid node (i, j), -1 off the disk; scalars or arrays."""
@@ -241,9 +249,8 @@ def build_halfdisk(
             "than one between adjacent columns; refine h"
         )
 
+    # Row-major masking of the indexing="ij" mesh: already (i, j) sorted.
     ii, jj = II[inside], JJ[inside]
-    order = np.lexsort((jj, ii))
-    ii, jj = ii[order], jj[order]
     n = ii.size
     xy = np.column_stack((ii * h, jj * h))
     ij = np.column_stack((ii, jj))
@@ -282,7 +289,6 @@ def build_halfdisk(
                      id_grid=id_grid)
     dom.plus = _build_side(dom, "plus", {INTERIOR_PLUS, BOUNDARY_PLUS, INTERFACE}, INTERIOR_PLUS)
     dom.minus = _build_side(dom, "minus", {INTERIOR_MINUS, BOUNDARY_MINUS, INTERFACE}, INTERIOR_MINUS)
-    dom.full = _build_side(dom, "full", set(TAG_NAMES), None)
     return dom
 
 
@@ -490,34 +496,3 @@ def build_distance_field(dom: HalfDomain) -> DistanceField:
     d, grad = _graph_distance(dom.interface, dom.xy)
     defects = _measure_defects(dom, d, grad, dom.interface)
     return DistanceField(d=d, grad=grad, defects=defects)
-
-
-DEFAULT_CAPS = {
-    "quadratic": 10.0,
-    "gradient": 10.0,
-    "hessian": 50.0,
-    "tangency": 1e-6,
-    "laplace_mismatch": 20.0,
-    "flow_mismatch": 20.0,
-}
-
-
-def validate_distance_field(dom: HalfDomain, fld: DistanceField, caps: dict = None) -> dict:
-    """Check the measured defect constants against caps.
-
-    Returns {name: (value, cap, ok)} plus an "ok" entry for the whole
-    field. The caps bound how far the field may stray from the radial
-    model; a field like d^2, which degenerates at small radii, fails the
-    quadratic defect by a wide margin.
-    """
-    caps = {**DEFAULT_CAPS, **(caps or {})}
-    report = {}
-    all_ok = True
-    for name in ("quadratic", "gradient", "hessian", "tangency",
-                 "laplace_mismatch", "flow_mismatch"):
-        value = getattr(fld.defects, name)
-        ok = bool(value <= caps[name])
-        report[name] = (value, caps[name], ok)
-        all_ok &= ok
-    report["ok"] = all_ok
-    return report

@@ -19,6 +19,13 @@ inequality E^2 <= H * Gq holds exactly at the quadrature level because
 all three sums share the same nodal weights. annulus_sums returns the four
 sums at one radius; frequency_scan evaluates them on a radii ladder.
 
+Both keep per field what does not depend on r: the matched Jacobian
+terms, the cell areas and each cell's d-range a = max(d - delta, 0),
+b = d + delta. A radius costs one comparison per node plus the cutoff
+weights of its ring a < r < 2b: a cell with b <= r/2 has a fixed D term
+and one with a >= r weighs nothing. The sums add the same floats in node
+order as a whole-field evaluation.
+
 A blow-up limit at a point of frequency I0 is homogeneous of degree I0.
 homogeneity_defect measures how far a field is from that, comparing it
 at x and x/2; the frequency runner reports it beside the i-value check.
@@ -32,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .domain import DistanceField, HalfDomain, INTERFACE
-from .qpoint import batch_match_cost2, batch_match_values
+from .qpoint import batch_match_cost2, batch_match_rows
 from .solver import GridField
 
 DIM = 2                  # dimension m of the domain in the growth exponents
@@ -79,16 +86,23 @@ def cutoff(t):
 
 
 def cutoff_antiderivative(s, r):
-    """Integral of cutoff(u/r) du from 0 to s, piecewise closed form."""
+    """Integral of cutoff(u/r) du from 0 to s, piecewise closed form; on
+    (r/2, r), r/2 + 2 (s - r/2) - (s^2 - r^2/4) / r computed in place."""
     s = np.asarray(s, dtype=float)
-    half, full = r / 2.0, r
-    mid = half + 2.0 * (s - half) - (s * s - half * half) / r
-    out = np.where(s <= half, s, np.where(s >= full, 0.75 * r, mid))
+    half = r / 2.0
+    out = np.subtract(s, half, out=np.empty_like(s))
+    out *= 2.0
+    out += half
+    out -= (s * s - half * half) / r
+    np.copyto(out, 0.75 * r, where=s >= r)
+    np.copyto(out, s, where=s <= half)
     return out
 
 
 class _Quad:
-    """Per-field arrays reused across radii: values, Jacobians, weights."""
+    """One field's nodes that can carry weight (a neighbour on each axis,
+    b > a), in node order; at(r) sums one radius. H, E and Gq also skip
+    d = 0 and a non-finite |grad d|."""
 
     def __init__(self, fld: GridField, dist: DistanceField):
         side = fld.side
@@ -96,78 +110,84 @@ class _Quad:
         ns, q, n = V.shape
         h = fld.domain.h
         self.h = h
-        self.d = dist.d[side.ids]
+        d = dist.d[side.ids]
         grad = dist.grad[side.ids]
-        self.gd2 = np.einsum("mk,mk->m", grad, grad)
+        gd2 = np.einsum("mk,mk->m", grad, grad)
 
-        J = np.full((ns, q, n, 2), np.nan)
+        # Matched differences, central or one-sided; a missing neighbour
+        # is the node itself (a zero step), and neither makes it invalid.
+        J = np.zeros((ns, q, n, 2))
         valid = np.ones(ns, dtype=bool)
         if q > 0:
+            has = side.nb >= 0
+            nb = np.where(has, side.nb, np.arange(ns)[:, None])
+            steps = batch_match_rows(V, nb.T)
             for axis, (kp, km) in enumerate(((0, 1), (2, 3))):
-                has_p = side.nb[:, kp] >= 0
-                has_m = side.nb[:, km] >= 0
-                dp = np.zeros_like(V)
-                dm = np.zeros_like(V)
-                if has_p.any():
-                    ip = np.nonzero(has_p)[0]
-                    dp[ip] = batch_match_values(V[ip], V[side.nb[ip, kp]]) - V[ip]
-                if has_m.any():
-                    im = np.nonzero(has_m)[0]
-                    dm[im] = batch_match_values(V[im], V[side.nb[im, km]]) - V[im]
-                der = np.full((ns, q, n), np.nan)
-                both = has_p & has_m
-                der[both] = (dp[both] - dm[both]) / (2 * h)
-                only_p = has_p & ~has_m
-                der[only_p] = dp[only_p] / h
-                only_m = has_m & ~has_p
-                der[only_m] = -dm[only_m] / h
-                valid &= has_p | has_m
-                J[:, :, :, axis] = der
-        self.valid = valid
+                dp = steps[kp] - V
+                dm = steps[km] - V
+                both = has[:, kp] & has[:, km]
+                scale = np.where(both, 2 * h, h)[:, None, None]
+                J[..., axis] = (dp - dm) / scale
+                # -dm / h, not (0 - dm) / h: a zero step keeps its sign
+                only_m = np.flatnonzero(has[:, km] & ~has[:, kp])
+                J[only_m, :, :, axis] = -dm[only_m] / h
+                valid &= has[:, kp] | has[:, km]
 
-        self.f2 = np.einsum("mqn,mqn->m", V, V)
-        Jc = np.where(np.isfinite(J), J, 0.0)
-        self.df2 = np.einsum("mqnk,mqnk->m", Jc, Jc)
+        f2 = np.einsum("mqn,mqn->m", V, V)
+        df2 = np.einsum("mqnk,mqnk->m", J, J)
         gradc = np.where(np.isfinite(grad), grad, 0.0)
-        Jd = np.einsum("mqnk,mk->mqn", Jc, gradc)     # Df_i . grad d
-        self.e_term = np.einsum("mqn,mqn->m", V, Jd)
-        self.g_term = np.einsum("mqn,mqn->m", Jd, Jd)
+        Jd = np.einsum("mqnk,mk->mqn", J, gradc)     # Df_i . grad d
+        e_term = np.einsum("mqn,mqn->m", V, Jd)
+        g_term = np.einsum("mqn,mqn->m", Jd, Jd)
 
         cell = np.full(ns, h * h)
         if side.name in ("plus", "minus"):
             cell[side.tag == INTERFACE] *= 0.5
-        self.cell = cell
         # Half-width of the d-range spanned by a cell along grad d. Where
         # the d-gradient stencil is cut (origin, rim) fall back to the
         # nominal |grad d| = 1; those nodes never carry annulus weight.
-        gd2_safe = np.where(np.isfinite(self.gd2), self.gd2, 1.0)
-        self.delta = 0.5 * h * np.sqrt(np.maximum(gd2_safe, 0.0))
-
-    def weights(self, r: float):
-        a = np.maximum(self.d - self.delta, 0.0)
-        b = self.d + self.delta
+        gd2_safe = np.where(np.isfinite(gd2), gd2, 1.0)
+        delta = 0.5 * h * np.sqrt(np.maximum(gd2_safe, 0.0))
+        a = np.maximum(d - delta, 0.0)
+        b = d + delta
         span = np.maximum(b - a, 1e-300)
-        w_prime = 2.0 * np.clip(np.minimum(b, r) - np.maximum(a, r / 2.0),
-                                0.0, None) / span
-        w_phi = (cutoff_antiderivative(b, r)
-                 - cutoff_antiderivative(a, r)) / span
-        return w_phi, w_prime
+
+        # A cell with b <= r/2 has cutoff weight (b - a) / span at every
+        # r, so its D term is fixed; only the ring a < r < 2b needs r.
+        k = np.flatnonzero(valid & (b > a))
+        self.a, self.b, self.span = a[k], b[k], span[k]
+        self.inner = cell[k] * ((b[k] - a[k]) / span[k]) * df2[k]
+        self.cell, self.df2, self.gd2, self.f2 = cell[k], df2[k], gd2[k], f2[k]
+        self.d, self.e_term, self.g_term = d[k], e_term[k], g_term[k]
+        self.has_h = (d[k] > 0) & np.isfinite(gd2[k])
 
     def at(self, r: float):
         if r <= 0:
             raise ValueError("radius must be positive")
-        w_phi, w_prime = self.weights(r)
-        selD = (w_phi > 0) & self.valid
-        D = float(np.sum(self.cell[selD] * w_phi[selD] * self.df2[selD]))
-        sel = ((w_prime > 0) & self.valid & (self.d > 0)
-               & np.isfinite(self.gd2))
-        w = self.cell[sel] * w_prime[sel]
-        H = float(np.sum(w * self.gd2[sel] * self.f2[sel] / self.d[sel]))
-        E = float(np.sum(w * self.e_term[sel])) / r
-        Gq = float(np.sum(w * self.d[sel] / self.gd2[sel]
-                          * self.g_term[sel])) / r**2
-        n_annulus = int(sel.sum())
-        return D, H, E, Gq, n_annulus
+        k = np.flatnonzero(self.a < r)
+        in_ring = self.b[k] > r / 2.0
+        j = k[in_ring]
+        a, b, span = self.a[j], self.b[j], self.span[j]
+        w_phi = (cutoff_antiderivative(b, r)
+                 - cutoff_antiderivative(a, r)) / span
+        w_prime = 2.0 * np.clip(np.minimum(b, r) - np.maximum(a, r / 2.0),
+                                0.0, None) / span
+
+        terms = self.inner[k]
+        terms[in_ring] = self.cell[j] * w_phi * self.df2[j]
+        drop = w_phi <= 0          # rounding at the rim of the ring
+        if drop.any():
+            terms = np.delete(terms, np.flatnonzero(in_ring)[drop])
+        D = float(np.sum(terms))
+
+        keep = self.has_h[j] & (w_prime > 0)
+        j = j[keep]
+        w = self.cell[j] * w_prime[keep]
+        gd2, d = self.gd2[j], self.d[j]
+        H = float(np.sum(w * gd2 * self.f2[j] / d))
+        E = float(np.sum(w * self.e_term[j])) / r
+        Gq = float(np.sum(w * d / gd2 * self.g_term[j])) / r**2
+        return D, H, E, Gq, int(j.size)
 
 
 def _as_quads(u, dist: DistanceField):
@@ -175,16 +195,8 @@ def _as_quads(u, dist: DistanceField):
 
 
 def _eval(quads, r):
-    D = H = E = Gq = 0.0
-    count = 0
-    for q in quads:
-        d, hh, e, g, c = q.at(r)
-        D += d
-        H += hh
-        E += e
-        Gq += g
-        count += c
-    return D, H, E, Gq, count
+    """(D, H, E, Gq, annulus nodes) summed over the fields, in field order."""
+    return tuple(sum(col) for col in zip(*(q.at(r) for q in quads)))
 
 
 def annulus_sums(u, dist: DistanceField, r: float):

@@ -278,39 +278,40 @@ def flat_profile(s, alpha: float = 0.5):
     return branch_product(1j * np.cbrt(s), alpha)
 
 
-def fd_weights(x, x0: float, m: int) -> np.ndarray:
+def fd_weights(x, x0, m: int) -> np.ndarray:
     """Finite-difference weights for the m-th derivative at x0.
 
     Fornberg's recursion on arbitrary nodes x; exact for polynomials
-    of degree len(x)-1.
+    of degree len(x)-1. Stencils stacked on leading axes of x (x0 one
+    point each) run at once, each with its own call's scalar operations.
     """
     x = np.asarray(x, dtype=float)
-    n = len(x)
+    n = x.shape[-1]
     if m >= n:
         raise ValueError("need more nodes than the derivative order")
-    w = np.zeros((n, m + 1))
-    w[0, 0] = 1.0
-    c1 = 1.0
-    c4 = x[0] - x0
+    w = np.zeros(x.shape + (m + 1,))
+    w[..., 0, 0] = 1.0
+    c1 = np.ones(x.shape[:-1])
+    c4 = x[..., 0] - x0
     for i in range(1, n):
         mn = min(i, m)
-        c2 = 1.0
+        c2 = np.ones(x.shape[:-1])
         c5 = c4
-        c4 = x[i] - x0
+        c4 = x[..., i] - x0
         for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
+            c3 = x[..., i] - x[..., j]
+            c2 = c2 * c3
             if j == i - 1:
                 # row i must come from row i-1 before its update below
                 for k in range(mn, 0, -1):
-                    w[i, k] = c1 * (k * w[i - 1, k - 1]
-                                    - c5 * w[i - 1, k]) / c2
-                w[i, 0] = -c1 * c5 * w[i - 1, 0] / c2
+                    w[..., i, k] = c1 * (k * w[..., i - 1, k - 1]
+                                         - c5 * w[..., i - 1, k]) / c2
+                w[..., i, 0] = -c1 * c5 * w[..., i - 1, 0] / c2
             for k in range(mn, 0, -1):
-                w[j, k] = (c4 * w[j, k] - k * w[j, k - 1]) / c3
-            w[j, 0] = c4 * w[j, 0] / c3
+                w[..., j, k] = (c4 * w[..., j, k] - k * w[..., j, k - 1]) / c3
+            w[..., j, 0] = c4 * w[..., j, 0] / c3
         c1 = c2
-    return w[:, m]
+    return w[..., m]
 
 
 @dataclass
@@ -441,12 +442,12 @@ def derivative_decay_check(order: int, alpha: float = 0.5,
         if order == 0:
             return np.abs(h), grid
         half = 2
-        centers = range(half, len(grid) - half)
-        vals = np.empty(len(grid) - 2 * half)
-        for i, c in enumerate(centers):
-            sl = slice(c - half, c + half + 1)
-            w = fd_weights(grid[sl], grid[c], order)
-            vals[i] = abs(np.dot(w, h[sl]))
+        centers = np.arange(half, len(grid) - half)
+        stencils = centers[:, None] + np.arange(-half, half + 1)
+        weights = fd_weights(grid[stencils], grid[centers], order)
+        # one np.dot per stencil: a batched sum adds in another order
+        vals = np.array([abs(np.dot(w, h[k]))
+                         for w, k in zip(weights, stencils)])
         return vals, grid[half:-half]
 
     mag, s_eval = magnitudes(s)

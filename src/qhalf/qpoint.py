@@ -115,10 +115,10 @@ def _rank_sorted(U: np.ndarray) -> bool:
     return U.shape[2] == 1 and U.shape[1] >= 3
 
 
-def _table_costs(U: np.ndarray, V: np.ndarray):
-    P = perm_table(U.shape[1])
-    d = U[:, None, :, :] - V[:, P, :]
-    return P, np.einsum("mkqn,mkqn->mk", d, d)
+def _table_costs(U: np.ndarray, VP: np.ndarray) -> np.ndarray:
+    # VP = V[:, perm_table(Q)]: row m, permutation k of V's sheets
+    d = U[:, None, :, :] - VP
+    return np.einsum("mkqn,mkqn->mk", d, d)
 
 
 def batch_match_cost2(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -130,7 +130,7 @@ def batch_match_cost2(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     elif _rank_sorted(U):
         d = np.sort(U, axis=1) - np.sort(V, axis=1)
     else:
-        return _table_costs(U, V)[1].min(axis=1)
+        return _table_costs(U, V[:, perm_table(U.shape[1])]).min(axis=1)
     return np.einsum("mqn,mqn->m", d, d)
 
 
@@ -156,7 +156,27 @@ def batch_match_values(U: np.ndarray, V: np.ndarray) -> np.ndarray:
         np.put_along_axis(W, np.argsort(U, axis=1, kind="stable"),
                           np.sort(V, axis=1), axis=1)
         return W
-    P, costs = _table_costs(U, V)
-    k = costs.argmin(axis=1)
-    m_idx = np.arange(U.shape[0])[:, None]
-    return V[m_idx, P[k]]
+    VP = V[:, perm_table(U.shape[1])]
+    return VP[np.arange(U.shape[0]), _table_costs(U, VP).argmin(axis=1)]
+
+
+def batch_match_rows(V: np.ndarray, cols) -> list:
+    """[batch_match_values(V, V[j]) for j in cols], exactly, with the work
+    on V itself done once: each row's rank of every sheet (a row's sort
+    depends on that row alone) or each row's permuted sheets."""
+    V = np.asarray(V, dtype=float)
+    M, q = V.shape[:2]
+    if q == 1:
+        return [V[j] for j in cols]
+    if _rank_sorted(V):
+        rank = np.empty((M, q), dtype=np.intp)
+        np.put_along_axis(rank, np.argsort(V[:, :, 0], axis=1, kind="stable"),
+                          np.arange(q), axis=1)
+        ranked = np.sort(V, axis=1)
+        return [ranked[j[:, None], rank] for j in cols]
+    VP = V[:, perm_table(q)]
+    out = []
+    for j in cols:
+        VPj = VP[j]
+        out.append(VPj[np.arange(M), _table_costs(V, VPj).argmin(axis=1)])
+    return out

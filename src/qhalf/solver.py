@@ -127,7 +127,6 @@ class QHalfMap:
     plus: np.ndarray    # (N_plus, Q, n), interface rows end with the phi slot
     minus: np.ndarray   # (N_minus, Q-1, n)
     phi: np.ndarray     # (N_interface, n), ordered like domain interface ids
-    collapsed: bool
 
     def fields(self):
         out = [GridField(self.domain, self.domain.plus, self.plus)]
@@ -140,7 +139,7 @@ class QHalfMap:
 
     def copy(self) -> "QHalfMap":
         return QHalfMap(self.domain, self.Q, self.n, self.plus.copy(),
-                        self.minus.copy(), self.phi.copy(), self.collapsed)
+                        self.minus.copy(), self.phi.copy())
 
 
 def edge_energy(values: np.ndarray, edges: np.ndarray) -> float:
@@ -215,28 +214,19 @@ def harmonic_reference(dom: HalfDomain, side_name: str,
     return _solve_harmonic(side, pinned, vals)
 
 
-def sample_map(dom: HalfDomain, data: DataSpec, collapsed: bool = True) -> QHalfMap:
-    """Evaluate a closed-form DataSpec at every node of both sides."""
+def sample_map(dom: HalfDomain, data: DataSpec) -> QHalfMap:
+    """Evaluate a closed-form DataSpec at every node of both sides, with
+    every sheet of the interface rows pinned to phi."""
     Q, n = data.Q, data.n
     plus = np.asarray(data.plus(dom.plus.xy), dtype=float)
     minus = (np.asarray(data.minus(dom.minus.xy), dtype=float)
              if Q > 1 else np.zeros((dom.minus.n_nodes, 0, n)))
     if_ids = np.nonzero(dom.tag == INTERFACE)[0]
     phi = np.asarray(data.phi(dom.xy[if_ids]), dtype=float)
-    u = QHalfMap(dom, Q, n, plus, minus, phi, collapsed)
-    if collapsed:
-        _pin_interface_collapsed(u)
-    return u
-
-
-def _pin_interface_collapsed(u: QHalfMap):
-    dom = u.domain
-    if_ids = u.interface_ids()
-    lp = dom.plus.loc[if_ids]
-    u.plus[lp] = u.phi[:, None, :]
-    if u.Q > 1:
-        lm = dom.minus.loc[if_ids]
-        u.minus[lm] = u.phi[:, None, :]
+    plus[dom.plus.loc[if_ids]] = phi[:, None, :]
+    if Q > 1:
+        minus[dom.minus.loc[if_ids]] = phi[:, None, :]
+    return QHalfMap(dom, Q, n, plus, minus, phi)
 
 
 def _color_rows(side: SideGraph, c: int) -> np.ndarray:
@@ -285,12 +275,13 @@ class _RankedState:
             self.buf[lo:hi] = values[s][rows].ravel()
 
         def entries(s, nodes):
-            # Rows (node, sheet) of buffer entries, one column per nodes column.
+            # Rows (node, sheet) of buffer entries, one column per nodes
+            # column: node rows tiled per sheet, plus the sheet offsets.
             base = pos[s][nodes]
-            out = np.empty((base.shape[0], widths[s], base.shape[1]), index)
-            for k in range(widths[s]):
-                out[:, k] = base + k
-            return out.reshape(-1, base.shape[1])
+            k = base.shape[1]
+            out = np.tile(base, (1, widths[s]))
+            out += np.repeat(np.arange(widths[s], dtype=index), k)
+            return out.reshape(-1, k)
 
         n = len(used)
         self.bounds, self.nb_sum, self.sort_blocks = [], [], []
@@ -489,7 +480,7 @@ def minimize(dom: HalfDomain, data: DataSpec,
             break
 
     state.unpack()
-    u = QHalfMap(dom, data.Q, 1, Vp, Vm, phi, True)
+    u = QHalfMap(dom, data.Q, 1, Vp, Vm, phi)
     info = SolveInfo(converged=converged, sweeps=sweeps, energy=e_prev,
                      initial_energy=e0, last_decrease=decrease,
                      max_update=max_update, stop_reason=reason,
@@ -521,8 +512,6 @@ def collapse_decompose(u: QHalfMap, info: SolveInfo) -> CollapseReport:
     up at scale h rather than 1/h. odd_defect (straight interface only)
     is the largest |m(x, y) + m(x, -y)| over mirror node pairs.
     """
-    if not u.collapsed:
-        raise ValueError("collapse_decompose needs a collapsed-mode solve")
     if not info.converged:
         raise ValueError("refusing to decompose a non-converged solve")
     dom = u.domain

@@ -12,6 +12,8 @@ docstring states when they may be re-recorded.
 With ``--diff`` nothing is written. Every field of a golden file that the
 fresh run does not reproduce exactly is printed with its old value, its
 new value and the relative change: the list a re-recording must state.
+The exit status is 1 when any field moved (or a file is only on one
+side) and 0 when none did, so a script can check for "0 moved fields".
 """
 
 import argparse
@@ -127,7 +129,8 @@ def main(argv=None):
         print(f"{name}: exit {rc}")
     if args.diff:
         print(f"{total} moved fields")
+    return 1 if total else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

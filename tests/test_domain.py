@@ -9,13 +9,35 @@ from qhalf.domain import (
     INTERFACE,
     INTERIOR_MINUS,
     INTERIOR_PLUS,
+    TAG_NAMES,
     ConstructionError,
     DistanceField,
     InterfaceSpec,
     build_distance_field,
     build_halfdisk,
-    validate_distance_field,
 )
+
+# Caps on the measured defect constants: how far a distance field may
+# stray from the radial model. d^2, which degenerates at small radii,
+# fails the quadratic defect by a wide margin.
+DEFECT_CAPS = {
+    "quadratic": 10.0,
+    "gradient": 10.0,
+    "hessian": 50.0,
+    "tangency": 1e-6,
+    "laplace_mismatch": 20.0,
+    "flow_mismatch": 20.0,
+}
+
+
+def validate_distance_field(fld: DistanceField) -> dict:
+    """{defect: (value, cap, ok)} plus "ok" for the whole field."""
+    report = {}
+    for name, cap in DEFECT_CAPS.items():
+        value = getattr(fld.defects, name)
+        report[name] = (value, cap, bool(value <= cap))
+    report["ok"] = all(ok for _, _, ok in report.values())
+    return report
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +141,7 @@ def test_graph_distance_near_radial_and_tangent(parabola_64):
     assert fld.defects.gradient < 2.0
     # gradient runs along the interface on the interface
     assert fld.defects.tangency <= 1e-6
-    report = validate_distance_field(dom, fld)
+    report = validate_distance_field(fld)
     assert report["ok"]
 
 
@@ -138,7 +160,7 @@ def test_validate_rejects_squared_distance(straight_64):
     from qhalf.domain import DistanceDefects
 
     broken.defects = DistanceDefects(quad, 0, 0, 0, 0, 0)
-    report = validate_distance_field(dom, broken)
+    report = validate_distance_field(broken)
     assert not report["quadratic"][2]
     assert not report["ok"]
 
@@ -167,3 +189,31 @@ def test_side_graphs_are_consistent(parabola_64):
         # every edge touches at most one interface node
         both = (sg.tag[sg.edges[:, 0]] == INTERFACE) & (sg.tag[sg.edges[:, 1]] == INTERFACE)
         assert not np.any(both)
+
+
+def test_full_graph_is_built_once_on_first_access(monkeypatch):
+    from dataclasses import fields
+
+    from qhalf import domain
+
+    built = []
+    build_side = domain._build_side
+
+    def counting(dom, name, *args):
+        built.append(name)
+        return build_side(dom, name, *args)
+
+    monkeypatch.setattr(domain, "_build_side", counting)
+    dom = build_halfdisk(1.0, 1.0 / 32.0, InterfaceSpec.parabola(0.1))
+    assert built == ["plus", "minus"]
+    full = dom.full
+    assert dom.full is full
+    assert built == ["plus", "minus", "full"]
+    eager = build_side(dom, "full", set(TAG_NAMES), None)
+    for f in fields(eager):
+        got, want = getattr(full, f.name), getattr(eager, f.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype, f.name
+            assert np.array_equal(got, want), f.name
+        else:
+            assert got == want, f.name

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from qhalf import data_maps
-from qhalf.domain import build_halfdisk, build_distance_field
+from qhalf import data_maps, frequency
+from qhalf.domain import (INTERFACE, InterfaceSpec, build_halfdisk,
+                          build_distance_field)
 from qhalf.frequency import (
     FrequencyConfig,
     ResolutionError,
@@ -14,10 +15,13 @@ from qhalf.frequency import (
     check_monotonicity,
     check_outer_identity,
     cutoff,
+    cutoff_antiderivative,
     frequency_scan,
     homogeneity_defect,
 )
-from qhalf.solver import GridField, sample_map
+from qhalf.qpoint import batch_match_values
+from qhalf.solver import (GridField, QHalfMap, SolverConfig, minimize,
+                          sample_map, suggested_omega)
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +42,16 @@ def full_field(dom, spec):
 def plus_field(dom, spec):
     vals = np.asarray(spec.plus(dom.plus.xy), dtype=float)
     return GridField(dom, dom.plus, vals)
+
+
+def unpinned_map(dom, data):
+    """The closed-form data at every node, interface rows left unpinned."""
+    n = data.n
+    minus = (data.minus(dom.minus.xy) if data.Q > 1
+             else np.zeros((dom.minus.n_nodes, 0, n)))
+    phi = data.phi(dom.xy[dom.tag == INTERFACE])
+    return QHalfMap(dom, data.Q, n, np.asarray(data.plus(dom.plus.xy), float),
+                    np.asarray(minus, float), np.asarray(phi, float))
 
 
 def test_cutoff_shape():
@@ -124,15 +138,13 @@ def test_cauchy_schwarz_random_map(dom64, dist64):
                 for k in range(4)] for _ in range(3)],
               [[(k, rng.standard_normal(), rng.standard_normal())
                 for k in range(4)] for _ in range(2)]]
-    u = sample_map(dom64, data_maps.custom_coefficients(coeffs),
-                   collapsed=False)
+    u = unpinned_map(dom64, data_maps.custom_coefficients(coeffs))
     scan = frequency_scan(u, dist64)
     assert scan.csq_residual.max() <= 1e-9
 
 
 def test_sheet_storage_permutation_invariance(dom64, dist64):
-    u = sample_map(dom64, data_maps.odd_cubic(Q=3, amplitude=0.3),
-                   collapsed=False)
+    u = unpinned_map(dom64, data_maps.odd_cubic(Q=3, amplitude=0.3))
     r = 0.5
     vals = annulus_sums(u, dist64, r)
     rng = np.random.default_rng(11)
@@ -199,7 +211,7 @@ def test_blow_up_homogeneous_shape_invariant(dom64):
     # origin, so the homogeneity defect at i0 = 3/2 stays near zero and
     # is clearly nonzero at a wrong exponent.
     spec = data_maps.sqrt_branch()
-    u = sample_map(dom64, spec, collapsed=False)
+    u = unpinned_map(dom64, spec)
     assert homogeneity_defect(u, 1.5) <= 0.02
     assert homogeneity_defect(u, 1.0) > 0.05
 
@@ -223,3 +235,124 @@ def test_outer_identity_on_solved_map(dom64, dist64):
     scan_bad = frequency_scan(v, dist64)
     _, worst_bad = check_outer_identity(scan_bad, tol=0.05)
     assert worst_bad > 3 * worst
+
+
+class _ReferenceQuad:
+    """The per-radius quadrature the scan must reproduce bit for bit.
+
+    Every radius recomputes each node's d-range and cutoff weights over
+    the whole field and masks the sums; Jacobian rows are staged as NaN
+    where a stencil is cut, and each one-sided neighbour is matched by
+    its own kernel call.
+    """
+
+    def __init__(self, fld, dist):
+        side = fld.side
+        V = fld.values
+        ns, q, n = V.shape
+        h = fld.domain.h
+        self.h = h
+        self.d = dist.d[side.ids]
+        grad = dist.grad[side.ids]
+        self.gd2 = np.einsum("mk,mk->m", grad, grad)
+
+        J = np.full((ns, q, n, 2), np.nan)
+        valid = np.ones(ns, dtype=bool)
+        if q > 0:
+            for axis, (kp, km) in enumerate(((0, 1), (2, 3))):
+                has_p = side.nb[:, kp] >= 0
+                has_m = side.nb[:, km] >= 0
+                dp = np.zeros_like(V)
+                dm = np.zeros_like(V)
+                if has_p.any():
+                    ip = np.nonzero(has_p)[0]
+                    dp[ip] = batch_match_values(V[ip], V[side.nb[ip, kp]]) - V[ip]
+                if has_m.any():
+                    im = np.nonzero(has_m)[0]
+                    dm[im] = batch_match_values(V[im], V[side.nb[im, km]]) - V[im]
+                der = np.full((ns, q, n), np.nan)
+                both = has_p & has_m
+                der[both] = (dp[both] - dm[both]) / (2 * h)
+                only_p = has_p & ~has_m
+                der[only_p] = dp[only_p] / h
+                only_m = has_m & ~has_p
+                der[only_m] = -dm[only_m] / h
+                valid &= has_p | has_m
+                J[:, :, :, axis] = der
+        self.valid = valid
+
+        self.f2 = np.einsum("mqn,mqn->m", V, V)
+        Jc = np.where(np.isfinite(J), J, 0.0)
+        self.df2 = np.einsum("mqnk,mqnk->m", Jc, Jc)
+        gradc = np.where(np.isfinite(grad), grad, 0.0)
+        Jd = np.einsum("mqnk,mk->mqn", Jc, gradc)
+        self.e_term = np.einsum("mqn,mqn->m", V, Jd)
+        self.g_term = np.einsum("mqn,mqn->m", Jd, Jd)
+
+        cell = np.full(ns, h * h)
+        if side.name in ("plus", "minus"):
+            cell[side.tag == INTERFACE] *= 0.5
+        self.cell = cell
+        gd2_safe = np.where(np.isfinite(self.gd2), self.gd2, 1.0)
+        self.delta = 0.5 * h * np.sqrt(np.maximum(gd2_safe, 0.0))
+
+    def at(self, r):
+        if r <= 0:
+            raise ValueError("radius must be positive")
+        a = np.maximum(self.d - self.delta, 0.0)
+        b = self.d + self.delta
+        span = np.maximum(b - a, 1e-300)
+        w_prime = 2.0 * np.clip(np.minimum(b, r) - np.maximum(a, r / 2.0),
+                                0.0, None) / span
+        w_phi = (cutoff_antiderivative(b, r)
+                 - cutoff_antiderivative(a, r)) / span
+        selD = (w_phi > 0) & self.valid
+        D = float(np.sum(self.cell[selD] * w_phi[selD] * self.df2[selD]))
+        sel = ((w_prime > 0) & self.valid & (self.d > 0)
+               & np.isfinite(self.gd2))
+        w = self.cell[sel] * w_prime[sel]
+        H = float(np.sum(w * self.gd2[sel] * self.f2[sel] / self.d[sel]))
+        E = float(np.sum(w * self.e_term[sel])) / r
+        Gq = float(np.sum(w * self.d[sel] / self.gd2[sel]
+                          * self.g_term[sel])) / r**2
+        return D, H, E, Gq, int(sel.sum())
+
+
+def _scan_fields(dom64):
+    """(label, field) pairs covering the scan's kinds of input."""
+    solve = SolverConfig(update_stop=1e-12, max_sweeps=200000,
+                         omega=suggested_omega(dom64))
+    refinement = data_maps.odd_cubic(Q=3, amplitude=0.01, taper=3.0,
+                                     plus_weights=[-1.0, 0.25, 1.0],
+                                     minus_weights=[-0.55, 1.0])
+    yield "collapse-refinement-64", minimize(dom64, refinement, solve)[0]
+    wavy = build_halfdisk(R=1.0, h=1.0 / 64,
+                          interface=InterfaceSpec.sine_wave(0.05, 3.0))
+    yield "sine-wave-q2", minimize(wavy, data_maps.odd_cubic(Q=2, amplitude=0.3),
+                                   SolverConfig(init="harmonic"))[0]
+    yield "glued-full-sqrt-branch", full_field(dom64, data_maps.sqrt_branch())
+    yield "sampled-q3", sample_map(dom64, data_maps.odd_cubic(Q=3, amplitude=0.3))
+
+
+def test_scan_is_bit_equal_to_the_reference_quadrature(dom64, monkeypatch):
+    fields = [(label, u, build_distance_field(u.domain))
+              for label, u in _scan_fields(dom64)]
+    got = {label: frequency_scan(u, dist) for label, u, dist in fields}
+    monkeypatch.setattr(frequency, "_Quad", _ReferenceQuad)
+    for label, u, dist in fields:
+        want = frequency_scan(u, dist)
+        for name in ("r", "D", "H", "E", "Gq", "I", "csq_residual",
+                     "outer_residual", "reliable"):
+            assert np.array_equal(getattr(got[label], name),
+                                  getattr(want, name)), (label, name)
+        assert got[label].i0 == want.i0, label
+        assert got[label].h == want.h
+
+
+def test_empty_annulus_still_raises(dom64, dist64):
+    # [r/2, r] below the first grid ring holds no node at all.
+    u = sample_map(dom64, data_maps.odd_cubic(Q=3, amplitude=0.3))
+    r = 0.5 * dom64.h
+    with pytest.raises(ResolutionError):
+        annulus_sums(u, dist64, r)
+    assert _ReferenceQuad(u.fields()[0], dist64).at(r)[4] == 0

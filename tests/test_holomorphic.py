@@ -220,6 +220,56 @@ def test_fd_weights_exact_on_polynomials():
                                    rtol=1e-12, atol=1e-12)
 
 
+
+def _scalar_fd_weights(x, x0, m):
+    # Fornberg's recursion for one stencil, one Python float at a time.
+    n = len(x)
+    w = np.zeros((n, m + 1))
+    w[0, 0] = 1.0
+    c1 = 1.0
+    c4 = x[0] - x0
+    for i in range(1, n):
+        mn = min(i, m)
+        c2 = 1.0
+        c5 = c4
+        c4 = x[i] - x0
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    w[i, k] = c1 * (k * w[i - 1, k - 1]
+                                    - c5 * w[i - 1, k]) / c2
+                w[i, 0] = -c1 * c5 * w[i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                w[j, k] = (c4 * w[j, k] - k * w[j, k - 1]) / c3
+            w[j, 0] = c4 * w[j, 0] / c3
+        c1 = c2
+    return w[:, m]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_batched_fd_weights_equal_one_stencil_at_a_time(order):
+    # The decay check's stencils, weighed all at once, against the scalar
+    # recursion per stencil: weights and magnitudes bit for bit.
+    from qhalf.holomorphic import _fit_grid, _span_grid
+
+    rep = derivative_decay_check(order)
+    for grid, mag in ((_span_grid(order, 0.5), rep.magnitude),
+                      (_fit_grid(order, 0.5), None)):
+        centers = np.arange(2, len(grid) - 2)
+        stencils = centers[:, None] + np.arange(-2, 3)
+        batched = fd_weights(grid[stencils], grid[centers], order)
+        h = flat_profile(grid, 0.5)
+        want = []
+        for c, w in zip(centers, batched):
+            ref = _scalar_fd_weights(grid[c - 2:c + 3], grid[c], order)
+            assert np.array_equal(w, ref)
+            want.append(abs(np.dot(ref, h[c - 2:c + 3])))
+        if mag is not None:
+            assert np.array_equal(mag, np.array(want))
+
+
 def test_decay_reports_default_windows():
     for order in range(5):
         rep = derivative_decay_check(order)

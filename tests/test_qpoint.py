@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from qhalf.qpoint import (
     QPoint,
     batch_match_cost2,
+    batch_match_rows,
     batch_match_values,
     g_distance,
     g_distance_bruteforce,
@@ -218,3 +219,32 @@ def test_batch_helpers_match_scalar_path():
             realized = ((U[m] - W[m]) ** 2).sum()
             assert realized == pytest.approx(d * d, abs=1e-12)
             assert np.allclose(np.sort(W[m], axis=0), np.sort(V[m], axis=0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), q=st.integers(1, 5), n=st.integers(1, 2),
+       elements=st.sampled_from([UNIFORM, TIES]))
+def test_batch_match_rows_equals_the_kernel_row_for_row(data, q, n, elements):
+    # Each neighbour column reuses one rank order and one sorted copy of
+    # V; the result must be the kernel's, ties included.
+    m = data.draw(st.integers(1, 12))
+    V = data.draw(arrays(float, (m, q, n), elements=elements))
+    cols = [data.draw(arrays(np.intp, m, elements=st.integers(0, m - 1)))
+            for _ in range(data.draw(st.integers(1, 4)))]
+    for j, W in zip(cols, batch_match_rows(V, cols)):
+        assert np.array_equal(W, batch_match_values(V, V[j]))
+
+
+def test_batch_match_rows_on_shuffled_solved_rows():
+    from qhalf import data_maps
+    from qhalf.domain import build_halfdisk
+    from qhalf.solver import minimize
+
+    dom = build_halfdisk(1.0, 1.0 / 16)
+    u, _ = minimize(dom, data_maps.odd_cubic(Q=4, amplitude=0.3))
+    rng = np.random.default_rng(7)
+    V = rng.permuted(u.plus, axis=1)
+    side = dom.plus
+    cols = np.where(side.nb >= 0, side.nb, np.arange(side.n_nodes)[:, None]).T
+    for j, W in zip(cols, batch_match_rows(V, cols)):
+        assert np.array_equal(W, batch_match_values(V, V[j]))

@@ -7,6 +7,7 @@ from qhalf import data_maps
 from qhalf.domain import build_halfdisk, INTERFACE, InterfaceSpec
 from qhalf.qpoint import batch_match_values
 from qhalf.solver import (
+    QHalfMap,
     SolverConfig,
     _RankedState,
     _color_rows,
@@ -22,6 +23,16 @@ from qhalf.solver import (
     sample_map,
     suggested_omega,
 )
+
+
+def unpinned_map(dom, data):
+    """The closed-form data at every node, interface rows left unpinned."""
+    n = data.n
+    minus = (data.minus(dom.minus.xy) if data.Q > 1
+             else np.zeros((dom.minus.n_nodes, 0, n)))
+    phi = data.phi(dom.xy[dom.tag == INTERFACE])
+    return QHalfMap(dom, data.Q, n, np.asarray(data.plus(dom.plus.xy), float),
+                    np.asarray(minus, float), np.asarray(phi, float))
 
 
 class _MatchedSide:
@@ -239,6 +250,66 @@ def test_ranked_minimize_matches_matched_sweeps(dom16):
         assert np.array_equal(got, np.sort(st.values, axis=1))
 
 
+def _reference_sparse_products(sides, widths):
+    """The ranked state's nb_sum and incidence, built entry by entry: one
+    pass per sheet for the buffer positions, np.tile for the CSR data."""
+    import scipy.sparse as sp
+
+    used = [s for s in range(len(sides)) if widths[s]]
+    parts = {s: [_color_rows(sides[s], c) for c in (0, 1)] for s in used}
+    for s in used:
+        pinned = np.ones(sides[s].n_nodes, dtype=bool)
+        pinned[np.concatenate(parts[s])] = False
+        parts[s].append(np.nonzero(pinned)[0])
+    blocks = [(s, parts[s][part]) for part in range(3) for s in used]
+    ends = np.cumsum([widths[s] * rows.size for s, rows in blocks])
+    index = np.int32 if ends[-1] < 2**31 else np.int64
+    pos = [np.empty(side.n_nodes, dtype=index) for side in sides]
+    for (s, rows), lo in zip(blocks, np.concatenate(([0], ends))):
+        pos[s][rows] = lo + widths[s] * np.arange(rows.size)
+
+    def entries(s, nodes):
+        base = pos[s][nodes]
+        out = np.empty((base.shape[0], widths[s], base.shape[1]), index)
+        for k in range(widths[s]):
+            out[:, k] = base + k
+        return out.reshape(-1, base.shape[1])
+
+    def row_matrix(cols, weights):
+        rows, k = cols.shape
+        return sp.csr_matrix((np.tile(weights, rows), cols.ravel(),
+                              np.arange(0, rows * k + 1, k, dtype=cols.dtype)),
+                             shape=(rows, ends[-1]))
+
+    n = len(used)
+    nb_sum = [row_matrix(np.concatenate([entries(s, sides[s].nb[rows])
+                                         for s, rows in blocks[c * n:(c + 1) * n]]),
+                         np.ones(4))
+              for c in (0, 1)]
+    incidence = row_matrix(np.concatenate([entries(s, sides[s].edges)
+                                           for s in used]),
+                           np.array([1.0, -1.0]))
+    return nb_sum, incidence
+
+
+@pytest.mark.parametrize("dom_name, Q", [("dom32", 3), ("sine32", 2)])
+def test_ranked_state_sparse_products_match_entrywise_build(request,
+                                                            dom_name, Q):
+    dom = request.getfixturevalue(dom_name)
+    sides = (dom.plus, dom.minus)
+    values = tuple(np.zeros((side.n_nodes, q, 1))
+                   for side, q in zip(sides, (Q, Q - 1)))
+    state = _RankedState(sides, values, 1.0)
+    nb_sum, incidence = _reference_sparse_products(sides, (Q, Q - 1))
+    for got, want in ((state.nb_sum[0], nb_sum[0]), (state.nb_sum[1], nb_sum[1]),
+                      (state.incidence, incidence)):
+        assert got.shape == want.shape
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("Q", [2, 3, 4])
 def test_collapsed_scalar_solve_keeps_rows_rank_sorted(dom16, Q):
     data = data_maps.odd_cubic(Q=Q, amplitude=0.5)
@@ -419,8 +490,8 @@ def test_interpolation_constant_pair():
             minus=data_maps._tile(fld, Q - 1),
             phi=fld, label=f"const({val})")
 
-    f = sample_map(dom, const_spec(a), collapsed=False)
-    g = sample_map(dom, const_spec(b), collapsed=False)
+    f = unpinned_map(dom, const_spec(a))
+    g = unpinned_map(dom, const_spec(b))
     # shared interface trace is required; overwrite f's phi with g's
     f.phi[:] = g.phi
     if_loc = dom.plus.loc[np.nonzero(dom.tag == INTERFACE)[0]]
