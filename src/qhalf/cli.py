@@ -41,7 +41,6 @@ from .domain import (
 )
 from .frequency import (
     DOUBLING_COLUMNS,
-    FrequencyConfig,
     calibrate_kappa,
     check_doubling_bounds,
     check_monotonicity,
@@ -59,13 +58,11 @@ from .holomorphic import (
 from .qpoint import QPoint, g_distance, g_distance_bruteforce
 from .solver import (
     GridField,
-    SolverConfig,
     collapse_decompose,
     harmonic_reference,
     interpolate_annulus,
     minimize,
     sample_map,
-    suggested_omega,
 )
 from .surface import build_surface, density_at, surface_image, two_circles_density
 
@@ -78,6 +75,8 @@ MAX_GRID_CELLS = 2**20
 # Largest Q x (bounding grid cells) a run may allocate as sheet values,
 # 64 MB of floats per array: Q = 8 on the largest accepted grid.
 MAX_SHEET_VALUES = 2**23
+# Largest relative |D - E| / D the outer-identity checks accept by default.
+OUTER_IDENTITY_TOL = 0.05
 
 # The only list of check types: kind -> check type -> what the check needs
 # beyond the schema (None: nothing). validate_config enforces it.
@@ -186,7 +185,7 @@ def validate_config(cfg):
     scanned = {"frequency": spacings,
                "collapse": spacings[-2:] if refine else []}.get(kind, [])
     for path, h in scanned:
-        r_min, r_max = scan_bounds(FrequencyConfig(**scan), R, h)
+        r_min, r_max = scan_bounds(R, h, **scan)
         if r_min >= r_max:
             at = ("scan.r_max" if "r_max" in scan
                   else "scan.r_min" if "r_min" in scan else path)
@@ -235,8 +234,7 @@ def _interface_from(icfg):
 
 def _domain_from(dcfg, h):
     return build_halfdisk(R=dcfg.get("R", 1.0), h=h,
-                          interface=_interface_from(dcfg.get("interface")),
-                          min_angle_deg=dcfg.get("min_angle_deg", 30.0))
+                          interface=_interface_from(dcfg.get("interface")))
 
 
 def _data_from(cfg):
@@ -257,19 +255,6 @@ def _data_from(cfg):
             f"generator {name!r} yields Q={spec.Q} but config says Q={cfg['Q']}",
             "Q")
     return spec
-
-
-def _solver_from(scfg, dom):
-    kwargs = dict(scfg or {})
-    omega = kwargs.pop("omega", "suggested")
-    if omega == "suggested":
-        omega = suggested_omega(dom)
-    return SolverConfig(omega=float(omega), **kwargs)
-
-
-def _scan_cfg(cfg):
-    s = cfg.get("scan")
-    return FrequencyConfig(**s) if s else None
 
 
 def _check_row(name, ok, value, bound, expect="pass", **extra):
@@ -338,7 +323,7 @@ def _run_solve(cfg):
         return _run_interpolation_suite(cfg, dcfg, checks_cfg[0])
     dom = _domain_from(dcfg, dcfg["h"])
     data = _data_from(cfg)
-    u, info = minimize(dom, data, _solver_from(cfg.get("solver"), dom))
+    u, info = minimize(dom, data, **cfg.get("solver", {}))
     report = _base_report(cfg)
     report["summary"] = {"h": dom.h, "Q": data.Q, "energy": info.energy,
                          "sweeps": info.sweeps, "converged": info.converged,
@@ -424,7 +409,7 @@ def _run_collapse(cfg):
     solves = []
     for h in dcfg["h_values"]:
         dom = _domain_from(dcfg, h)
-        u, info = minimize(dom, data, _solver_from(cfg.get("solver"), dom))
+        u, info = minimize(dom, data, **cfg.get("solver", {}))
         rep = collapse_decompose(u, info)
         solves.append((dom, u))
         levels.append({"h": dom.h, "sheet_spread": rep.sheet_spread,
@@ -470,12 +455,12 @@ def _run_collapse(cfg):
                 "odd-defect-vs-oscillation", val <= ratio, val, ratio,
                 expect=expect))
         elif t == "outer-identity-refinement":
-            tol = ccfg.get("tol", 0.05)
+            tol = ccfg.get("tol", OUTER_IDENTITY_TOL)
             shrink_min = ccfg.get("shrink_min", 1.5)
             worsts = []
             for dom, u in solves[-2:]:
                 scan = frequency_scan(u, build_distance_field(dom),
-                                      _scan_cfg(cfg))
+                                      **cfg.get("scan", {}))
                 _, w = check_outer_identity(scan, tol)
                 worsts.append(w)
                 name = f"frequency-{int(round(1.0 / dom.h))}"
@@ -503,7 +488,7 @@ def _run_frequency(cfg):
     source = cfg.get("source", "minimize")
     report = _base_report(cfg)
     if source == "minimize":
-        u, info = minimize(dom, data, _solver_from(cfg.get("solver"), dom))
+        u, info = minimize(dom, data, **cfg.get("solver", {}))
         report["summary"]["converged"] = info.converged
         report["summary"]["energy"] = info.energy
     elif source == "sample":
@@ -513,7 +498,7 @@ def _run_frequency(cfg):
     else:  # glued-full
         u = GridField(dom, dom.full, np.asarray(data.plus(dom.full.xy), float))
     dist = build_distance_field(dom)
-    scan = frequency_scan(u, dist, _scan_cfg(cfg))
+    scan = frequency_scan(u, dist, **cfg.get("scan", {}))
     series = {"frequency": _frequency_series(scan)}
     kappa_cache = {}
 
@@ -537,7 +522,7 @@ def _run_frequency(cfg):
                 f"frequency-near-{target:g}", worst <= tol, worst, tol,
                 expect=expect, homogeneity=homogeneity_defect(u, scan.i0)))
         elif t == "outer-identity":
-            tol = ccfg.get("tol", 0.05)
+            tol = ccfg.get("tol", OUTER_IDENTITY_TOL)
             ok, worst = check_outer_identity(scan, tol)
             report["checks"].append(_check_row(
                 "outer-identity", ok, worst, tol, expect=expect))

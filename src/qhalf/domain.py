@@ -27,6 +27,10 @@ INTERFACE = 2
 BOUNDARY_PLUS = 3
 BOUNDARY_MINUS = 4
 
+# Smallest angle (degrees) at which a graph interface may cross the
+# outer circle: build_halfdisk's transversality threshold.
+MIN_ANGLE_DEG = 30.0
+
 TAG_NAMES = {
     INTERIOR_PLUS: "interior+",
     INTERIOR_MINUS: "interior-",
@@ -214,7 +218,6 @@ def build_halfdisk(
     R: float,
     h: float,
     interface: InterfaceSpec = None,
-    min_angle_deg: float = 30.0,
 ) -> HalfDomain:
     """Clipped grid on the disk of radius R split by the interface."""
     if interface is None:
@@ -228,10 +231,10 @@ def build_halfdisk(
                 f"interface graph must pass through the origin, psi(0)={float(p0):.3g}"
             )
         angles = _interface_angles(interface, R)
-        if min(angles) < min_angle_deg:
+        if min(angles) < MIN_ANGLE_DEG:
             raise ConstructionError(
                 f"interface meets the outer circle at {min(angles):.1f} deg, "
-                f"below the {min_angle_deg:.1f} deg transversality threshold"
+                f"below the {MIN_ANGLE_DEG:.1f} deg transversality threshold"
             )
 
     imax = int(grid_half_width(R, h))

@@ -46,6 +46,8 @@ DIM = 2                  # dimension m of the domain in the growth exponents
 KAPPA_ZERO = 1e-12       # calibrated drift below this counts as none
 HOMOGENEITY_SCALE = 0.5  # x -> x/2 keeps even grid nodes on grid nodes
 HOMOGENEITY_MIN_CELLS = 4
+RHO = 0.95               # ratio of consecutive radii in a scan
+MIN_RADIAL_CELLS = 8     # a reliable annulus spans at least this many cells
 
 # Columns of DoublingReport.rows: one row per radii pair s < t.
 DOUBLING_COLUMNS = ("s", "t", "H_ratio", "H_lower", "H_upper",
@@ -54,14 +56,6 @@ DOUBLING_COLUMNS = ("s", "t", "H_ratio", "H_lower", "H_upper",
 
 class ResolutionError(ValueError):
     """Raised when an annulus is too thin for the grid."""
-
-
-@dataclass
-class FrequencyConfig:
-    rho: float = 0.95            # geometric radii ratio
-    r_max: Optional[float] = None
-    r_min: Optional[float] = None
-    min_radial_cells: int = 8    # annulus width >= this many cells
 
 
 @dataclass
@@ -208,27 +202,29 @@ def annulus_sums(u, dist: DistanceField, r: float):
     return D, H, E, Gq
 
 
-def scan_bounds(cfg: FrequencyConfig, R: float, h: float):
-    """(r_min, r_max) of a scan, with the defaults r_min = 2 min_radial_cells h
+def scan_bounds(R: float, h: float, r_min: Optional[float] = None,
+                r_max: Optional[float] = None):
+    """(r_min, r_max) of a scan, with the defaults r_min = 2 MIN_RADIAL_CELLS h
     (the smallest reliable radius) and r_max = R - 4h."""
-    r_max = cfg.r_max if cfg.r_max is not None else R - 4 * h
-    r_min = cfg.r_min if cfg.r_min is not None else 2 * cfg.min_radial_cells * h
+    r_max = r_max if r_max is not None else R - 4 * h
+    r_min = r_min if r_min is not None else 2 * MIN_RADIAL_CELLS * h
     return r_min, r_max
 
 
-def frequency_scan(u, dist: DistanceField,
-                   cfg: Optional[FrequencyConfig] = None) -> FrequencyScan:
+def frequency_scan(u, dist: DistanceField, *, r_min: Optional[float] = None,
+                   r_max: Optional[float] = None) -> FrequencyScan:
     """Evaluate all frequency quantities on a geometric radii ladder.
 
-    Radii whose annulus is empty or where H vanishes are dropped. A
-    radius is reliable when its annulus spans at least min_radial_cells
-    grid cells radially; a scan without one raises ResolutionError. i0
-    is the mean of I over the smallest reliable half-decade of radii.
+    The ladder runs down from r_max by the ratio RHO to r_min (defaults
+    in scan_bounds). Radii whose annulus is empty or where H vanishes
+    are dropped. A radius is reliable when its annulus spans at least
+    MIN_RADIAL_CELLS grid cells radially; a scan without one raises
+    ResolutionError. i0 is the mean of I over the smallest reliable
+    half-decade of radii.
     """
-    cfg = cfg or FrequencyConfig()
     quads = _as_quads(u, dist)
     h = quads[0].h
-    r_min, r_max = scan_bounds(cfg, u.domain.R, h)
+    r_min, r_max = scan_bounds(u.domain.R, h, r_min, r_max)
     if r_max <= r_min:
         raise ResolutionError("no radii between r_min and r_max; refine h")
 
@@ -236,7 +232,7 @@ def frequency_scan(u, dist: DistanceField,
     r = r_max
     while r >= r_min * (1 - 1e-12):
         radii.append(r)
-        r *= cfg.rho
+        r *= RHO
     radii = np.array(sorted(radii))
 
     rows = []
@@ -253,10 +249,10 @@ def frequency_scan(u, dist: DistanceField,
     hg = H * Gq
     csq = np.where(hg > 0, np.maximum(E**2 - hg, 0.0) / np.where(hg > 0, hg, 1.0), 0.0)
     outer = np.abs(D - E) / np.maximum(D, 1e-300)
-    reliable = r >= 2 * cfg.min_radial_cells * h * (1 - 1e-12)
+    reliable = r >= 2 * MIN_RADIAL_CELLS * h * (1 - 1e-12)
     if not reliable.any():
         raise ResolutionError(
-            f"no reliable radius: no annulus spans {cfg.min_radial_cells} "
+            f"no reliable radius: no annulus spans {MIN_RADIAL_CELLS} "
             "cells; refine h or widen the scan")
     sel = reliable & (r <= r[reliable][0] * np.sqrt(10.0))
     i0 = float(I[sel].mean())
@@ -267,7 +263,7 @@ def frequency_scan(u, dist: DistanceField,
                          c_mono=c_mono, i0=i0)
 
 
-def check_outer_identity(scan: FrequencyScan, tol: float = 0.05):
+def check_outer_identity(scan: FrequencyScan, tol: float):
     """Max relative |D - E| / D over reliable radii; passes if <= tol."""
     worst = float(scan.outer_residual[scan.reliable].max())
     return worst <= tol, worst
@@ -282,8 +278,7 @@ def effective_constant(scan: FrequencyScan, kappa: float) -> float:
     return scan.c_mono + kappa * scan.h / r_min
 
 
-def check_monotonicity(scan: FrequencyScan, tol: float = 0.02,
-                       kappa: float = 0.0):
+def check_monotonicity(scan: FrequencyScan, tol: float, kappa: float):
     """Verify e^{c r} I(r) is nondecreasing over reliable radii.
 
     Consecutive reliable radii r_k < r_{k+1} must satisfy
@@ -322,8 +317,8 @@ class DoublingReport:
     rows: list        # per pair, laid out as DOUBLING_COLUMNS
 
 
-def check_doubling_bounds(scan: FrequencyScan, lam: float = 1.2,
-                          kappa: float = 0.0) -> DoublingReport:
+def check_doubling_bounds(scan: FrequencyScan, lam: float,
+                          kappa: float) -> DoublingReport:
     """Two-sided growth bounds for H and D on the smallest reliable decade.
 
     For every reliable pair s < t in the decade, with i0 = scan.i0 and
@@ -379,12 +374,11 @@ def calibrate_kappa(dom: HalfDomain, dist: DistanceField):
     Returns kappa with c = kappa * h / r_min.
     """
     from . import data_maps
-    from .solver import SolverConfig, minimize, suggested_omega
+    from .solver import minimize
 
     data = data_maps.quadratic_harmonic(Q=1)
-    cfg = SolverConfig(init="mean", update_stop=1e-11,
-                       omega=suggested_omega(dom), max_sweeps=200000)
-    u, info = minimize(dom, data, cfg)
+    u, info = minimize(dom, data, init="mean", update_stop=1e-11,
+                       max_sweeps=200000)
     if not info.converged:
         raise RuntimeError("calibration solve did not converge")
     scan = frequency_scan(u, dist)

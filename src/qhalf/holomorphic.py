@@ -327,7 +327,6 @@ class DecayReport:
     fitted_exponent: float
     expected_exponent: float
     exponent_ok: bool
-    fit_s: np.ndarray
 
 
 def _turnaround_u(order: int, alpha: float) -> float:
@@ -408,7 +407,7 @@ def _fit_grid(order: int, alpha: float) -> np.ndarray:
 
 
 def derivative_decay_check(order: int, alpha: float = 0.5,
-                           s_grid=None, fit_grid=None) -> DecayReport:
+                           s_grid=None) -> DecayReport:
     """Measure the decay of |h^{(order)}| toward s = 0.
 
     Derivatives are finite differences on five-point stencils of the
@@ -432,10 +431,6 @@ def derivative_decay_check(order: int, alpha: float = 0.5,
         s = np.asarray(s_grid, dtype=float)
         if np.any(np.diff(s) >= 0):
             raise ValueError("s_grid must decrease toward 0")
-    if fit_grid is None:
-        fit_s = _fit_grid(order, alpha)
-    else:
-        fit_s = np.asarray(fit_grid, dtype=float)
 
     def magnitudes(grid):
         h = flat_profile(grid, alpha)
@@ -469,7 +464,7 @@ def derivative_decay_check(order: int, alpha: float = 0.5,
         bound = np.exp(-0.5 * cc * s_eval[inside] ** (-alpha / 3.0))
         envelope_ok = bool(np.all(mag[inside] <= bound * (1.0 + 1e-12)))
 
-    fit_mag, fit_nodes = magnitudes(fit_s)
+    fit_mag, fit_nodes = magnitudes(_fit_grid(order, alpha))
     # fit only the decaying side, past the turnaround with a little room
     s_cap = np.exp(-(_turnaround_u(order, alpha) + 0.5))
     keep = (fit_mag > 0) & (fit_nodes <= s_cap)
@@ -496,4 +491,4 @@ def derivative_decay_check(order: int, alpha: float = 0.5,
                        crossover=crossover, tail_monotone=bool(tail_monotone),
                        envelope_ok=envelope_ok, underflow_zeros=underflow,
                        fitted_exponent=fitted, expected_exponent=expected,
-                       exponent_ok=exponent_ok, fit_s=fit_nodes)
+                       exponent_ok=exponent_ok)

@@ -64,15 +64,6 @@ from .data_maps import DataSpec
 from .qpoint import batch_match_cost2, batch_match_values
 
 
-@dataclass
-class SolverConfig:
-    max_sweeps: int = 50000
-    eps_stop: float = 1e-12        # stop when energy decrease < eps_stop * E0
-    update_stop: float = 0.0       # if > 0, stop on max nodal update instead
-    init: str = "harmonic"         # harmonic | mean
-    omega: float = 1.0             # over-relaxation, descent holds on (0, 2)
-
-
 def suggested_omega(dom: HalfDomain) -> float:
     """Near-optimal over-relaxation factor for the half-disk grid.
 
@@ -92,10 +83,8 @@ class SolveInfo:
     sweeps: int
     energy: float
     initial_energy: float
-    last_decrease: float
     max_update: float
     stop_reason: str
-    init: str
     energy_trace: list = field(default_factory=list)
 
 
@@ -124,7 +113,7 @@ class QHalfMap:
     domain: HalfDomain
     Q: int
     n: int
-    plus: np.ndarray    # (N_plus, Q, n), interface rows end with the phi slot
+    plus: np.ndarray    # (N_plus, Q, n)
     minus: np.ndarray   # (N_minus, Q-1, n)
     phi: np.ndarray     # (N_interface, n), ordered like domain interface ids
 
@@ -370,28 +359,23 @@ def _mirror_onto_plus(dom: HalfDomain) -> Optional[np.ndarray]:
     return mirror
 
 
-def _initial_values(dom: HalfDomain, data: DataSpec, config: SolverConfig):
+def _initial_values(dom: HalfDomain, data: DataSpec, init: str):
     Q, n = data.Q, data.n
     if_ids = np.nonzero(dom.tag == INTERFACE)[0]
     phi = np.atleast_2d(np.asarray(data.phi(dom.xy[if_ids]), dtype=float))
 
     def seed_side(side: SideGraph, q, gen):
         vals = np.zeros((side.n_nodes, q, n))
-        bmask = (side.tag == BOUNDARY_PLUS) | (side.tag == BOUNDARY_MINUS)
-        if bmask.any() and q > 0:
+        if q > 0:
+            bmask = (side.tag == BOUNDARY_PLUS) | (side.tag == BOUNDARY_MINUS)
             vals[bmask] = np.asarray(gen(side.xy[bmask]), dtype=float)
-        imask = side.tag == INTERFACE
-        if imask.any() and q > 0:
-            order = dom.plus.loc[if_ids] if side is dom.plus else dom.minus.loc[if_ids]
-            per_node = np.zeros((side.n_nodes, n))
-            per_node[order] = phi
-            vals[imask] = per_node[imask][:, None, :]
-        return vals, bmask, imask
+            vals[side.loc[if_ids]] = phi[:, None, :]
+        return vals
 
-    Vp, bp, ip = seed_side(dom.plus, Q, data.plus)
-    Vm, bm, im = seed_side(dom.minus, Q - 1, data.minus)
+    Vp = seed_side(dom.plus, Q, data.plus)
+    Vm = seed_side(dom.minus, Q - 1, data.minus)
 
-    if config.init == "harmonic":
+    if init == "harmonic":
         # Harmonic extension per rank: the exact minimizer (module doc).
         Vp, Vm = np.sort(Vp, axis=1), np.sort(Vm, axis=1)
         chans = [Vp.reshape(dom.plus.n_nodes, -1)]
@@ -410,81 +394,70 @@ def _initial_values(dom: HalfDomain, data: DataSpec, config: SolverConfig):
         elif Q > 1:
             Vm = _solve_harmonic(dom.minus, _pinned_mask(dom.minus),
                                  Vm.reshape(dom.minus.n_nodes, -1)).reshape(Vm.shape)
-    elif config.init == "mean":
-        for V, b, i in ((Vp, bp, ip), (Vm, bm, im)):
+    elif init == "mean":
+        for V, side in ((Vp, dom.plus), (Vm, dom.minus)):
             if V.shape[1] == 0:
                 continue
-            pinned = b | i
-            const = V[pinned].mean(axis=(0, 1))
-            V[~pinned] = const
+            pinned = _pinned_mask(side)
+            V[~pinned] = V[pinned].mean(axis=(0, 1))
     else:
-        raise ValueError(f"unknown init {config.init!r}")
+        raise ValueError(f"unknown init {init!r}")
     return Vp, Vm, phi
 
 
-def minimize(dom: HalfDomain, data: DataSpec,
-             config: Optional[SolverConfig] = None):
+def minimize(dom: HalfDomain, data: DataSpec, *, init: str = "harmonic",
+             update_stop: float = 1e-12, max_sweeps: int = 50000):
     """Run matched-mean sweeps on scalar sheets to the energy minimum.
 
     Returns (QHalfMap, SolveInfo). Every solve is collapsed (all sheets
     pinned to phi on the interface) and scalar; data with n != 1 raises
-    ValueError before any work. Energy decrease is asserted after every
-    sweep; a violation raises RuntimeError since the update rule
-    guarantees weak descent. With init "harmonic" the start is the
+    ValueError before any work. init is "harmonic" or "mean"; the sweeps
+    over-relax by suggested_omega(dom) and stop once no node moves by
+    update_stop or more, or after max_sweeps. Energy decrease is asserted
+    after every sweep; a violation raises RuntimeError since the update
+    rule guarantees weak descent. With init "harmonic" the start is the
     rank-wise harmonic extension, already the global minimizer (see the
     module docstring); the first sweep moves no node beyond rounding and
     certifies it against the stop rule. Both sides sweep in one
     color-blocked _RankedState, and every returned row of sheet values is
     in rank order, whatever the storage order of the boundary data.
     """
-    config = config or SolverConfig()
-    if not 0.0 < config.omega < 2.0:
-        raise ValueError("omega outside (0, 2) loses the descent guarantee")
     if data.n != 1:
         raise ValueError(f"minimize solves scalar sheets (n = 1), "
                          f"not n = {data.n}")
-    Vp, Vm, phi = _initial_values(dom, data, config)
+    Vp, Vm, phi = _initial_values(dom, data, init)
     # Every row in rank order makes every optimal matching in the sweeps
     # the identity (module docstring).
     Vp.sort(axis=1)
     Vm.sort(axis=1)
-    state = _RankedState((dom.plus, dom.minus), (Vp, Vm), config.omega)
+    state = _RankedState((dom.plus, dom.minus), (Vp, Vm), suggested_omega(dom))
 
     e0 = state.energy()
     e_prev = e0
     trace = [e0]
     converged = False
-    reason = "max_sweeps"
     sweeps = 0
-    decrease = 0.0
     max_update = np.inf
 
-    for sweep in range(1, config.max_sweeps + 1):
-        max_update = 0.0
-        for c in (0, 1):
-            max_update = max(max_update, state.sweep_color(c))
+    for sweep in range(1, max_sweeps + 1):
+        max_update = max(state.sweep_color(0), state.sweep_color(1))
         e_new = state.energy()
         if e_new > e_prev * (1 + 1e-10) + 1e-12:
             raise RuntimeError(
                 f"energy increased on sweep {sweep}: {e_prev} -> {e_new}")
-        decrease = e_prev - e_new
         e_prev = e_new
         sweeps = sweep
         trace.append(e_new)
-        if config.update_stop > 0:
-            if max_update < config.update_stop:
-                converged, reason = True, "update_stop"
-                break
-        elif decrease < config.eps_stop * max(e0, 1e-300):
-            converged, reason = True, "eps_stop"
+        if max_update < update_stop:
+            converged = True
             break
 
     state.unpack()
     u = QHalfMap(dom, data.Q, 1, Vp, Vm, phi)
     info = SolveInfo(converged=converged, sweeps=sweeps, energy=e_prev,
-                     initial_energy=e0, last_decrease=decrease,
-                     max_update=max_update, stop_reason=reason,
-                     init=config.init, energy_trace=trace)
+                     initial_energy=e0, max_update=max_update,
+                     stop_reason="update_stop" if converged else "max_sweeps",
+                     energy_trace=trace)
     return u, info
 
 
@@ -494,8 +467,6 @@ class CollapseReport:
     sheet_spread: float
     harmonic_defect: float
     odd_defect: Optional[float]
-    spread_plus: float
-    spread_minus: float
 
 
 def collapse_decompose(u: QHalfMap, info: SolveInfo) -> CollapseReport:
@@ -552,8 +523,7 @@ def collapse_decompose(u: QHalfMap, info: SolveInfo) -> CollapseReport:
         odd = float(np.abs(pair_sum).max()) if pair_sum.size else 0.0
 
     return CollapseReport(mean_field=mean, sheet_spread=max(sp_p, sp_m),
-                          harmonic_defect=res, odd_defect=odd,
-                          spread_plus=sp_p, spread_minus=sp_m)
+                          harmonic_defect=res, odd_defect=odd)
 
 
 @dataclass
@@ -564,7 +534,6 @@ class InterpolationReport:
     collar_distance_sq: float
     lam: float
     fitted_constant: float
-    band_nodes: int
 
 
 def interpolate_annulus(f: QHalfMap, g: QHalfMap, lam: float):
@@ -573,7 +542,9 @@ def interpolate_annulus(f: QHalfMap, g: QHalfMap, lam: float):
     The result equals f on the outermost node ring and g on and inside
     the inner edge of the band; in between it follows the constant-speed
     matching path between g and f. Both maps must share domain, sheet
-    count, and interface trace. Returns (blended QHalfMap,
+    count, and interface trace, with every sheet pinned to it as every
+    producer pins them; interface rows keep g's, so they stay at phi
+    bit for bit. Returns (blended QHalfMap,
     InterpolationReport); the report compares the band energy of the
     blend against the collar energies of f and g plus the collar squared
     distance divided by lam^2, with collar width 2 * lam.
@@ -589,39 +560,18 @@ def interpolate_annulus(f: QHalfMap, g: QHalfMap, lam: float):
         raise ValueError(f"band width {lam} needs at least two node layers "
                          f"(h={dom.h})")
     R = dom.R
-
-    def band_param(xy):
-        r = np.hypot(xy[:, 0], xy[:, 1])
-        return np.clip((r - (R - lam)) / lam, 0.0, 1.0)
-
     out = g.copy()
-
     for side, Vf, Vg, Vo in ((dom.plus, f.plus, g.plus, out.plus),
                              (dom.minus, f.minus, g.minus, out.minus)):
-        q = Vf.shape[1]
-        if q == 0:
+        if Vf.shape[1] == 0:
             continue
-        s = band_param(side.xy)
-        sel = np.nonzero(s > 0)[0]
-        if sel.size == 0:
-            continue
-        # On the plus side the last interface slot is phi and stays put;
-        # blending the remaining sheets there reproduces the minus-side
-        # blend of the shared z, so the constraint survives.
-        strip = (side is dom.plus) & (side.tag[sel] == INTERFACE)
-        reg = sel[~strip]
-        if reg.size:
-            matched = batch_match_values(Vg[reg], Vf[reg])
-            t = s[reg][:, None, None]
-            Vo[reg] = (1.0 - t) * Vg[reg] + t * matched
-        ifs = sel[strip]
-        if ifs.size and q > 1:
-            zg, zf = Vg[ifs][:, : q - 1], Vf[ifs][:, : q - 1]
-            matched = batch_match_values(zg, zf)
-            t = s[ifs][:, None, None]
-            rows = Vo[ifs]
-            rows[:, : q - 1] = (1.0 - t) * zg + t * matched
-            Vo[ifs] = rows
+        r = np.hypot(side.xy[:, 0], side.xy[:, 1])
+        s = np.clip((r - (R - lam)) / lam, 0.0, 1.0)
+        sel = np.nonzero((s > 0) & (side.tag != INTERFACE))[0]
+        if sel.size:
+            matched = batch_match_values(Vg[sel], Vf[sel])
+            t = s[sel][:, None, None]
+            Vo[sel] = (1.0 - t) * Vg[sel] + t * matched
 
     def region_energy(u, rmin):
         total = 0.0
@@ -657,9 +607,7 @@ def interpolate_annulus(f: QHalfMap, g: QHalfMap, lam: float):
 
     rhs = lam * (ef + eg) + dist2 / lam
     fitted = band_e / rhs if rhs > 0 else 0.0
-    n_band = int((band_param(dom.xy) > 0).sum())
     report = InterpolationReport(band_energy=band_e, collar_energy_f=ef,
                                  collar_energy_g=eg, collar_distance_sq=dist2,
-                                 lam=lam, fitted_constant=fitted,
-                                 band_nodes=n_band)
+                                 lam=lam, fitted_constant=fitted)
     return out, report

@@ -313,7 +313,7 @@ def _in_closed_region(surface, z, tol):
     return abs(y) <= top + tol
 
 
-def _preimage_seeds(surface, p1, p2, r_max, gap_tol=1e-7):
+def _preimage_seeds(surface, p1, p2, r_max):
     if p1 == 0:
         roots = [0j]
     else:
@@ -329,7 +329,7 @@ def _preimage_seeds(surface, p1, p2, r_max, gap_tol=1e-7):
         # relative to the ball: near the branch point every sheet's p2
         # is tiny, and an absolute test would take a nearby sheet for
         # this one
-        if gap <= gap_tol * r_max:
+        if gap <= 1e-7 * r_max:
             seeds.append(complex(z))
         else:
             reject_gaps.append(gap)

@@ -1,6 +1,8 @@
+import inspect
 import json
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,8 @@ from qhalf.cli import (
     run,
     validate_config,
 )
+from qhalf.frequency import frequency_scan
+from qhalf.solver import minimize
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -342,6 +346,18 @@ GUARD_CASES = [
      _with_solver("solve-classical", collapsed=False), "solver"),
     ("solver-init-collapsed",
      _with_solver("solve-classical", init="collapsed"), "solver.init"),
+    ("solver-omega", _with_solver("solve-classical", omega=1.5), "solver"),
+    ("solver-eps-stop", _with_solver("solve-classical", eps_stop=1e-12),
+     "solver"),
+    ("solver-update-stop-zero", _with_solver("solve-classical", update_stop=0),
+     "solver.update_stop"),
+    ("scan-rho", dict(load_preset("frequency-linear"), scan={"rho": 0.9}),
+     "scan"),
+    ("domain-min-angle",
+     dict(load_preset("monotonicity-wavy"),
+          domain=dict(load_preset("monotonicity-wavy")["domain"],
+                      min_angle_deg=20.0)),
+     "domain"),
     ("vector-data-on-collapse-kind",
      {"kind": "collapse", "domain": {"h_values": [1 / 16, 1 / 32]},
       "data": {"generator": "sqrt-branch"},
@@ -369,3 +385,14 @@ def test_config_rules_fail_before_any_work(tmp_path, monkeypatch, cfg, path):
     rc = main([cfg["kind"], "--config", write_config(tmp_path, cfg),
                "--out", str(tmp_path)])
     assert rc == 2
+
+
+def test_solver_and_scan_fields_are_the_keyword_parameters():
+    # The runners pass these objects straight through as keywords, so a
+    # field the function cannot take would fail mid-pipeline (exit 1).
+    schema = json.loads(resources.files("qhalf").joinpath(
+        "presets/config.schema.json").read_text())
+    for name, fn in (("solver", minimize), ("scan", frequency_scan)):
+        params = inspect.signature(fn).parameters.values()
+        keywords = {p.name for p in params if p.kind is p.KEYWORD_ONLY}
+        assert set(schema["$defs"][name]["properties"]) == keywords, name

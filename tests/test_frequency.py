@@ -8,7 +8,6 @@ from qhalf import data_maps, frequency
 from qhalf.domain import (INTERFACE, InterfaceSpec, build_halfdisk,
                           build_distance_field)
 from qhalf.frequency import (
-    FrequencyConfig,
     ResolutionError,
     annulus_sums,
     check_doubling_bounds,
@@ -20,8 +19,7 @@ from qhalf.frequency import (
     homogeneity_defect,
 )
 from qhalf.qpoint import batch_match_values
-from qhalf.solver import (GridField, QHalfMap, SolverConfig, minimize,
-                          sample_map, suggested_omega)
+from qhalf.solver import GridField, QHalfMap, minimize, sample_map
 
 
 @pytest.fixture(scope="module")
@@ -185,7 +183,7 @@ def test_scale_equivariance():
 def test_monotonicity_homogeneous_passes(dom64, dist64):
     fld = full_field(dom64, data_maps.sqrt_branch())
     scan = frequency_scan(fld, dist64)
-    ok, worst, c_eff = check_monotonicity(scan)
+    ok, worst, c_eff = check_monotonicity(scan, tol=0.02, kappa=0.0)
     assert ok
     assert worst <= 0.005
 
@@ -193,7 +191,7 @@ def test_monotonicity_homogeneous_passes(dom64, dist64):
 def test_monotonicity_negative_control(dom64, dist64):
     fld = plus_field(dom64, data_maps.frequency_drop())
     scan = frequency_scan(fld, dist64)
-    ok, worst, c_eff = check_monotonicity(scan, tol=0.02)
+    ok, worst, c_eff = check_monotonicity(scan, tol=0.02, kappa=0.0)
     assert not ok
     assert worst > 0.1
 
@@ -201,7 +199,7 @@ def test_monotonicity_negative_control(dom64, dist64):
 def test_doubling_bounds_homogeneous(dom64, dist64):
     u = sample_map(dom64, data_maps.linear(Q=2))
     scan = frequency_scan(u, dist64)
-    rep = check_doubling_bounds(scan, lam=1.2)
+    rep = check_doubling_bounds(scan, lam=1.2, kappa=0.0)
     assert rep.passed
     assert rep.pairs > 10
 
@@ -217,12 +215,9 @@ def test_blow_up_homogeneous_shape_invariant(dom64):
 
 
 def test_outer_identity_on_solved_map(dom64, dist64):
-    from qhalf.solver import SolverConfig, minimize, suggested_omega
-
     data = data_maps.quadratic_harmonic(Q=1)
-    cfg = SolverConfig(init="mean", update_stop=1e-11,
-                       omega=suggested_omega(dom64), max_sweeps=100000)
-    u, info = minimize(dom64, data, cfg)
+    u, info = minimize(dom64, data, init="mean", update_stop=1e-11,
+                       max_sweeps=100000)
     assert info.converged
     scan = frequency_scan(u, dist64)
     ok, worst = check_outer_identity(scan, tol=0.05)
@@ -320,16 +315,15 @@ class _ReferenceQuad:
 
 def _scan_fields(dom64):
     """(label, field) pairs covering the scan's kinds of input."""
-    solve = SolverConfig(update_stop=1e-12, max_sweeps=200000,
-                         omega=suggested_omega(dom64))
     refinement = data_maps.odd_cubic(Q=3, amplitude=0.01, taper=3.0,
                                      plus_weights=[-1.0, 0.25, 1.0],
                                      minus_weights=[-0.55, 1.0])
-    yield "collapse-refinement-64", minimize(dom64, refinement, solve)[0]
+    yield "collapse-refinement-64", minimize(dom64, refinement,
+                                             max_sweeps=200000)[0]
     wavy = build_halfdisk(R=1.0, h=1.0 / 64,
                           interface=InterfaceSpec.sine_wave(0.05, 3.0))
-    yield "sine-wave-q2", minimize(wavy, data_maps.odd_cubic(Q=2, amplitude=0.3),
-                                   SolverConfig(init="harmonic"))[0]
+    yield "sine-wave-q2", minimize(wavy, data_maps.odd_cubic(Q=2,
+                                                             amplitude=0.3))[0]
     yield "glued-full-sqrt-branch", full_field(dom64, data_maps.sqrt_branch())
     yield "sampled-q3", sample_map(dom64, data_maps.odd_cubic(Q=3, amplitude=0.3))
 

@@ -8,7 +8,6 @@ from qhalf.domain import build_halfdisk, INTERFACE, InterfaceSpec
 from qhalf.qpoint import batch_match_values
 from qhalf.solver import (
     QHalfMap,
-    SolverConfig,
     _RankedState,
     _color_rows,
     _initial_values,
@@ -91,8 +90,8 @@ def test_single_sheet_matches_direct_solve(dom32):
     # Q=1 sweep dynamics must land on the 5-point solution of the same
     # Dirichlet problem, computed here by a direct sparse factorization.
     data = data_maps.quadratic_harmonic(Q=1)
-    cfg = SolverConfig(init="mean", update_stop=1e-12, max_sweeps=40000)
-    u, info = minimize(dom32, data, cfg)
+    u, info = minimize(dom32, data, init="mean", update_stop=1e-12,
+                       max_sweeps=40000)
     assert info.converged
 
     def bfn(xy):
@@ -169,8 +168,8 @@ def test_linear_field_energy_refines_to_halfdisk_area():
 
 def test_monotone_energy_trace(dom16):
     data = data_maps.odd_cubic(Q=3, amplitude=0.1)
-    cfg = SolverConfig(init="mean", eps_stop=1e-13, max_sweeps=3000)
-    u, info = minimize(dom16, data, cfg)
+    u, info = minimize(dom16, data, init="mean", update_stop=1e-13,
+                       max_sweeps=3000)
     tr = np.array(info.energy_trace)
     assert np.all(np.diff(tr) <= tr[:-1] * 1e-10 + 1e-12)
     assert info.energy < info.initial_energy
@@ -182,15 +181,14 @@ def test_minimize_independent_of_sheet_storage_order(dom32, init):
     # stored in three orders: the minimizer is the same multiset, reached
     # by the same sweeps, to the last bit. The harmonic start is exact;
     # the mean start leaves the work to the sweeps.
-    cfg = SolverConfig(init=init, update_stop=1e-12, max_sweeps=200000,
-                       omega=suggested_omega(dom32))
     runs = []
     for plus_w, minus_w in (([-1.0, 0.25, 1.0], [-0.55, 1.0]),
                             ([1.0, -1.0, 0.25], [1.0, -0.55]),
                             ([0.25, 1.0, -1.0], [-0.55, 1.0])):
         data = data_maps.odd_cubic(Q=3, amplitude=0.01, taper=3.0,
                                    plus_weights=plus_w, minus_weights=minus_w)
-        runs.append(minimize(dom32, data, cfg))
+        runs.append(minimize(dom32, data, init=init, update_stop=1e-12,
+                             max_sweeps=200000))
     (u0, info0), rest = runs[0], runs[1:]
     assert info0.converged
     for u, info in rest:
@@ -232,19 +230,19 @@ def test_ranked_minimize_matches_matched_sweeps(dom16):
     # A whole ranked solve against the same sweeps run by the matched
     # reference from the same start: same trace, same values.
     data = data_maps.odd_cubic(Q=3, amplitude=0.5)
-    cfg = SolverConfig(init="mean", max_sweeps=25, omega=suggested_omega(dom16))
-    u, info = minimize(dom16, data, cfg)
+    sweeps, omega = 25, suggested_omega(dom16)
+    u, info = minimize(dom16, data, init="mean", max_sweeps=sweeps)
 
-    Vp, Vm, _ = _initial_values(dom16, data, cfg)
-    states = [_MatchedSide(dom16.plus, np.sort(Vp, axis=1), cfg.omega),
-              _MatchedSide(dom16.minus, np.sort(Vm, axis=1), cfg.omega)]
+    Vp, Vm, _ = _initial_values(dom16, data, "mean")
+    states = [_MatchedSide(dom16.plus, np.sort(Vp, axis=1), omega),
+              _MatchedSide(dom16.minus, np.sort(Vm, axis=1), omega)]
     trace = [sum(st.energy() for st in states)]
-    for _ in range(cfg.max_sweeps):
+    for _ in range(sweeps):
         for c in (0, 1):
             for st in states:
                 st.sweep_color(c)
         trace.append(sum(st.energy() for st in states))
-    assert info.sweeps == cfg.max_sweeps
+    assert info.sweeps == sweeps
     assert info.energy_trace == trace
     for got, st in ((u.plus, states[0]), (u.minus, states[1])):
         assert np.array_equal(got, np.sort(st.values, axis=1))
@@ -313,8 +311,7 @@ def test_ranked_state_sparse_products_match_entrywise_build(request,
 @pytest.mark.parametrize("Q", [2, 3, 4])
 def test_collapsed_scalar_solve_keeps_rows_rank_sorted(dom16, Q):
     data = data_maps.odd_cubic(Q=Q, amplitude=0.5)
-    cfg = SolverConfig(init="mean", max_sweeps=25, omega=suggested_omega(dom16))
-    u, info = minimize(dom16, data, cfg)
+    u, info = minimize(dom16, data, init="mean", max_sweeps=25)
     assert info.sweeps == 25
     for V in (u.plus, u.minus):
         assert np.all(np.diff(V, axis=1) >= 0.0)
@@ -353,9 +350,9 @@ def rankwise_reference(dom32):
     return _rankwise_reference(dom32)
 
 
-def _refinement_config(dom, init):
-    return SolverConfig(init=init, update_stop=1e-12, max_sweeps=200000,
-                        omega=suggested_omega(dom))
+def _refinement_solve(dom, init):
+    return minimize(dom, _refinement_data(), init=init, update_stop=1e-12,
+                    max_sweeps=200000)
 
 
 @pytest.mark.parametrize("dom_name", ["dom32", "sine32"])
@@ -364,8 +361,7 @@ def test_harmonic_start_is_rankwise_reference(request, dom_name):
     # the sine wave factors each side on its own; both are exact.
     dom = request.getfixturevalue(dom_name)
     ref, energy = _rankwise_reference(dom)
-    u, info = minimize(dom, _refinement_data(),
-                       _refinement_config(dom, "harmonic"))
+    u, info = _refinement_solve(dom, "harmonic")
     assert info.converged and info.stop_reason == "update_stop"
     assert info.sweeps == 1
     for side_name in ("plus", "minus"):
@@ -382,8 +378,8 @@ def test_shared_minus_solve_matches_its_own_factorization(request, dom_name):
     dom = request.getfixturevalue(dom_name)
     assert _mirror_onto_plus(dom) is not None
     data = _refinement_data()
-    _, shared, _ = _initial_values(dom, data, SolverConfig(init="harmonic"))
-    _, seeded, _ = _initial_values(dom, data, SolverConfig(init="mean"))
+    _, shared, _ = _initial_values(dom, data, "harmonic")
+    _, seeded, _ = _initial_values(dom, data, "mean")
     own = _solve_harmonic(dom.minus, _pinned_mask(dom.minus),
                           np.sort(seeded, axis=1).reshape(dom.minus.n_nodes, -1))
     own = own.reshape(shared.shape)
@@ -405,15 +401,14 @@ def test_one_factorization_per_grid_when_the_sides_mirror(
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting_splu)
-    minimize(dom, _refinement_data(), _refinement_config(dom, "harmonic"))
+    _refinement_solve(dom, "harmonic")
     assert len(calls) == factorizations
 
 
 @pytest.mark.parametrize("init", ["mean"])
 def test_sweeps_land_on_rankwise_reference(dom32, rankwise_reference, init):
     ref, energy = rankwise_reference
-    u, info = minimize(dom32, _refinement_data(),
-                       _refinement_config(dom32, init))
+    u, info = _refinement_solve(dom32, init)
     assert info.converged
     for side_name in ("plus", "minus"):
         got = np.sort(getattr(u, side_name), axis=1)
@@ -423,8 +418,8 @@ def test_sweeps_land_on_rankwise_reference(dom32, rankwise_reference, init):
 
 def test_collapsed_interface_is_pinned(dom16):
     data = data_maps.odd_cubic(Q=3, amplitude=0.05)
-    cfg = SolverConfig(init="harmonic", eps_stop=1e-12, max_sweeps=5000)
-    u, info = minimize(dom16, data, cfg)
+    u, info = minimize(dom16, data, init="harmonic", update_stop=1e-12,
+                       max_sweeps=5000)
     if_ids = np.nonzero(dom16.tag == INTERFACE)[0]
     for V, side in ((u.plus, dom16.plus), (u.minus, dom16.minus)):
         assert np.abs(V[side.loc[if_ids]] - u.phi[:, None, :]).max() == 0.0
@@ -442,8 +437,8 @@ def test_minimize_refuses_vector_valued_data(dom16, monkeypatch):
 
 def test_collapse_decompose_odd_data(dom16):
     data = data_maps.odd_cubic(Q=3, amplitude=0.025)
-    cfg = SolverConfig(init="harmonic", update_stop=1e-11, max_sweeps=20000)
-    u, info = minimize(dom16, data, cfg)
+    u, info = minimize(dom16, data, init="harmonic", update_stop=1e-11,
+                       max_sweeps=20000)
     rep = collapse_decompose(u, info)
     # sheet means stay odd across the straight interface
     assert rep.odd_defect is not None
@@ -463,46 +458,57 @@ def test_collapse_decompose_odd_data(dom16):
 
 def test_collapse_decompose_refuses_unconverged(dom16):
     data = data_maps.odd_cubic(Q=3, amplitude=0.05)
-    cfg = SolverConfig(init="mean", max_sweeps=3)
-    u, info = minimize(dom16, data, cfg)
+    u, info = minimize(dom16, data, init="mean", max_sweeps=3)
     assert not info.converged
     with pytest.raises(ValueError):
         collapse_decompose(u, info)
 
 
-def test_interpolation_constant_pair():
-    # For constant maps a != b the blend varies only radially across the
-    # band, so its energy approaches Q |a-b|^2 * band_area / lam^2.
+def test_interpolation_linear_pair():
+    # f = a y and g = b y are both 0 on the straight interface, so they
+    # share phi with every sheet pinned to it. All sheets of a node agree,
+    # so the blend is the closed form (1 - t) g + t f at every node, and
+    # the band energy is that field's on the edges inside the band.
     dom = build_halfdisk(R=1.0, h=1.0 / 64)
-    lam = 0.25
-    Q = 2
-
-    a, b = 0.3, -0.5
-
-    def const_spec(val):
-        def fld(xy):
-            xy = np.atleast_2d(np.asarray(xy, float))
-            return np.full((xy.shape[0], 1), val)
-
-        return data_maps.DataSpec(
-            Q=Q, n=1,
-            plus=data_maps._tile(fld, Q),
-            minus=data_maps._tile(fld, Q - 1),
-            phi=fld, label=f"const({val})")
-
-    f = unpinned_map(dom, const_spec(a))
-    g = unpinned_map(dom, const_spec(b))
-    # shared interface trace is required; overwrite f's phi with g's
-    f.phi[:] = g.phi
-    if_loc = dom.plus.loc[np.nonzero(dom.tag == INTERFACE)[0]]
-    f.plus[if_loc, -1, :] = f.phi
+    lam, Q, a, b = 0.25, 2, 0.3, -0.5
+    f = sample_map(dom, data_maps.linear(Q, slope=a))
+    g = sample_map(dom, data_maps.linear(Q, slope=b))
     blended, rep = interpolate_annulus(f, g, lam)
-    band_area = np.pi * (1.0 - (1.0 - lam) ** 2)  # full disk ring, both sides
-    predicted = Q * (a - b) ** 2 * band_area / lam**2
-    # phi stays fixed so one plus sheet and the shared z carry no energy
-    # on interface rows; that deficit is O(h) relative and ignored here.
-    assert rep.band_energy == pytest.approx(predicted, rel=0.08)
+    expected = 0.0
+    for side, V in ((dom.plus, blended.plus), (dom.minus, blended.minus)):
+        r = np.hypot(side.xy[:, 0], side.xy[:, 1])
+        t = np.clip((r - (1.0 - lam)) / lam, 0.0, 1.0)[:, None, None]
+        y = side.xy[:, 1:2, None]
+        closed = np.broadcast_to((1.0 - t) * (b * y) + t * (a * y), V.shape)
+        assert np.abs(V - closed).max() <= 1e-15
+        band = r >= 1.0 - lam - 1e-12
+        e = side.edges
+        expected += edge_energy(closed, e[band[e[:, 0]] & band[e[:, 1]]])
+    assert rep.band_energy == pytest.approx(expected, rel=1e-12)
     assert rep.fitted_constant < 20.0
+
+
+def test_interpolation_keeps_interface_rows_at_phi(dom32):
+    # Different sheets over one nonzero trace: every interface row of the
+    # blend is phi to the last bit, on both sides.
+    trace = [(0, 0.7, 0.0), (1, 0.3, 0.0), (2, -0.4, 0.0)]
+
+    def spec(plus, minus):
+        return data_maps.custom_coefficients([plus, minus], phi_coeffs=trace)
+
+    f = sample_map(dom32, spec([[(1, 1.0, 0.0)], [(2, 0.5, 0.5)],
+                                [(3, 0.2, -0.1)]],
+                               [[(1, -1.0, 0.3)], [(2, 0.1, 0.0)]]))
+    g = sample_map(dom32, spec([[(0, 0.1, 0.0)], [(1, 0.0, 0.8)],
+                                [(2, -0.6, 0.2)]],
+                               [[(3, 0.4, 0.0)], [(1, 0.2, -0.5)]]))
+    blended, _ = interpolate_annulus(f, g, 0.45)
+    if_ids = np.nonzero(dom32.tag == INTERFACE)[0]
+    assert np.abs(blended.phi).min() > 0
+    for V, side in ((blended.plus, dom32.plus), (blended.minus, dom32.minus)):
+        rows = V[side.loc[if_ids]]
+        assert np.array_equal(rows, np.broadcast_to(blended.phi[:, None, :],
+                                                    rows.shape))
 
 
 def test_interpolation_band_guard(dom16):
