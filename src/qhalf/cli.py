@@ -57,6 +57,7 @@ from .holomorphic import (
 )
 from .qpoint import QPoint, g_distance, g_distance_bruteforce
 from .solver import (
+    UPDATE_STOP,
     GridField,
     collapse_decompose,
     harmonic_reference,
@@ -66,9 +67,6 @@ from .solver import (
 )
 from .surface import build_surface, density_at, surface_image, two_circles_density
 
-KINDS = ("metric-suite", "solve", "frequency", "collapse", "zeros",
-         "decay", "density", "two-circles")
-
 # Largest bounding grid build_halfdisk may allocate: R/h <= 511, four
 # times the finest shipped R/h of 128.
 MAX_GRID_CELLS = 2**20
@@ -77,6 +75,9 @@ MAX_GRID_CELLS = 2**20
 MAX_SHEET_VALUES = 2**23
 # Largest relative |D - E| / D the outer-identity checks accept by default.
 OUTER_IDENTITY_TOL = 0.05
+# Largest sheet spread and odd defect, relative to the boundary oscillation,
+# the collapse checks accept.
+OSCILLATION_RATIO = 0.02
 
 # The only list of check types: kind -> check type -> what the check needs
 # beyond the schema (None: nothing). validate_config enforces it.
@@ -282,10 +283,8 @@ def _frequency_series(scan):
 
 def _run_metric_suite(cfg):
     rng = np.random.default_rng(cfg.get("seed", 0))
-    pairs = cfg.get("pairs", 1000)
-    max_q, max_n = cfg.get("max_q", 6), cfg.get("max_n", 4)
-    a_tol = cfg.get("assignment_tol", 1e-12)
-    t_tol = cfg.get("triangle_tol", 1e-10)
+    pairs, max_q, max_n = 1000, 6, 4
+    a_tol, t_tol = 1e-12, 1e-10
     worst_assign = worst_sym = worst_self = 0.0
     worst_triangle = -math.inf
     for _ in range(pairs):
@@ -343,15 +342,15 @@ def _run_solve(cfg):
         elif ccfg["type"] == "converged":
             report["checks"].append(_check_row(
                 "solver-converged", info.converged, info.max_update,
-                cfg.get("solver", {}).get("update_stop"),
+                cfg.get("solver", {}).get("update_stop", UPDATE_STOP),
                 expect=ccfg.get("expect", "pass")))
     return RunResult(report)
 
 
-def _random_polynomial_spec(rng, q, degree_max, amplitude, phi_terms):
+def _random_polynomial_spec(rng, q, degree_max, phi_terms):
     def terms():
         ks = np.arange(degree_max + 1)
-        c = amplitude * rng.uniform(-1.0, 1.0, size=(ks.size, 2)) / (1.0 + ks[:, None])
+        c = rng.uniform(-1.0, 1.0, size=(ks.size, 2)) / (1.0 + ks[:, None])
         return [(int(k), float(cr), float(ci)) for k, (cr, ci) in zip(ks, c)]
 
     coeffs = [[terms() for _ in range(q)], [terms() for _ in range(q - 1)]]
@@ -368,21 +367,15 @@ def _run_interpolation_suite(cfg, dcfg, ccfg):
     """
     dom = _domain_from(dcfg, dcfg["h"])
     rng = np.random.default_rng(cfg.get("seed", 0))
-    pairs = ccfg.get("pairs", 50)
-    lams = ccfg.get("lams", [0.1, 0.2])
-    c_max = ccfg.get("c_max", 20.0)
-    degree_max = ccfg.get("degree_max", 3)
-    amplitude = ccfg.get("amplitude", 1.0)
+    pairs, lams, c_max, degree_max = 50, [0.1, 0.2], 20.0, 3
     rows = []
     worst = 0.0
     for k in range(pairs):
         q = int(rng.integers(1, 4))
         phi_terms = [(int(j), float(cr), float(ci)) for j, (cr, ci) in
-                     enumerate(amplitude * rng.uniform(-1.0, 1.0, size=(degree_max + 1, 2)))]
-        f = sample_map(dom, _random_polynomial_spec(rng, q, degree_max,
-                                                    amplitude, phi_terms))
-        g = sample_map(dom, _random_polynomial_spec(rng, q, degree_max,
-                                                    amplitude, phi_terms))
+                     enumerate(rng.uniform(-1.0, 1.0, size=(degree_max + 1, 2)))]
+        f = sample_map(dom, _random_polynomial_spec(rng, q, degree_max, phi_terms))
+        g = sample_map(dom, _random_polynomial_spec(rng, q, degree_max, phi_terms))
         for lam in lams:
             _, rep = interpolate_annulus(f, g, lam)
             worst = max(worst, rep.fitted_constant)
@@ -393,7 +386,7 @@ def _run_interpolation_suite(cfg, dcfg, ccfg):
     report["checks"] = [_check_row("interpolation-constant", worst <= c_max,
                                    worst, c_max,
                                    expect=ccfg.get("expect", "pass"))]
-    report["summary"] = {"h": dom.h, "pairs": pairs, "lams": list(lams),
+    report["summary"] = {"h": dom.h, "pairs": pairs, "lams": lams,
                          "fitted_constant": worst}
     header = ["pair", "Q", "lam", "band_energy", "collar_energy_f",
               "collar_energy_g", "collar_distance_sq", "fitted_constant"]
@@ -437,26 +430,23 @@ def _run_collapse(cfg):
                 "spread-max", spreads[-1] <= tol, float(spreads[-1]), tol,
                 expect=expect))
         elif t == "spread-vs-oscillation":
-            ratio = ccfg.get("ratio", 0.02)
             val = float(spreads[-1] / osc)
             report["checks"].append(_check_row(
-                "spread-vs-oscillation", val <= ratio, val, ratio,
-                expect=expect))
+                "spread-vs-oscillation", val <= OSCILLATION_RATIO, val,
+                OSCILLATION_RATIO, expect=expect))
         elif t == "defect-decreasing":
             step = float(np.diff(defects).max()) if defects.size > 1 else 0.0
             report["checks"].append(_check_row(
                 "defect-decreasing", step < 0.0 or defects.size == 1,
                 step, 0.0, expect=expect))
         elif t == "odd-defect-vs-oscillation":
-            odd = levels[-1]["odd_defect"]
-            ratio = ccfg.get("ratio", 0.02)
-            val = float(odd / osc)
+            val = float(levels[-1]["odd_defect"] / osc)
             report["checks"].append(_check_row(
-                "odd-defect-vs-oscillation", val <= ratio, val, ratio,
-                expect=expect))
+                "odd-defect-vs-oscillation", val <= OSCILLATION_RATIO, val,
+                OSCILLATION_RATIO, expect=expect))
         elif t == "outer-identity-refinement":
             tol = ccfg.get("tol", OUTER_IDENTITY_TOL)
-            shrink_min = ccfg.get("shrink_min", 1.5)
+            shrink_min = 1.5
             worsts = []
             for dom, u in solves[-2:]:
                 scan = frequency_scan(u, build_distance_field(dom),
@@ -503,13 +493,12 @@ def _run_frequency(cfg):
     kappa_cache = {}
 
     def kappa_of(ccfg):
-        k = ccfg.get("kappa", 0.0)
-        if k == "calibrated":
-            if "value" not in kappa_cache:
-                kappa_cache["value"] = calibrate_kappa(dom, dist)[0]
-                report["summary"]["kappa"] = kappa_cache["value"]
-            return kappa_cache["value"]
-        return float(k)
+        if ccfg.get("kappa") != "calibrated":
+            return 0.0
+        if "value" not in kappa_cache:
+            kappa_cache["value"] = calibrate_kappa(dom, dist)[0]
+            report["summary"]["kappa"] = kappa_cache["value"]
+        return kappa_cache["value"]
 
     for ccfg in cfg.get("checks", []):
         t = ccfg["type"]
@@ -534,8 +523,7 @@ def _run_frequency(cfg):
                 "almost-monotone", ok, worst, tol, expect=expect,
                 c_eff=c_eff))
         elif t == "doubling":
-            rep = check_doubling_bounds(scan, lam=ccfg.get("lam", 1.2),
-                                        kappa=kappa_of(ccfg))
+            rep = check_doubling_bounds(scan, lam=1.2, kappa=kappa_of(ccfg))
             worst = max(rep.worst_h_margin, rep.worst_d_margin)
             report["checks"].append(_check_row(
                 "doubling-bounds", rep.passed, worst, 0.0, expect=expect,
@@ -551,13 +539,11 @@ def _run_frequency(cfg):
 
 def _run_zeros(cfg):
     alpha = cfg.get("alpha", 0.5)
-    mtol = cfg.get("match_tol", 1e-10)
-    annuli = cfg.get("annuli")
-    if annuli is None:
-        pad = cfg.get("ring_pad", 2.0)
-        annuli = [{"r_lo": math.exp(n * math.pi) / pad,
-                   "r_hi": math.exp(n * math.pi) * pad}
-                  for n in cfg.get("rings", [0])]
+    mtol = 1e-10
+    # ring n is the 4:1 annulus around the zero circle |z| = e^{n pi}
+    annuli = [{"r_lo": math.exp(n * math.pi) / 2.0,
+               "r_hi": math.exp(n * math.pi) * 2.0}
+              for n in cfg.get("rings", [0])]
     report = _base_report(cfg)
     rows = []
     for ann in annuli:
@@ -589,8 +575,7 @@ def _run_zeros(cfg):
 
 def _run_decay(cfg):
     alpha = cfg.get("alpha", 0.5)
-    orders = cfg.get("orders", [0, 1, 2, 3, 4])
-    rtol = cfg.get("exponent_rtol", 0.2)
+    orders, rtol = [0, 1, 2, 3, 4], 0.2
     report = _base_report(cfg)
     series = {}
     for order in orders:
@@ -607,7 +592,7 @@ def _run_decay(cfg):
                 f"order-{order}-envelope", rep.envelope_ok, None, None))
         series[f"decay-{order}"] = (["s", "magnitude"],
                                     list(zip(rep.s, rep.magnitude)))
-    report["summary"] = {"alpha": alpha, "orders": list(orders),
+    report["summary"] = {"alpha": alpha, "orders": orders,
                          "expected_exponent": alpha / 3.0}
     return RunResult(report, series)
 
@@ -617,7 +602,7 @@ def _run_density(cfg):
     alpha = scfg.get("alpha", 0.5)
     surf = build_surface(alpha=alpha, tau=scfg.get("tau", 1.2),
                          fillet=scfg.get("fillet", 0.2))
-    depth = cfg.get("depth", 8)
+    depth = 8
     report = _base_report(cfg)
     series = {}
     for pt in cfg["points"]:
@@ -640,8 +625,7 @@ def _run_density(cfg):
                                      list(zip(rep.radii, rep.ratios)))
     tf = cfg.get("theta_floor")
     if tf:
-        floor = tf.get("floor", 0.5)
-        slack = tf.get("slack", 0.01)
+        floor = 0.5 - 0.01  # density 1/2 less a sampling slack
         radii = np.asarray(tf.get("radii", [0.08, 0.05]), dtype=float)
         worst = math.inf
         for z in tf["z_points"]:
@@ -649,8 +633,8 @@ def _run_density(cfg):
                              radii, depth=depth)
             worst = min(worst, rep.extrapolated)
         report["checks"].append(_check_row(
-            "density-floor-on-boundary", worst >= floor - slack, worst,
-            floor - slack, sampled=len(tf["z_points"])))
+            "density-floor-on-boundary", worst >= floor, worst, floor,
+            sampled=len(tf["z_points"])))
     report["summary"] = {"alpha": alpha, "depth": depth}
     return RunResult(report, series)
 
@@ -662,7 +646,7 @@ def _run_two_circles(cfg):
     rep = two_circles_density(r1, r2, point=point, radii=radii)
     report = _base_report(cfg)
     small = int(np.argmin(rep.radii))
-    limit_tol = cfg.get("limit_tol", 0.01)
+    limit_tol = 0.01
     scale = rep.exact if rep.exact > 0 else 1.0
     gap = float(abs(rep.ratios[small] - rep.exact))
     report["checks"].append(_check_row(
@@ -676,9 +660,8 @@ def _run_two_circles(cfg):
         # half plane plus full disk: the closed-form small-radius model
         model = 1.5 - rep.radii / (3.0 * np.pi * r1)
         worst = float(np.abs(rep.ratios - model).max())
-        mtol = cfg.get("model_tol", 1e-4)
         report["checks"].append(_check_row(
-            "analytic-model", worst <= mtol, worst, mtol))
+            "analytic-model", worst <= 1e-4, worst, 1e-4))
     order = np.argsort(rep.radii)
     mono = float(np.diff(rep.ratios[order]).max()) if order.size > 1 else 0.0
     report["checks"].append(_check_row(
@@ -699,6 +682,7 @@ _RUNNERS = {
     "density": _run_density,
     "two-circles": _run_two_circles,
 }
+KINDS = tuple(_RUNNERS)
 
 
 # ---------------------------------------------------------------------------
@@ -769,13 +753,14 @@ def read_report(path):
 def run(config, out_dir="qhalf-out", seed=None):
     """Validate, dispatch, and write the report plus plot data.
 
+    A seed given here replaces the config's seed before validation.
     Returns the exit status: 0 when every check passed, 1 when a check
     or the pipeline failed. Config problems raise UsageError instead.
     """
-    validate_config(config)
-    cfg = dict(config)
-    if seed is not None:
-        cfg["seed"] = int(seed)
+    cfg = config
+    if seed is not None and isinstance(config, dict):
+        cfg = {**config, "seed": seed}
+    validate_config(cfg)
     label = cfg.get("label", cfg["kind"])
     os.makedirs(out_dir, exist_ok=True)
     try:

@@ -63,6 +63,10 @@ from .domain import (
 from .data_maps import DataSpec
 from .qpoint import batch_match_cost2, batch_match_values
 
+# Default update_stop of minimize: a solve has converged once no node moves
+# by this much or more in a sweep.
+UPDATE_STOP = 1e-12
+
 
 def suggested_omega(dom: HalfDomain) -> float:
     """Near-optimal over-relaxation factor for the half-disk grid.
@@ -406,7 +410,7 @@ def _initial_values(dom: HalfDomain, data: DataSpec, init: str):
 
 
 def minimize(dom: HalfDomain, data: DataSpec, *, init: str = "harmonic",
-             update_stop: float = 1e-12, max_sweeps: int = 50000):
+             update_stop: float = UPDATE_STOP, max_sweeps: int = 50000):
     """Run matched-mean sweeps on scalar sheets to the energy minimum.
 
     Returns (QHalfMap, SolveInfo). Every solve is collapsed (all sheets

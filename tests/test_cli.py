@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from qhalf import cli
 from qhalf.cli import (
     KINDS,
     RunResult,
@@ -19,6 +20,7 @@ from qhalf.cli import (
     run,
     validate_config,
 )
+from qhalf.data_maps import GENERATORS
 from qhalf.frequency import frequency_scan
 from qhalf.solver import minimize
 
@@ -80,7 +82,7 @@ def test_unknown_field_is_usage_error(tmp_path):
 
 
 def test_command_line_misuse(tmp_path):
-    cfg_file = write_config(tmp_path, {"kind": "metric-suite", "pairs": 5})
+    cfg_file = write_config(tmp_path, {"kind": "metric-suite"})
     # kind mismatch between the command line and the config
     assert main(["zeros", "--config", cfg_file]) == 2
     # neither and both sources
@@ -104,7 +106,7 @@ def test_zeros_preset_end_to_end(tmp_path):
 
 def test_report_deterministic_modulo_header(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
-    cfg = {"kind": "metric-suite", "label": "mini", "seed": 3, "pairs": 40}
+    cfg = {"kind": "metric-suite", "label": "mini", "seed": 3}
     assert run(cfg, out_dir=str(d1)) == 0
     assert run(cfg, out_dir=str(d2)) == 0
     r1 = (d1 / "mini-report.json").read_text().splitlines()
@@ -114,7 +116,7 @@ def test_report_deterministic_modulo_header(tmp_path):
 
 
 def test_seed_changes_the_numbers(tmp_path):
-    cfg = {"kind": "metric-suite", "label": "mini", "pairs": 40}
+    cfg = {"kind": "metric-suite", "label": "mini"}
     run(cfg, out_dir=str(tmp_path / "a"), seed=3)
     run(cfg, out_dir=str(tmp_path / "b"), seed=4)
     a = read_report(tmp_path / "a" / "mini-report.json")
@@ -124,6 +126,32 @@ def test_seed_changes_the_numbers(tmp_path):
     va = [c["value"] for c in a["checks"]]
     vb = [c["value"] for c in b["checks"]]
     assert va != vb
+
+
+@pytest.mark.parametrize("kind, preset", [("metric-suite", "metric-suite"),
+                                          ("zeros", "zeros-three-rings")])
+def test_negative_seed_override_fails_before_any_work(tmp_path, monkeypatch,
+                                                      kind, preset):
+    def no_work(cfg):
+        raise AssertionError("pipeline work started before validation")
+
+    monkeypatch.setitem(cli._RUNNERS, kind, no_work)
+    with pytest.raises(UsageError) as err:
+        run(load_preset(preset), out_dir=str(tmp_path), seed=-1)
+    assert err.value.path == "seed"
+    assert main([kind, "--preset", preset, "--seed", "-1",
+                 "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_converged_bound_defaults_to_the_solver_default(tmp_path):
+    cfg = {"kind": "solve", "label": "default-stop", "domain": {"h": 1 / 16},
+           "Q": 2, "data": {"generator": "linear"},
+           "checks": [{"type": "converged"}]}
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    row = read_report(tmp_path / "default-stop-report.json")["checks"][0]
+    assert row["name"] == "solver-converged"
+    assert row["bound"] == 1e-12
 
 
 def test_frequency_series_columns(tmp_path):
@@ -273,6 +301,44 @@ def _with_solver(name, **fields):
     return cfg
 
 
+def _with_field(name, path, key, value):
+    cfg = load_preset(name)
+    target = cfg
+    for part in filter(None, path.split(".")):
+        target = target[int(part) if part.isdigit() else part]
+    target[key] = value
+    return cfg
+
+
+# Bounds and sampling settings fixed beside the check that uses them: the
+# schema has no field for them, so setting one (here to its fixed value) is
+# an unknown field at its parent path.
+_FIXED_FIELDS = [
+    ("metric-suite", "", "pairs", 1000),
+    ("metric-suite", "", "max_q", 6),
+    ("metric-suite", "", "max_n", 4),
+    ("metric-suite", "", "assignment_tol", 1e-12),
+    ("metric-suite", "", "triangle_tol", 1e-10),
+    ("collapse-refinement", "checks.1", "ratio", 0.02),
+    ("collapse-refinement", "checks.4", "shrink_min", 1.5),
+    ("doubling-bounds", "checks.0", "lam", 1.2),
+    ("interpolation-bound", "checks.0", "pairs", 50),
+    ("interpolation-bound", "checks.0", "lams", [0.1, 0.2]),
+    ("interpolation-bound", "checks.0", "c_max", 20.0),
+    ("interpolation-bound", "checks.0", "degree_max", 3),
+    ("interpolation-bound", "checks.0", "amplitude", 1.0),
+    ("zeros-annulus-n0", "", "annuli", [{"r_lo": 0.5, "r_hi": 2.0}]),
+    ("zeros-three-rings", "", "ring_pad", 2.0),
+    ("zeros-three-rings", "", "match_tol", 1e-10),
+    ("decay-orders", "", "orders", [0, 1, 2, 3, 4]),
+    ("decay-orders", "", "exponent_rtol", 0.2),
+    ("density-suite", "", "depth", 8),
+    ("density-suite", "theta_floor", "floor", 0.5),
+    ("density-suite", "theta_floor", "slack", 0.01),
+    ("two-circles", "", "limit_tol", 0.01),
+    ("two-circles", "", "model_tol", 1e-4),
+]
+
 _SINE = {"kind": "sine-wave", "amplitude": 0.05, "wavenumber": 3}
 _LINEAR = {"generator": "linear"}
 GUARD_CASES = [
@@ -299,7 +365,7 @@ GUARD_CASES = [
     ("interpolation-bound-mix",
      _preset_plus("interpolation-bound", {"type": "converged"},
                   {"type": "classical-reference"},
-                  {"type": "interpolation-bound", "c_max": 1e-9}),
+                  {"type": "interpolation-bound"}),
      "checks.0.type"),
     ("i-value-without-target", _without_target(), "checks.0"),
     ("solve-without-data",
@@ -367,7 +433,10 @@ GUARD_CASES = [
      {k: v for k, v in load_preset("frequency-sqrt-branch").items()
       if k != "source"},
      "data.generator"),
-]
+    ("numeric-kappa", _with_field("monotonicity-wavy", "checks.0", "kappa", 0.5),
+     "checks.0.kappa"),
+] + [(f"{name}-{key}", _with_field(name, path, key, value), path)
+     for name, path, key, value in _FIXED_FIELDS]
 
 
 @pytest.mark.parametrize("cfg, path", [c[1:] for c in GUARD_CASES],
@@ -385,6 +454,14 @@ def test_config_rules_fail_before_any_work(tmp_path, monkeypatch, cfg, path):
     rc = main([cfg["kind"], "--config", write_config(tmp_path, cfg),
                "--out", str(tmp_path)])
     assert rc == 2
+
+
+def test_kind_and_generator_enums_are_the_code_tables():
+    schema = json.loads(resources.files("qhalf").joinpath(
+        "presets/config.schema.json").read_text())
+    assert schema["properties"]["kind"]["enum"] == list(KINDS)
+    generators = schema["$defs"]["data"]["properties"]["generator"]["enum"]
+    assert generators == list(GENERATORS)
 
 
 def test_solver_and_scan_fields_are_the_keyword_parameters():
