@@ -479,8 +479,10 @@ def _run_frequency(cfg):
     report = _base_report(cfg)
     if source == "minimize":
         u, info = minimize(dom, data, **cfg.get("solver", {}))
-        report["summary"]["converged"] = info.converged
-        report["summary"]["energy"] = info.energy
+        report["summary"].update({"converged": info.converged,
+                                  "energy": info.energy,
+                                  "sweeps": info.sweeps,
+                                  "stop_reason": info.stop_reason})
     elif source == "sample":
         u = sample_map(dom, data)
     elif source == "glued-plus":
@@ -490,15 +492,15 @@ def _run_frequency(cfg):
     dist = build_distance_field(dom)
     scan = frequency_scan(u, dist, **cfg.get("scan", {}))
     series = {"frequency": _frequency_series(scan)}
-    kappa_cache = {}
 
     def kappa_of(ccfg):
         if ccfg.get("kappa") != "calibrated":
             return 0.0
-        if "value" not in kappa_cache:
-            kappa_cache["value"] = calibrate_kappa(dom, dist)[0]
-            report["summary"]["kappa"] = kappa_cache["value"]
-        return kappa_cache["value"]
+        summary = report["summary"]
+        if "kappa" not in summary:
+            kappa, kinfo = calibrate_kappa(dom, dist)
+            summary.update({"kappa": kappa, "kappa_sweeps": kinfo.sweeps})
+        return summary["kappa"]
 
     for ccfg in cfg.get("checks", []):
         t = ccfg["type"]

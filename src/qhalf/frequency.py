@@ -368,17 +368,19 @@ def check_doubling_bounds(scan: FrequencyScan, lam: float,
 def calibrate_kappa(dom: HalfDomain, dist: DistanceField):
     """Fit the quadrature constant on the single-sheet harmonic case.
 
-    Solves the Q=1 problem with data x^2 - y^2, scans it with dist, the
-    domain's distance field, and finds the smallest c >= 0 making
-    e^{c r} I nondecreasing on reliable radii.
-    Returns kappa with c = kappa * h / r_min.
+    Solves the Q=1 problem with data x^2 - y^2 from the harmonic start,
+    the exact minimizer, so one sweep certifies it and kappa depends on
+    neither omega nor the stop rule. Scans it with dist, the domain's
+    distance field, and finds the smallest c >= 0 making e^{c r} I
+    nondecreasing on reliable radii.
+    Returns (kappa, info) with c = kappa * h / r_min and info the
+    SolveInfo of the calibration solve.
     """
     from . import data_maps
     from .solver import minimize
 
     data = data_maps.quadratic_harmonic(Q=1)
-    u, info = minimize(dom, data, init="mean", update_stop=1e-11,
-                       max_sweeps=200000)
+    u, info = minimize(dom, data, init="harmonic")
     if not info.converged:
         raise RuntimeError("calibration solve did not converge")
     scan = frequency_scan(u, dist)
@@ -390,7 +392,7 @@ def calibrate_kappa(dom: HalfDomain, dist: DistanceField):
             c_needed = max(c_needed, c)
     r_min = float(scan.r[idx[0]])
     kappa = c_needed * r_min / scan.h if c_needed > KAPPA_ZERO else 0.0
-    return kappa, scan
+    return kappa, info
 
 
 def homogeneity_defect(u, i0: float) -> float:

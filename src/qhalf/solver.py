@@ -68,16 +68,27 @@ from .qpoint import batch_match_cost2, batch_match_values
 UPDATE_STOP = 1e-12
 
 
+# First positive zero of the Bessel function J_1.
+J11 = 3.8317059702075125
+
+
 def suggested_omega(dom: HalfDomain) -> float:
-    """Near-optimal over-relaxation factor for the half-disk grid.
+    """Young's optimal red-black SOR factor for the half-disk grid.
 
     The checkerboard step with omega in (0, 2) moves each node toward its
     matched neighbor mean past the midpoint; since same-color nodes share
     no edge, each step still strictly decreases the energy with the
-    current matchings, and re-matching only lowers it further. The value
-    below tunes omega to the slowest Laplace mode of the half-disk.
+    current matchings, and re-matching only lowers it further.
+
+    Each side of every solve is a half-disk of radius R with Dirichlet data
+    on the arc and on the pinned interface. Its lowest Laplace eigenvalue
+    is lambda_1 = j11^2 / R^2, with mode J_1(j11 r / R) sin(theta), where
+    j11 is the first zero of J_1. The 5-point Jacobi iteration on spacing
+    h then has spectral radius rho_J ~ 1 - lambda_1 h^2 / 4, and Young's
+    optimum omega = 2 / (1 + sqrt(1 - rho_J^2)) is, to first order in h,
+    2 / (1 + (j11 / sqrt 2) h / R).
     """
-    s = 3.9 * dom.h / dom.R
+    s = J11 / 2.0**0.5 * dom.h / dom.R
     return 2.0 / (1.0 + s)
 
 

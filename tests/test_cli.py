@@ -435,6 +435,10 @@ GUARD_CASES = [
      "data.generator"),
     ("numeric-kappa", _with_field("monotonicity-wavy", "checks.0", "kappa", 0.5),
      "checks.0.kappa"),
+    # ring n >= 4 matches its zeros only to 1.8e-10, n <= -5 cannot resolve
+    # the winding: both would end in a failed check row (exit 1)
+    ("zeros-ring-above-3", {"kind": "zeros", "rings": [4]}, "rings.0"),
+    ("zeros-ring-below-minus-4", {"kind": "zeros", "rings": [-5]}, "rings.0"),
 ] + [(f"{name}-{key}", _with_field(name, path, key, value), path)
      for name, path, key, value in _FIXED_FIELDS]
 

@@ -350,3 +350,23 @@ def test_empty_annulus_still_raises(dom64, dist64):
     with pytest.raises(ResolutionError):
         annulus_sums(u, dist64, r)
     assert _ReferenceQuad(u.fields()[0], dist64).at(r)[4] == 0
+
+
+def test_kappa_calibrates_on_the_exact_minimizer(monkeypatch):
+    # The harmonic start is the minimizer: one sweep certifies it, and a
+    # long mean-start calibration reaches the same kappa.
+    dom = build_halfdisk(R=1.0, h=1.0 / 32,
+                         interface=InterfaceSpec.sine_wave(0.05, 3.0))
+    dist = build_distance_field(dom)
+    kappa, info = frequency.calibrate_kappa(dom, dist)
+    assert info.sweeps == 1 and info.stop_reason == "update_stop"
+    assert kappa > 0.0
+
+    def mean_start(dom, data, **_):
+        return minimize(dom, data, init="mean", update_stop=1e-11,
+                        max_sweeps=200000)
+
+    monkeypatch.setattr("qhalf.solver.minimize", mean_start)
+    swept, swept_info = frequency.calibrate_kappa(dom, dist)
+    assert swept_info.sweeps > 1
+    assert kappa == pytest.approx(swept, rel=1e-8)

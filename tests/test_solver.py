@@ -7,6 +7,7 @@ from qhalf import data_maps
 from qhalf.domain import build_halfdisk, INTERFACE, InterfaceSpec
 from qhalf.qpoint import batch_match_values
 from qhalf.solver import (
+    J11,
     QHalfMap,
     _RankedState,
     _color_rows,
@@ -414,6 +415,29 @@ def test_sweeps_land_on_rankwise_reference(dom32, rankwise_reference, init):
         got = np.sort(getattr(u, side_name), axis=1)
         assert np.abs(got - ref[side_name]).max() < 1e-9
     assert info.energy == pytest.approx(energy, rel=1e-9)
+
+
+def _wavy_mean_solve(dom):
+    return minimize(dom, data_maps.quadratic_harmonic(Q=1), init="mean",
+                    update_stop=1e-11, max_sweeps=200000)
+
+
+@pytest.mark.parametrize("scale", [0.85, 1.15])
+def test_suggested_omega_beats_a_scaled_constant(sine32, monkeypatch, scale):
+    # Young's factor sits at the minimum of the sweep count: moving the
+    # half-disk's eigenvalue constant either way costs sweeps.
+    _, best = _wavy_mean_solve(sine32)
+    monkeypatch.setattr("qhalf.solver.J11", J11 * scale)
+    _, other = _wavy_mean_solve(sine32)
+    assert best.converged and other.converged
+    assert best.sweeps < other.sweeps
+
+
+def test_mean_start_lands_near_the_harmonic_start(sine32):
+    u, info = _wavy_mean_solve(sine32)
+    exact, _ = minimize(sine32, data_maps.quadratic_harmonic(Q=1))
+    assert info.converged
+    assert np.abs(u.plus - exact.plus).max() < 5e-11
 
 
 def test_collapsed_interface_is_pinned(dom16):
