@@ -410,7 +410,8 @@ def _run_collapse(cfg):
                        "odd_defect": rep.odd_defect,
                        "oscillation": _boundary_oscillation(dom, data),
                        "energy": info.energy, "sweeps": info.sweeps,
-                       "converged": info.converged})
+                       "converged": info.converged,
+                       "stop_reason": info.stop_reason})
     spreads = np.array([lv["sheet_spread"] for lv in levels])
     defects = np.array([lv["harmonic_defect"] for lv in levels])
     osc = levels[-1]["oscillation"]

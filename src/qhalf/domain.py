@@ -399,9 +399,11 @@ def _arclength(spec: InterfaceSpec, t: np.ndarray) -> np.ndarray:
     # Gauss-Legendre on [0, t], exact to machine precision for smooth psi.
     half = 0.5 * t
     tau = half[:, None] * (_GL_NODES[None, :] + 1.0)
-    _, dp, _ = spec.values(tau)
-    wvals = np.hypot(1.0, dp)
-    return half * (wvals @ _GL_WEIGHTS)
+    # only psi' enters (a straight interface never gets here), evaluated
+    # alone and turned into the speed in place
+    dp = np.asarray(spec.dpsi(tau), dtype=float)
+    np.hypot(1.0, dp, out=dp)
+    return half * (dp @ _GL_WEIGHTS)
 
 
 def _graph_distance(spec: InterfaceSpec, pts: np.ndarray):

@@ -406,6 +406,26 @@ def _fit_grid(order: int, alpha: float) -> np.ndarray:
     return np.exp(-np.linspace(u_lo, u_hi, points))
 
 
+# trial exponents of the stretched-exponential decay fit
+_TRIAL_BETAS = np.geomspace(0.02, 1.2, 241)
+
+
+def _fit_decay_exponent(xs, ys):
+    """Trial beta whose least-squares fit ys ~ A + B log xs + C xs^{-beta}
+    with C > 0 leaves the smallest residual (the first, on ties); NaN if
+    no trial has C > 0. One batched QR solves every trial's basis."""
+    basis = np.empty((_TRIAL_BETAS.size, xs.size, 3))
+    basis[:, :, 0] = 1.0
+    basis[:, :, 1] = np.log(xs)
+    basis[:, :, 2] = xs[None, :] ** -_TRIAL_BETAS[:, None]
+    q, rr = np.linalg.qr(basis)
+    coef = np.linalg.solve(rr, (ys @ q)[:, :, None])[:, :, 0]
+    res = np.sum(((basis @ coef[:, :, None])[:, :, 0] - ys) ** 2, axis=1)
+    res = np.where((coef[:, 2] > 0) & (res < np.inf), res, np.inf)
+    k = int(np.argmin(res))
+    return float(_TRIAL_BETAS[k]) if res[k] < np.inf else float("nan")
+
+
 def derivative_decay_check(order: int, alpha: float = 0.5,
                            s_grid=None) -> DecayReport:
     """Measure the decay of |h^{(order)}| toward s = 0.
@@ -471,19 +491,7 @@ def derivative_decay_check(order: int, alpha: float = 0.5,
     expected = alpha / 3.0
     fitted = float("nan")
     if np.sum(keep) >= 8:
-        xs = fit_nodes[keep]
-        ys = -np.log(fit_mag[keep])
-        best = (np.inf, float("nan"))
-        for beta in np.geomspace(0.02, 1.2, 241):
-            basis = np.column_stack([np.ones_like(xs), np.log(xs),
-                                     xs ** (-beta)])
-            coef, res, *_ = np.linalg.lstsq(basis, ys, rcond=None)
-            if coef[2] <= 0:
-                continue
-            r = float(np.sum((basis @ coef - ys) ** 2))
-            if r < best[0]:
-                best = (r, beta)
-        fitted = best[1]
+        fitted = _fit_decay_exponent(fit_nodes[keep], -np.log(fit_mag[keep]))
     exponent_ok = bool(np.isfinite(fitted)
                        and abs(fitted - expected) <= 0.2 * expected)
 

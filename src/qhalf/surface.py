@@ -26,7 +26,16 @@ its membership, its distance from the ball centre and its Lipschitz
 reach. The quadtree keeps only cells whose closed square meets the
 region's bounding box: at a boundary point about half of every box lies
 outside the region, and there the continued product gives no Lipschitz
-reason to drop a cell.
+reason to drop a cell. The cells still undecided at the last depth go
+to a second-order leaf rule. The region is convex (the segment, two
+fillet arcs, two horizontals and the cap arc bound it, and its upper
+edge is a concave function of x), so a cell whose four corners lie
+inside lies wholly inside. Such a cell is integrated from one
+evaluation of (g, g') at its centre: the gap |F - p| is linearized
+there, and the cell's mass is the area element at the centre times the
+exact share of the square on the near side of that line, the closed
+distribution function of a sum of two uniform variables. Cells the
+region boundary crosses keep a membership-weighted 4x4 subsample.
 
 The two-circles configuration (two stacked flat disks spanning
 concentric circles) is computed in closed form as a reference: exact
@@ -355,8 +364,9 @@ def _member(surface, z, p, r):
     return _gap_and_area(surface, z, p, surface.contains(z))[0] < r
 
 
-# membership probes around a cell centre, in half-widths; the centre is
-# decided from its own evaluation, which also gives the Lipschitz data
+# membership probes around a cell centre, in half-widths, the four
+# corners first; the centre is decided from its own evaluation, which
+# also gives the Lipschitz data
 _PROBES = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j, 1 + 0j, -1 + 0j,
                     1j, -1j])
 _MIDS = 0.5 * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
@@ -404,14 +414,64 @@ def _quadtree_mass(surface, center, w, p, r, depth):
         cz = (cz[mixed, None] + hw[mixed, None] * _MIDS[None, :]).ravel()
         hw = np.repeat(0.5 * hw[mixed], 4)
         cz, hw = _meets_box(surface, cz, hw)
-    # leftover straddling cells: membership-weighted 4x4 subsample
-    g = (np.arange(4) + 0.5) / 2.0 - 1.0
-    offs = (g[:, None] + 1j * g[None, :]).ravel()
-    zs = cz[:, None] + hw[:, None] * offs[None, :]
+    return mass + _leaf_mass(surface, cz, hw, p, r)
+
+
+def _cut_fraction(gap, gx, gy, hw, r):
+    """Exact share of the square |dx|, |dy| <= hw where the linearized
+    gap + gx dx + gy dy stays below r.
+
+    gx dx + gy dy, shifted by (a + b)/2, is the sum of two uniform
+    variables on [0, a] and [0, b], a >= b being the two edge reaches.
+    Its distribution function is symmetric about (a + b)/2: it rises
+    quadratically over [0, b] and linearly from there to the middle.
+    The lower half is written without a division by b, and the upper
+    half as its complement, so the share is exactly 0 or 1 once
+    |r - gap| passes the reach (a + b)/2, and stays exact as b or a
+    goes to 0.
+    """
+    sx, sy = 2.0 * hw * np.abs(gx), 2.0 * hw * np.abs(gy)
+    a, b = np.maximum(sx, sy), np.minimum(sx, sy)
+    d = r - gap
+    u = np.maximum(0.5 * (a + b) - np.abs(d), 0.0)
+    m = np.minimum(u, b)
+    low = (0.5 * m * np.divide(m, b, out=np.zeros_like(m), where=b > 0.0)
+           + np.maximum(u - b, 0.0))
+    low = np.divide(low, a, out=np.zeros_like(low), where=a > 0.0)
+    return np.where(d > 0.0, 1.0 - low, low)
+
+
+def _leaf_mass(surface, cz, hw, p, r):
+    """Mass of the cells left over at the last depth.
+
+    A cell whose four corners lie inside the convex region lies wholly
+    inside it. Its gap |F - p| is linearized at the centre from one
+    evaluation of (g, g'): with c = conj(z^3 - p1) 3 z^2 + conj(g - p2) g',
+    the gradient is (Re c, -Im c) / gap. The cell's mass is the area
+    element at the centre times the exact area of the square on the side
+    gap < r of that line. Cells the region boundary crosses keep a
+    membership-weighted 4x4 subsample.
+    """
+    corners = cz[:, None] + hw[:, None] * _PROBES[None, :4]
+    inner = surface.contains(corners).all(axis=1)
+    z, h = cz[inner], hw[inner]
+    g, gp = branch_product_and_prime(z, surface.alpha)
+    f1 = z ** 3 - complex(p[0], p[1])
+    f2 = g - complex(p[2], p[3])
+    gap = np.hypot(np.abs(f1), np.abs(f2))
+    c = np.conj(f1) * 3.0 * z * z + np.conj(f2) * gp
+    # at gap = 0 the centre maps onto p and the linear part vanishes
+    c = np.divide(c, gap, out=np.zeros_like(c), where=gap > 0.0)
+    J = 9.0 * np.abs(z) ** 4 + np.abs(gp) ** 2
+    frac = _cut_fraction(gap, c.real, -c.imag, h, r)
+    mass = float((J * frac * (2.0 * h) ** 2).sum())
+    cross = ~inner
+    t = (np.arange(4) + 0.5) / 2.0 - 1.0
+    offs = (t[:, None] + 1j * t[None, :]).ravel()
+    zs = cz[cross, None] + hw[cross, None] * offs[None, :]
     gap, dens = _gap_and_area(surface, zs, p, surface.contains(zs))
     J = np.where(gap < r, dens, 0.0)
-    mass += float((J.mean(axis=1) * (2.0 * hw) ** 2).sum())
-    return mass
+    return mass + float((J.mean(axis=1) * (2.0 * hw[cross]) ** 2).sum())
 
 
 def _component_mass(surface, seed, p, r, depth):

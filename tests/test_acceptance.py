@@ -56,6 +56,7 @@ def test_criterion_03_collapse_under_refinement(refinement):
     assert all(lv["converged"] for lv in levels)
     # The collapsed scalar solve starts at the minimizer; sweeps certify it.
     assert all(lv["sweeps"] <= 2 for lv in levels)
+    assert all(lv["stop_reason"] == "update_stop" for lv in levels)
     spreads = [lv["sheet_spread"] for lv in levels]
     defects = [lv["harmonic_defect"] for lv in levels]
     assert spreads[0] > spreads[1] > spreads[2]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qhalf import holomorphic
 from qhalf.holomorphic import (
     ZeroMatchError,
     branch_factor,
@@ -268,6 +269,35 @@ def test_batched_fd_weights_equal_one_stencil_at_a_time(order):
             want.append(abs(np.dot(ref, h[c - 2:c + 3])))
         if mag is not None:
             assert np.array_equal(mag, np.array(want))
+
+
+def _loop_fit_decay_exponent(xs, ys):
+    """One least-squares solve per trial exponent, the first strictly
+    smallest residual with C > 0 kept."""
+    best = (np.inf, float("nan"))
+    for beta in np.geomspace(0.02, 1.2, 241):
+        basis = np.column_stack([np.ones_like(xs), np.log(xs),
+                                 xs ** (-beta)])
+        coef, *_ = np.linalg.lstsq(basis, ys, rcond=None)
+        if coef[2] <= 0:
+            continue
+        r = float(np.sum((basis @ coef - ys) ** 2))
+        if r < best[0]:
+            best = (r, beta)
+    return best[1]
+
+
+def test_batched_decay_fit_picks_the_loops_exponent(monkeypatch):
+    # The batched QR fit against one lstsq per trial: the same trial
+    # exponent, bit for bit, on every order.
+    batched = [derivative_decay_check(order).fitted_exponent
+               for order in range(5)]
+    monkeypatch.setattr(holomorphic, "_fit_decay_exponent",
+                        _loop_fit_decay_exponent)
+    looped = [derivative_decay_check(order).fitted_exponent
+              for order in range(5)]
+    assert batched == looped
+    assert all(np.isfinite(batched))
 
 
 def test_decay_reports_default_windows():

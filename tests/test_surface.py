@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qhalf import surface as surface_mod
-from qhalf.surface import (_MIDS, _PROBES, BranchedSurface, _gap_and_area,
-                           _meets_box, _member, _top_profile, area_density,
-                           boundary_curve, build_surface, density_at,
-                           surface_image, two_circles_density)
+from qhalf.cli import list_presets
+from qhalf.surface import (_MIDS, _PROBES, BranchedSurface, _cut_fraction,
+                           _gap_and_area, _leaf_mass, _meets_box, _member,
+                           _top_profile, area_density, boundary_curve,
+                           build_surface, density_at, surface_image,
+                           two_circles_density)
 
 # value of the product at 0.7 + 0.2i, frozen from high-precision
 # evaluation (same point as in the holomorphic tests)
@@ -236,7 +238,8 @@ def test_branch_point_density_between_wraps(surf):
 
 def unpruned_quadtree_mass(surface, center, w, p, r, depth):
     """The quadtree without the bounding-box test: every cell, inside
-    the region's box or not, is probed, split and subsampled."""
+    the region's box or not, is probed, split and handed to the leaf
+    rule."""
     j0 = area_density(center, surface.alpha)
     side = max(2, int(np.ceil(w * np.sqrt(max(j0, 1e-12)) / r)))
     g = (np.arange(side) + 0.5) * 2.0 / side - 1.0
@@ -261,13 +264,7 @@ def unpruned_quadtree_mass(surface, center, w, p, r, depth):
             return mass
         cz = (cz[mixed, None] + hw[mixed, None] * _MIDS[None, :]).ravel()
         hw = np.repeat(0.5 * hw[mixed], 4)
-    g = (np.arange(4) + 0.5) / 2.0 - 1.0
-    offs = (g[:, None] + 1j * g[None, :]).ravel()
-    zs = cz[:, None] + hw[:, None] * offs[None, :]
-    gap, dens = _gap_and_area(surface, zs, p, surface.contains(zs))
-    J = np.where(gap < r, dens, 0.0)
-    mass += float((J.mean(axis=1) * (2.0 * hw) ** 2).sum())
-    return mass
+    return mass + _leaf_mass(surface, cz, hw, p, r)
 
 
 # double point, segment boundary point, interior point, and the
@@ -304,7 +301,7 @@ def test_box_prune_skips_cells_outside_the_region(surf, monkeypatch):
     monkeypatch.setattr(BranchedSurface, "contains", counting)
     rep = density_at(surf, surface_image(0.75j), np.array([0.05]), depth=8)
     assert sum(calls) < 100_000
-    assert rep.ratios[0] == pytest.approx(0.49090884807084306, rel=1e-12)
+    assert rep.ratios[0] == pytest.approx(0.49092640291453493, rel=1e-12)
 
 
 _SURF = build_surface()
@@ -335,6 +332,108 @@ def test_dropped_cells_hold_no_region_point(anchor, u, v, hw, flip):
     t = np.linspace(-1.0, 1.0, 9)
     grid = c + hw * (t[:, None] + 1j * t[None, :])
     assert not np.any(_SURF.contains(grid))
+
+
+def _subsample_leaf_mass(surface, cz, hw, p, r):
+    """The zeroth-order leaf rule: every leftover cell's mass from a
+    membership-weighted 4x4 subsample of its square."""
+    g = (np.arange(4) + 0.5) / 2.0 - 1.0
+    offs = (g[:, None] + 1j * g[None, :]).ravel()
+    zs = cz[:, None] + hw[:, None] * offs[None, :]
+    gap, dens = _gap_and_area(surface, zs, p, surface.contains(zs))
+    J = np.where(gap < r, dens, 0.0)
+    return float((J.mean(axis=1) * (2.0 * hw) ** 2).sum())
+
+
+def _density_suite_cases():
+    cfg = dict(list_presets())["density-suite"]
+    cases = [(np.array(pt["coords"]) if "coords" in pt
+              else surface_image(complex(*pt["z"])), pt["radii"])
+             for pt in cfg["points"]]
+    floor = cfg["theta_floor"]
+    cases += [(surface_image(complex(*z)), floor["radii"])
+              for z in floor["z_points"]]
+    return cases + [(p if np.ndim(p) else surface_image(p), [r])
+                    for p, r in PRUNE_CASES]
+
+
+def test_leaf_rule_agrees_with_the_subsample(surf, monkeypatch):
+    # Every density-suite and PRUNE_CASES ratio under the linearized
+    # leaf rule against the 4x4 subsample it replaced: the two rules
+    # differ by far less than the 0.03-0.05 tolerances of the checks.
+    cases = _density_suite_cases()
+    assert len(cases) == 11
+    new = [density_at(surf, p, np.array(radii)).ratios for p, radii in cases]
+    monkeypatch.setattr(surface_mod, "_leaf_mass", _subsample_leaf_mass)
+    for (p, radii), ratios in zip(cases, new):
+        ref = density_at(surf, p, np.array(radii)).ratios
+        assert np.max(np.abs(ratios - ref)) < 5e-5
+
+
+def _polygon_cut_area(gap, gx, gy, hw, r):
+    """Area of the square |dx|, |dy| <= hw on the side gap + gx dx + gy dy
+    < r: the square clipped by the half-plane, then the shoelace area."""
+    square = [(hw, hw), (-hw, hw), (-hw, -hw), (hw, -hw)]
+
+    def level(v):
+        return r - gap - gx * v[0] - gy * v[1]
+
+    poly = []
+    for k, v in enumerate(square):
+        w = square[(k + 1) % 4]
+        lv, lw = level(v), level(w)
+        if lv > 0.0:
+            poly.append(v)
+        if (lv > 0.0) != (lw > 0.0):
+            t = lv / (lv - lw)
+            poly.append((v[0] + t * (w[0] - v[0]), v[1] + t * (w[1] - v[1])))
+    area = 0.0
+    for k, v in enumerate(poly):
+        w = poly[(k + 1) % len(poly)]
+        area += v[0] * w[1] - w[0] * v[1]
+    return 0.5 * abs(area)
+
+
+_SLOPES = st.one_of(st.just(0.0), st.floats(-50.0, 50.0, allow_nan=False))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), _SLOPES, _SLOPES,
+       st.floats(1e-4, 0.5), st.floats(1e-3, 2.0))
+@example(0.3, 0.0, 3.0, 0.1, 0.4)     # d/dx = 0
+@example(0.3, -2.0, 0.0, 0.1, 0.35)   # d/dy = 0
+@example(0.3, 0.0, 0.0, 0.1, 0.4)     # both 0, inside: 1
+@example(0.3, 0.0, 0.0, 0.1, 0.2)     # both 0, outside: 0
+@example(0.0, 1.0, -2.0, 0.1, 0.05)   # gap 0
+@example(1.5, 1.0, 1.0, 0.1, 0.2)     # beyond the reach: 0
+@example(0.2, 1.0, 1.0, 0.1, 1.5)     # beyond the reach: 1
+def test_cut_fraction_is_the_exact_clipped_area(gap, gx, gy, hw, r):
+    got = float(_cut_fraction(gap, gx, gy, hw, r))
+    want = _polygon_cut_area(gap, gx, gy, hw, r) / (2.0 * hw) ** 2
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    # past the cell's reach the share is exactly 0 or 1, with or
+    # without slopes
+    reach = hw * (abs(gx) + abs(gy)) * (1.0 + 1e-12)
+    if r - gap > reach:
+        assert got == 1.0
+    if r - gap < -reach:
+        assert got == 0.0
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_ANCHORS)), _UNITS, _UNITS, _HALF_WIDTH,
+       st.booleans())
+def test_cells_with_inside_corners_lie_inside(anchor, u, v, hw, flip):
+    # The region is convex, so a square whose four corners lie inside
+    # it lies wholly inside: the leaf rule integrates such a cell
+    # without membership tests.
+    c = _ANCHORS[anchor] + hw * complex(u, v)
+    if flip:
+        c = c.conjugate()
+    if not np.all(_SURF.contains(c + hw * _PROBES[:4])):
+        return
+    t = np.linspace(-1.0, 1.0, 9)
+    assert np.all(_SURF.contains(c + hw * (t[:, None] + 1j * t[None, :])))
 
 
 def test_two_circles_on_inner_circle():
