@@ -176,31 +176,26 @@ class HalfDomain:
         return {TAG_NAMES[t]: int(np.sum(self.tag == t)) for t in TAG_NAMES}
 
 
-def _interface_angles(spec: InterfaceSpec, R: float):
-    """Crossing angles (degrees) between the interface and the outer circle."""
-    from scipy.optimize import brentq
+def _interface_angles(spec: InterfaceSpec, R: float) -> np.ndarray:
+    """Crossing angles (degrees) between the interface and the outer circle.
 
-    def radius_gap(t):
+    Each crossing is bisected between t = +-1e-9, inside the circle on a
+    graph through the origin, and t = +-1.5 R, where t^2 + psi^2 - R^2
+    >= 1.25 R^2 > 0, so both brackets change sign. Sixty halvings take
+    the bracket below the rounding of t.
+    """
+    inner, outer = np.array([1e-9, -1e-9]), np.array([1.5 * R, -1.5 * R])
+    for _ in range(60):
+        t = 0.5 * (inner + outer)
         p, _, _ = spec.values(t)
-        return t * t + float(p) * float(p) - R * R
-
-    angles = []
-    for lo, hi in ((1e-9, R * 1.5), (-R * 1.5, -1e-9)):
-        try:
-            t = brentq(radius_gap, lo, hi, xtol=1e-13)
-        except ValueError as exc:
-            raise ConstructionError(
-                "interface does not cross the outer circle on both sides"
-            ) from exc
-        p, dp, _ = spec.values(t)
-        w = np.hypot(1.0, float(dp))
-        tangent = np.array([1.0, float(dp)]) / w
-        point = np.array([t, float(p)])
-        circle_tangent = np.array([-point[1], point[0]]) / np.linalg.norm(point)
-        cosang = abs(float(tangent @ circle_tangent))
-        cosang = min(cosang, 1.0)
-        angles.append(np.degrees(np.arccos(cosang)))
-    return angles
+        out = t * t + p * p > R * R
+        outer = np.where(out, t, outer)
+        inner = np.where(out, inner, t)
+    t = 0.5 * (inner + outer)
+    p, dp, _ = spec.values(t)
+    # |tangent . circle tangent| of (1, psi') / w and (-psi, t) / |(t, psi)|
+    cosang = np.abs(dp * t - p) / (np.hypot(1.0, dp) * np.hypot(t, p))
+    return np.degrees(np.arccos(np.minimum(cosang, 1.0)))
 
 
 def grid_half_width(R: float, h: float) -> float:
@@ -214,6 +209,38 @@ def check_spacing(R: float, h: float) -> None:
         raise ConstructionError(f"grid spacing h={h} must be below R/8={R / 8.0}")
 
 
+def _snapped_rows(spec: InterfaceSpec, imax: int, h: float) -> np.ndarray:
+    """Grid row of the interface node in each column -imax..imax."""
+    psi_cols, _, _ = spec.values(np.arange(-imax, imax + 1) * h)
+    return np.rint(psi_cols / h).astype(int)
+
+
+def check_interface(spec: InterfaceSpec, R: float, h: float) -> None:
+    """Raise ConstructionError unless a graph interface passes through the
+    origin, meets the outer circle at MIN_ANGLE_DEG or more on both sides,
+    and snaps to rows that step by at most one between adjacent columns
+    of the grid of spacing h. The straight interface always passes."""
+    if spec.kind != "graph":
+        return
+    p0, _, _ = spec.values(0.0)
+    if abs(float(p0)) > 1e-12:
+        raise ConstructionError(
+            f"interface graph must pass through the origin, psi(0)={float(p0):.3g}"
+        )
+    angle = float(_interface_angles(spec, R).min())
+    if angle < MIN_ANGLE_DEG:
+        raise ConstructionError(
+            f"interface meets the outer circle at {angle:.1f} deg, "
+            f"below the {MIN_ANGLE_DEG:.1f} deg transversality threshold"
+        )
+    jstar = _snapped_rows(spec, int(grid_half_width(R, h)), h)
+    if np.any(np.abs(np.diff(jstar)) > 1):
+        raise ConstructionError(
+            "interface too steep for the grid: snapped rows jump by more "
+            "than one between adjacent columns; refine h"
+        )
+
+
 def build_halfdisk(
     R: float,
     h: float,
@@ -223,19 +250,7 @@ def build_halfdisk(
     if interface is None:
         interface = InterfaceSpec.straight()
     check_spacing(R, h)
-
-    if interface.kind == "graph":
-        p0, _, _ = interface.values(0.0)
-        if abs(float(p0)) > 1e-12:
-            raise ConstructionError(
-                f"interface graph must pass through the origin, psi(0)={float(p0):.3g}"
-            )
-        angles = _interface_angles(interface, R)
-        if min(angles) < MIN_ANGLE_DEG:
-            raise ConstructionError(
-                f"interface meets the outer circle at {min(angles):.1f} deg, "
-                f"below the {MIN_ANGLE_DEG:.1f} deg transversality threshold"
-            )
+    check_interface(interface, R, h)
 
     imax = int(grid_half_width(R, h))
     rng_i = np.arange(-imax, imax + 1)
@@ -243,14 +258,7 @@ def build_halfdisk(
     XX, YY = II * h, JJ * h
     inside = XX * XX + YY * YY <= R * R * (1.0 + 1e-12)
 
-    psi_cols, _, _ = interface.values(rng_i * h)
-    jstar = np.rint(psi_cols / h).astype(int)
-    dj = np.abs(np.diff(jstar))
-    if np.any(dj > 1):
-        raise ConstructionError(
-            "interface too steep for the grid: snapped rows jump by more "
-            "than one between adjacent columns; refine h"
-        )
+    jstar = _snapped_rows(interface, imax, h)
 
     # Row-major masking of the indexing="ij" mesh: already (i, j) sorted.
     ii, jj = II[inside], JJ[inside]

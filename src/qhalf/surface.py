@@ -13,12 +13,7 @@ Density at a point of the image is measured the way it is defined:
 mass of the part of the surface inside a small ball, over pi r^2. The
 preimage of the ball is integrated by an adaptive quadtree per
 component, components being seeded at the cube roots of the first
-coordinate. A boundary injectivity scan certifies that the image of
-the boundary curve is embedded: uniform samples are hashed by
-position, nearby nonadjacent pairs are polished by local minimization,
-and the segment portion is covered by the strict monotonicity of
-Im z^3 = -y^3 along it (the image curve flattens at the origin, so a
-sampling scan alone could never resolve that pinch).
+coordinate.
 
 The image and the area element come from one fused evaluation of
 (g, g') per point, and the quadtree evaluates each cell centre once for
@@ -46,10 +41,7 @@ circle-circle overlap areas give the ratio sequence, converging to
 import numpy as np
 from dataclasses import dataclass
 
-from scipy.optimize import minimize
-from scipy.spatial import cKDTree
-
-from .holomorphic import branch_product, branch_product_and_prime, find_zeros_numeric
+from .holomorphic import branch_product, branch_product_and_prime
 
 
 def _image_and_area(z, alpha):
@@ -112,47 +104,6 @@ class BranchedSurface:
         top = _top_profile(x, self.tau, self.fillet, self.straight_x)
         return (x > 0.0) & (x < self.x_max) & (np.abs(y) < top)
 
-    def image(self, z):
-        return surface_image(z, self.alpha)
-
-    def _piece_lengths(self):
-        f, tau, x = self.fillet, self.tau, self.straight_x
-        cap = self.cap_radius
-        return np.array([2.0 * tau, 0.5 * np.pi * f, x - f,
-                         np.pi * cap, x - f, 0.5 * np.pi * f])
-
-    @property
-    def boundary_length(self) -> float:
-        return float(self._piece_lengths().sum())
-
-    def boundary_point(self, t):
-        """Arclength parametrization, counterclockwise from -tau i."""
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t) % self.boundary_length
-        cum = np.concatenate([[0.0], np.cumsum(self._piece_lengths())])
-        idx = np.clip(np.searchsorted(cum, t, side="right") - 1, 0, 5)
-        s = t - cum[idx]
-        f, tau, x = self.fillet, self.tau, self.straight_x
-        cap = self.cap_radius
-        z = np.empty(t.shape, dtype=complex)
-        m = idx == 0
-        z[m] = 1j * (s[m] - tau)
-        m = idx == 1
-        th = np.pi - s[m] / f
-        z[m] = f + f * np.cos(th) + 1j * (tau + f * np.sin(th))
-        m = idx == 2
-        z[m] = f + s[m] + 1j * cap
-        m = idx == 3
-        th = 0.5 * np.pi - s[m] / cap
-        z[m] = x + cap * np.cos(th) + 1j * cap * np.sin(th)
-        m = idx == 4
-        z[m] = x - s[m] - 1j * cap
-        m = idx == 5
-        th = -0.5 * np.pi - s[m] / f
-        z[m] = f + f * np.cos(th) + 1j * (-tau + f * np.sin(th))
-        return complex(z[0]) if scalar else z
-
 
 def build_surface(alpha: float = 0.5, tau: float = 1.2, fillet: float = 0.2,
                   straight_x: float = 1.6) -> BranchedSurface:
@@ -169,134 +120,6 @@ def build_surface(alpha: float = 0.5, tau: float = 1.2, fillet: float = 0.2,
         raise ValueError("straight_x must exceed the fillet radius")
     return BranchedSurface(alpha=alpha, tau=tau, fillet=fillet,
                            straight_x=straight_x)
-
-
-# ---------------------------------------------------------------------------
-# boundary curve scan
-
-
-@dataclass
-class DoublePointRecord:
-    n: int
-    image: np.ndarray
-    z_boundary: complex
-    z_interior: complex
-    rotation_error: float
-    image_error: float
-
-
-@dataclass
-class BoundaryScan:
-    t: np.ndarray
-    z: np.ndarray
-    points: np.ndarray
-    min_separation: float
-    separation_floor: float
-    near_pairs: list
-    collisions: list
-    segment_monotone: bool
-    injectivity_ok: bool
-    double_points: list
-
-
-def _double_point_records(surface, n):
-    ring = np.exp(n * np.pi)
-    if ring > surface.tau:
-        raise ValueError(f"ring modulus {ring:.3g} is off the segment")
-    zeros = find_zeros_numeric(0.6 * ring, 1.7 * ring, surface.alpha)
-    z_bot, z_m30, z_p30, z_top = zeros
-    rot = np.exp(2j * np.pi / 3)
-    recs = []
-    for z1, z2, w in ((z_bot, z_p30, rot), (z_top, z_m30, np.conj(rot))):
-        if abs(z1.real) > 1e-9:
-            raise ValueError("segment preimage drifted off the axis")
-        recs.append(DoublePointRecord(
-            n=n, image=surface.image(z1),
-            z_boundary=complex(z1), z_interior=complex(z2),
-            rotation_error=float(abs(z2 - w * z1)),
-            image_error=float(np.linalg.norm(surface.image(z1)
-                                             - surface.image(z2)))))
-    return recs
-
-
-def _refine_pair(surface, t0, s0):
-    length = surface.boundary_length
-
-    def gap(v):
-        a = surface.image(surface.boundary_point(v[0]))
-        b = surface.image(surface.boundary_point(v[1]))
-        return float(np.linalg.norm(a - b))
-
-    res = minimize(gap, [t0, s0], method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-16, "maxiter": 500})
-    ta, tb = float(res.x[0]) % length, float(res.x[1]) % length
-    dt = abs(ta - tb)
-    return float(res.fun), ta, tb, min(dt, length - dt)
-
-
-def boundary_curve(surface, samples: int = 12000, collision_tol: float = 1e-8,
-                   zero_rings=(0, -1)) -> BoundaryScan:
-    """Sample the image of the boundary and certify it is embedded.
-
-    Nonadjacent sample pairs closer than ten local spacings are
-    refined by minimizing the true image distance; a refined pair
-    closer than collision_tol is a reported collision. Pairs within
-    0.15 of arclength are skipped: off the segment the image speed is
-    bounded below, so short arcs cannot return, and segment-segment
-    pairs are certified at any distance by the strict monotonicity of
-    the first coordinate (that covers the flat pinch at the origin).
-    Ring zeros on the segment are certified as boundary touching
-    points of the surface: both preimages are located numerically and
-    the rotation relation between them is checked.
-    """
-    if samples < 10000:
-        raise ValueError("need at least 10^4 samples for the scan")
-    length = surface.boundary_length
-    t = (np.arange(samples) + 0.5) * (length / samples)
-    z = surface.boundary_point(t)
-    pts = surface.image(z)
-
-    on_seg = z.real == 0.0
-    first = pts[on_seg, 1]
-    segment_monotone = bool(np.all(np.diff(first) < 0.0))
-
-    spacing = np.linalg.norm(np.diff(pts, axis=0, append=pts[:1]), axis=1)
-    flag_r = 10.0 * float(spacing.max())
-    pairs = cKDTree(pts).query_pairs(flag_r, output_type="ndarray")
-    i, j = pairs[:, 0], pairs[:, 1]
-    dt = np.abs(t[i] - t[j])
-    dt = np.minimum(dt, length - dt)
-    keep = (dt > 0.15) & ~(on_seg[i] & on_seg[j])
-    pairs = pairs[keep]
-
-    # one representative pair per parameter-window cluster
-    best = {}
-    dist = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
-    for (a, b), d in zip(pairs, dist):
-        key = (round(t[a] / 0.1), round(t[b] / 0.1))
-        if key not in best or d < best[key][0]:
-            best[key] = (d, t[a], t[b])
-
-    near_pairs, collisions = [], []
-    for d0, ta, tb in best.values():
-        d, ra, rb, sep = _refine_pair(surface, ta, tb)
-        if sep <= 0.15:
-            continue  # slid together along the curve: not a distinct pair
-        near_pairs.append((ra, rb, d))
-        if d < collision_tol:
-            collisions.append((ra, rb, d))
-
-    min_sep = min((d for _, _, d in near_pairs), default=np.inf)
-    doubles = []
-    for n in zero_rings:
-        doubles.extend(_double_point_records(surface, n))
-    return BoundaryScan(t=t, z=z, points=pts,
-                        min_separation=float(min_sep),
-                        separation_floor=flag_r,
-                        near_pairs=near_pairs, collisions=collisions,
-                        segment_monotone=segment_monotone,
-                        injectivity_ok=segment_monotone and not collisions,
-                        double_points=doubles)
 
 
 # ---------------------------------------------------------------------------

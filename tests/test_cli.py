@@ -220,6 +220,24 @@ def test_module_entry_point():
     assert "collapse-refinement" in proc.stdout
 
 
+def test_runs_import_neither_scipy_optimize_nor_spatial(tmp_path):
+    # A fresh interpreter runs a zeros, a density and a graph-interface
+    # frequency preset (the last bisects the interface's crossing angles);
+    # the package needs scipy only for its sparse factorizations.
+    code = (
+        "import sys\n"
+        "from qhalf import cli\n"
+        "for name in ('zeros-three-rings', 'density-suite',"
+        " 'monotonicity-wavy'):\n"
+        "    assert cli.run(cli.load_preset(name), sys.argv[1]) == 0, name\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith(('scipy.optimize', 'scipy.spatial'))))\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("check", [{"type": "monotonicity"},
                                    {"type": "doubling"},
                                    {"type": "outer-identity"}])
@@ -298,6 +316,13 @@ def _without_target():
 def _with_solver(name, **fields):
     cfg = load_preset(name)
     cfg["solver"] = dict(cfg.get("solver", {}), **fields)
+    return cfg
+
+
+def _wavy_interface(amplitude, wavenumber):
+    cfg = load_preset("monotonicity-wavy")
+    cfg["domain"] = dict(cfg["domain"], h=1 / 32, interface={
+        "kind": "sine-wave", "amplitude": amplitude, "wavenumber": wavenumber})
     return cfg
 
 
@@ -435,6 +460,13 @@ GUARD_CASES = [
      "data.generator"),
     ("numeric-kappa", _with_field("monotonicity-wavy", "checks.0", "kappa", 0.5),
      "checks.0.kappa"),
+    # build_halfdisk would refuse both mid-pipeline (exit 1): the first
+    # meets the outer circle at 23.6 deg, the second snaps to rows that
+    # jump by more than one between columns at h = 1/32
+    ("interface-below-transversality", _wavy_interface(0.3, 30),
+     "domain.interface"),
+    ("interface-too-steep-for-grid", _wavy_interface(0.9, 3),
+     "domain.interface"),
     # ring n >= 4 matches its zeros only to 1.8e-10, n <= -5 cannot resolve
     # the winding: both would end in a failed check row (exit 1)
     ("zeros-ring-above-3", {"kind": "zeros", "rings": [4]}, "rings.0"),

@@ -13,6 +13,7 @@ from qhalf.domain import (
     ConstructionError,
     DistanceField,
     InterfaceSpec,
+    _interface_angles,
     build_distance_field,
     build_halfdisk,
 )
@@ -65,6 +66,40 @@ def test_steep_interface_guard():
             dpsi=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             d2psi=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         ))
+
+
+def test_transversality_guard():
+    # sin(30x) at amplitude 0.3 meets the outer circle at 23.6 deg
+    with pytest.raises(ConstructionError, match="23.6 deg"):
+        build_halfdisk(1.0, 1.0 / 32.0, InterfaceSpec.sine_wave(0.3, 30))
+
+
+def _brentq_angles(spec, R):
+    """Crossing angles from scipy's brentq on the same brackets."""
+    from scipy.optimize import brentq
+
+    def radius_gap(t):
+        p, _, _ = spec.values(t)
+        return t * t + float(p) ** 2 - R * R
+
+    angles = []
+    for lo, hi in ((1e-9, 1.5 * R), (-1.5 * R, -1e-9)):
+        t = brentq(radius_gap, lo, hi, xtol=1e-13)
+        p, dp, _ = spec.values(t)
+        tangent = np.array([1.0, float(dp)]) / np.hypot(1.0, float(dp))
+        circle = np.array([-float(p), t]) / np.hypot(t, float(p))
+        angles.append(np.degrees(np.arccos(min(abs(tangent @ circle), 1.0))))
+    return angles
+
+
+@pytest.mark.parametrize("spec", [
+    InterfaceSpec.sine_wave(0.05, 3), InterfaceSpec.sine_wave(0.3, 30),
+    InterfaceSpec.parabola(0.1), InterfaceSpec.parabola(2.0)],
+    ids=lambda spec: spec.label)
+def test_bisected_angles_match_brentq(spec):
+    for R in (1.0, 0.7):
+        np.testing.assert_allclose(_interface_angles(spec, R),
+                                   _brentq_angles(spec, R), rtol=0, atol=1e-9)
 
 
 def test_tags_partition_and_side_balance(straight_64):

@@ -6,7 +6,6 @@ import pytest
 from qhalf import holomorphic
 from qhalf.holomorphic import (
     ZeroMatchError,
-    branch_factor,
     branch_product,
     branch_product_and_prime,
     decay_constant,
@@ -15,7 +14,6 @@ from qhalf.holomorphic import (
     find_zeros_numeric,
     flat_profile,
     log_derivative,
-    predicted_zero_set,
     predicted_zeros_in_annulus,
     product_phase,
 )
@@ -32,6 +30,25 @@ G_AT_P = 0.019133197544892224165 + 0.0026486411817210529721j
 G_AT_Q = 1.0812780417187566868 - 0.16876933481255753907j
 H_AT_001 = 0.16533663615751249312 - 0.048926515675144086687j
 G_ALPHA07 = 0.076612317504163191773 - 0.085142018058007295138j
+
+
+def branch_factor(z, k, alpha=0.5):
+    """One factor exp(-z^{-alpha}) sin(Log z + i(3-2k)pi/6), principal
+    branch, extended by 0 at the origin: the reference the fused
+    product is checked against."""
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros(z.shape, dtype=complex)
+    nz = z != 0
+    zz = z[nz]
+    out[nz] = np.exp(-zz ** (-alpha)) * np.sin(
+        np.log(zz) + 1j * (3 - 2 * k) * np.pi / 6.0)
+    return out[()]
+
+
+def predicted_zero_set(k, n_range):
+    """Zeros e^{n pi + i(2k-3) pi/6} of factor k for n in n_range."""
+    n = np.asarray(list(n_range), dtype=float)
+    return np.exp(n * np.pi + 1j * (2 * k - 3) * np.pi / 6.0)
 
 
 def test_factor_values():
@@ -71,8 +88,9 @@ def test_conjugation_symmetry():
 def test_slit_plane_domain():
     with pytest.raises(ValueError):
         branch_product(-1.0)
-    with pytest.raises(ValueError):
-        branch_factor(np.array([0.3 + 0.1j, -0.2 + 0.0j]), 0)
+    for fn in (branch_product_and_prime, log_derivative, product_phase):
+        with pytest.raises(ValueError):
+            fn(np.array([0.3 + 0.1j, -0.2 + 0.0j]))
     # just off the slit is fine
     branch_product(-1.0 + 0.5j)
 
@@ -167,22 +185,54 @@ def test_phase_and_log_abs_below_underflow():
 
 
 def test_find_zeros_unit_ring():
-    zeros = find_zeros_numeric(0.5, 2.0)
+    zeros, paired = find_zeros_numeric(0.5, 2.0)
     expected = np.array([np.exp(-1j * np.pi / 2), np.exp(-1j * np.pi / 6),
                          np.exp(1j * np.pi / 6), np.exp(1j * np.pi / 2)])
     np.testing.assert_allclose(zeros, expected, atol=1e-12)
+    np.testing.assert_allclose(paired, expected, atol=1e-15)
 
 
 def test_find_zeros_three_rings():
-    zeros = find_zeros_numeric(0.02, 30.0)
+    zeros, paired = find_zeros_numeric(0.02, 30.0)
     assert zeros.size == 12
     moduli = np.sort(np.abs(zeros))
     expected = np.repeat([np.exp(-np.pi), 1.0, np.exp(np.pi)], 4)
     np.testing.assert_allclose(moduli, expected, rtol=1e-12)
+    # each zero is paired with its own closed-form zero, once
+    assert np.max(np.abs(zeros - paired)) <= 1e-10
+    assert np.unique(paired).size == 12
 
 
 def test_find_zeros_empty_annulus():
-    assert find_zeros_numeric(2.0, 10.0).size == 0
+    zeros, paired = find_zeros_numeric(2.0, 10.0)
+    assert zeros.size == paired.size == 0
+
+
+def test_zero_match_must_be_one_to_one(monkeypatch):
+    # Newton lands the two upper-half-plane cells on the conjugate zeros:
+    # every numeric zero sits on a closed-form zero, but two pairs share
+    # one, so the match is not a permutation.
+    polish = holomorphic._newton_polish
+
+    def onto_lower_half(z0, alpha):
+        z = polish(z0, alpha)
+        return z.conjugate() if z.imag > 0 else z
+
+    monkeypatch.setattr(holomorphic, "_newton_polish", onto_lower_half)
+    with pytest.raises(ZeroMatchError, match="share"):
+        find_zeros_numeric(0.5, 2.0)
+
+
+def test_zero_match_bounds_the_worst_pair(monkeypatch):
+    # one closed-form zero moved by 1e-6, far beyond match_tol
+    def shifted(r_lo, r_hi):
+        pts = predicted_zeros_in_annulus(r_lo, r_hi)
+        pts[1] += 1e-6
+        return pts
+
+    monkeypatch.setattr(holomorphic, "predicted_zeros_in_annulus", shifted)
+    with pytest.raises(ZeroMatchError, match="exceeds"):
+        find_zeros_numeric(0.5, 2.0)
 
 
 def test_zero_on_cell_boundary_is_rejected():

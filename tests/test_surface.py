@@ -1,20 +1,178 @@
-"""Branched surface, boundary embedding scan, and density probes."""
+"""Branched surface, boundary embedding certificate, and density probes."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import minimize
+from scipy.spatial import cKDTree
 
 from qhalf import surface as surface_mod
 from qhalf.cli import list_presets
+from qhalf.holomorphic import find_zeros_numeric
 from qhalf.surface import (_MIDS, _PROBES, BranchedSurface, _cut_fraction,
                            _gap_and_area, _leaf_mass, _meets_box, _member,
-                           _top_profile, area_density, boundary_curve,
-                           build_surface, density_at, surface_image,
-                           two_circles_density)
+                           _top_profile, area_density, build_surface,
+                           density_at, surface_image, two_circles_density)
 
 # value of the product at 0.7 + 0.2i, frozen from high-precision
 # evaluation (same point as in the holomorphic tests)
 G_AT_P = 0.019133197544892224165 + 0.0026486411817210529721j
+
+
+# ---------------------------------------------------------------------------
+# boundary embedding certificate
+#
+# The image of the boundary curve is embedded. Uniform samples in
+# arclength are paired by position, and nearby nonadjacent pairs are
+# polished by local minimization. The segment portion is covered by the
+# strict monotonicity of Im z^3 = -y^3 along it: the image curve
+# flattens at the origin, so a sampling scan alone could never resolve
+# that pinch. No preset runs this scan: a self-touching boundary would
+# show in the density ratios themselves, far from 1/2.
+
+
+def _piece_lengths(surf):
+    f, tau, x = surf.fillet, surf.tau, surf.straight_x
+    return np.array([2.0 * tau, 0.5 * np.pi * f, x - f,
+                     np.pi * surf.cap_radius, x - f, 0.5 * np.pi * f])
+
+
+def boundary_length(surf):
+    return float(_piece_lengths(surf).sum())
+
+
+def boundary_point(surf, t):
+    """Arclength parametrization, clockwise from -tau i (up the segment)."""
+    t = np.asarray(t, dtype=float)
+    scalar = t.ndim == 0
+    t = np.atleast_1d(t) % boundary_length(surf)
+    cum = np.concatenate([[0.0], np.cumsum(_piece_lengths(surf))])
+    idx = np.clip(np.searchsorted(cum, t, side="right") - 1, 0, 5)
+    s = t - cum[idx]
+    f, tau, x = surf.fillet, surf.tau, surf.straight_x
+    cap = surf.cap_radius
+    z = np.empty(t.shape, dtype=complex)
+    m = idx == 0
+    z[m] = 1j * (s[m] - tau)
+    m = idx == 1
+    th = np.pi - s[m] / f
+    z[m] = f + f * np.cos(th) + 1j * (tau + f * np.sin(th))
+    m = idx == 2
+    z[m] = f + s[m] + 1j * cap
+    m = idx == 3
+    th = 0.5 * np.pi - s[m] / cap
+    z[m] = x + cap * np.cos(th) + 1j * cap * np.sin(th)
+    m = idx == 4
+    z[m] = x - s[m] - 1j * cap
+    m = idx == 5
+    th = -0.5 * np.pi - s[m] / f
+    z[m] = f + f * np.cos(th) + 1j * (-tau + f * np.sin(th))
+    return complex(z[0]) if scalar else z
+
+
+@dataclass
+class DoublePointRecord:
+    n: int
+    image: np.ndarray
+    z_boundary: complex
+    z_interior: complex
+    rotation_error: float
+    image_error: float
+
+
+@dataclass
+class BoundaryScan:
+    t: np.ndarray
+    points: np.ndarray
+    near_pairs: list
+    collisions: list
+    segment_monotone: bool
+    double_points: list
+
+
+def _double_point_records(surf, n):
+    """The two touching points of ring n: both preimages located
+    numerically, and the rotation relation between them measured."""
+    ring = np.exp(n * np.pi)
+    zeros, _ = find_zeros_numeric(0.6 * ring, 1.7 * ring, surf.alpha)
+    z_bot, z_m30, z_p30, z_top = zeros
+    rot = np.exp(2j * np.pi / 3)
+    recs = []
+    for z1, z2, w in ((z_bot, z_p30, rot), (z_top, z_m30, np.conj(rot))):
+        img = surface_image(z1, surf.alpha)
+        recs.append(DoublePointRecord(
+            n=n, image=img, z_boundary=complex(z1), z_interior=complex(z2),
+            rotation_error=float(abs(z2 - w * z1)),
+            image_error=float(np.linalg.norm(
+                img - surface_image(z2, surf.alpha)))))
+    return recs
+
+
+def _refine_pair(surf, t0, s0):
+    length = boundary_length(surf)
+
+    def gap(v):
+        a, b = surface_image(boundary_point(surf, v), surf.alpha)
+        return float(np.linalg.norm(a - b))
+
+    res = minimize(gap, [t0, s0], method="Nelder-Mead",
+                   options={"xatol": 1e-12, "fatol": 1e-16, "maxiter": 500})
+    ta, tb = float(res.x[0]) % length, float(res.x[1]) % length
+    dt = abs(ta - tb)
+    return float(res.fun), ta, tb, min(dt, length - dt)
+
+
+def boundary_curve(surf, samples=12000, collision_tol=1e-8):
+    """Sample the image of the boundary and certify it is embedded.
+
+    Nonadjacent sample pairs closer than ten local spacings are refined
+    by minimizing the true image distance; a refined pair closer than
+    collision_tol is a collision. Pairs within 0.15 of arclength are
+    skipped: off the segment the image speed is bounded below, so short
+    arcs cannot return, and segment-segment pairs are certified at any
+    distance by the strict monotonicity of the first coordinate. The
+    zeros of rings 0 and -1 on the segment are certified as touching
+    points of the surface.
+    """
+    length = boundary_length(surf)
+    t = (np.arange(samples) + 0.5) * (length / samples)
+    z = boundary_point(surf, t)
+    pts = surface_image(z, surf.alpha)
+
+    on_seg = z.real == 0.0
+    segment_monotone = bool(np.all(np.diff(pts[on_seg, 1]) < 0.0))
+
+    spacing = np.linalg.norm(np.diff(pts, axis=0, append=pts[:1]), axis=1)
+    pairs = cKDTree(pts).query_pairs(10.0 * float(spacing.max()),
+                                     output_type="ndarray")
+    i, j = pairs[:, 0], pairs[:, 1]
+    dt = np.abs(t[i] - t[j])
+    dt = np.minimum(dt, length - dt)
+    pairs = pairs[(dt > 0.15) & ~(on_seg[i] & on_seg[j])]
+
+    # one representative pair per parameter-window cluster
+    best = {}
+    dist = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
+    for (a, b), d in zip(pairs, dist):
+        key = (round(t[a] / 0.1), round(t[b] / 0.1))
+        if key not in best or d < best[key][0]:
+            best[key] = (d, t[a], t[b])
+
+    near_pairs, collisions = [], []
+    for _, ta, tb in best.values():
+        d, ra, rb, sep = _refine_pair(surf, ta, tb)
+        if sep <= 0.15:
+            continue  # slid together along the curve: not a distinct pair
+        near_pairs.append((ra, rb, d))
+        if d < collision_tol:
+            collisions.append((ra, rb, d))
+    doubles = _double_point_records(surf, 0) + _double_point_records(surf, -1)
+    return BoundaryScan(t=t, points=pts, near_pairs=near_pairs,
+                        collisions=collisions,
+                        segment_monotone=segment_monotone,
+                        double_points=doubles)
 
 
 @pytest.fixture(scope="module")
@@ -50,23 +208,29 @@ def test_grid_inside_positive_density(surf):
 
 
 def test_boundary_point_geometry(surf):
-    length = surf.boundary_length
+    length = boundary_length(surf)
     f, tau, x = surf.fillet, surf.tau, surf.straight_x
     expected_length = 2 * tau + np.pi * f + 2 * (x - f) + np.pi * (tau + f)
     assert np.isclose(length, expected_length, rtol=1e-14)
-    assert np.isclose(surf.boundary_point(0.0), -1j * tau)
+    assert np.isclose(boundary_point(surf, 0.0), -1j * tau)
     # the origin lies on the segment at arclength tau
-    assert abs(surf.boundary_point(tau)) < 1e-14
+    assert abs(boundary_point(surf, tau)) < 1e-14
     # apex of the cap
     t_apex = 2 * tau + 0.5 * np.pi * f + (x - f) + 0.5 * np.pi * (tau + f)
-    assert np.isclose(surf.boundary_point(t_apex), surf.x_max, atol=1e-12)
+    assert np.isclose(boundary_point(surf, t_apex), surf.x_max, atol=1e-12)
     # closed curve, unit speed everywhere
-    assert np.isclose(surf.boundary_point(length), surf.boundary_point(0.0))
+    assert np.isclose(boundary_point(surf, length), boundary_point(surf, 0.0))
     t = np.linspace(0.1, length - 0.1, 400)
     dt = 1e-6
-    speed = np.abs(surf.boundary_point(t + dt)
-                   - surf.boundary_point(t - dt)) / (2 * dt)
+    speed = np.abs(boundary_point(surf, t + dt)
+                   - boundary_point(surf, t - dt)) / (2 * dt)
     assert np.allclose(speed, 1.0, atol=1e-5)
+    # the curve runs clockwise along the region's edge: a step to its
+    # right lands inside, a step to its left outside
+    z = boundary_point(surf, t)
+    right = -1j * (boundary_point(surf, t + dt) - z) / dt
+    assert np.all(surf.contains(z + 1e-7 * right))
+    assert not np.any(surf.contains(z - 1e-7 * right))
 
 
 def where_top_profile(x, tau, fillet, straight_x):
@@ -108,7 +272,7 @@ def test_contains_samples(surf):
 
 def test_image_and_area_element(surf):
     z0 = 0.7 + 0.2j
-    img = surf.image(z0)
+    img = surface_image(z0, surf.alpha)
     assert img.shape == (4,)
     assert np.allclose(img[:2], [0.259, 0.286], rtol=1e-12)
     assert np.allclose(img[2:], [G_AT_P.real, G_AT_P.imag], rtol=1e-12)
@@ -126,15 +290,9 @@ def test_boundary_scan_clean(scan):
     assert len(scan.t) >= 10000
     assert scan.segment_monotone
     assert scan.collisions == []
-    assert scan.injectivity_ok
     # any refined nonadjacent pair must stay far above collision scale
     for _, _, d in scan.near_pairs:
         assert d > 1e-4
-
-
-def test_boundary_scan_needs_enough_samples(surf):
-    with pytest.raises(ValueError):
-        boundary_curve(surf, samples=5000)
 
 
 def test_double_points_certified(surf, scan):
