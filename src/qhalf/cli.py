@@ -51,6 +51,7 @@ from .frequency import (
     scan_bounds,
 )
 from .holomorphic import (
+    MATCH_TOL,
     ZeroMatchError,
     derivative_decay_check,
     find_zeros_numeric,
@@ -66,7 +67,13 @@ from .solver import (
     minimize,
     sample_map,
 )
-from .surface import build_surface, density_at, surface_image, two_circles_density
+from .surface import (
+    QUADTREE_DEPTH,
+    build_surface,
+    density_at,
+    surface_image,
+    two_circles_density,
+)
 
 # Largest bounding grid build_halfdisk may allocate: R/h <= 511, four
 # times the finest shipped R/h of 128.
@@ -547,7 +554,6 @@ def _run_frequency(cfg):
 
 def _run_zeros(cfg):
     alpha = cfg.get("alpha", 0.5)
-    mtol = 1e-10
     # ring n is the 4:1 annulus around the zero circle |z| = e^{n pi}
     annuli = [{"r_lo": math.exp(n * math.pi) / 2.0,
                "r_hi": math.exp(n * math.pi) * 2.0}
@@ -558,21 +564,20 @@ def _run_zeros(cfg):
         r_lo, r_hi = ann["r_lo"], ann["r_hi"]
         name = f"zero-match-[{r_lo:.4g},{r_hi:.4g}]"
         try:
-            zeros, paired = find_zeros_numeric(r_lo, r_hi, alpha,
-                                               match_tol=mtol)
+            zeros, paired = find_zeros_numeric(r_lo, r_hi, alpha)
         except ZeroMatchError as exc:
             report["checks"].append(_check_row(
-                name, False, None, mtol,
+                name, False, None, MATCH_TOL,
                 count=len(predicted_zeros_in_annulus(r_lo, r_hi)),
                 detail=str(exc)))
             continue
         for z, p in zip(zeros, paired):
             ring = int(round(math.log(abs(z)) / math.pi))
             rows.append((ring, z.real, z.imag, p.real, p.imag))
-        # a pair farther apart than mtol would have raised
+        # a pair farther apart than MATCH_TOL would have raised
         worst = float(np.abs(zeros - paired).max(initial=0.0))
         report["checks"].append(_check_row(
-            name, True, worst, mtol, count=len(zeros)))
+            name, True, worst, MATCH_TOL, count=len(zeros)))
     report["summary"] = {"alpha": alpha, "annuli": annuli,
                          "zeros_found": len(rows)}
     header = ["ring", "re", "im", "re_predicted", "im_predicted"]
@@ -608,7 +613,6 @@ def _run_density(cfg):
     alpha = scfg.get("alpha", 0.5)
     surf = build_surface(alpha=alpha, tau=scfg.get("tau", 1.2),
                          fillet=scfg.get("fillet", 0.2))
-    depth = 8
     report = _base_report(cfg)
     series = {}
     for pt in cfg["points"]:
@@ -617,8 +621,7 @@ def _run_density(cfg):
             point = np.asarray(pt["coords"], dtype=float)
         else:
             point = surface_image(complex(pt["z"][0], pt["z"][1]), alpha)
-        rep = density_at(surf, point, np.asarray(pt["radii"], float),
-                         depth=depth)
+        rep = density_at(surf, point, np.asarray(pt["radii"], float))
         expect, tol = pt["expect"], pt["tol"]
         ok = abs(rep.extrapolated - expect) <= tol * expect
         extra = {"expected": expect}
@@ -636,12 +639,12 @@ def _run_density(cfg):
         worst = math.inf
         for z in tf["z_points"]:
             rep = density_at(surf, surface_image(complex(z[0], z[1]), alpha),
-                             radii, depth=depth)
+                             radii)
             worst = min(worst, rep.extrapolated)
         report["checks"].append(_check_row(
             "density-floor-on-boundary", worst >= floor, worst, floor,
             sampled=len(tf["z_points"])))
-    report["summary"] = {"alpha": alpha, "depth": depth}
+    report["summary"] = {"alpha": alpha, "depth": QUADTREE_DEPTH}
     return RunResult(report, series)
 
 

@@ -59,15 +59,14 @@ class InterfaceSpec:
     psi: Optional[Callable] = None
     dpsi: Optional[Callable] = None
     d2psi: Optional[Callable] = None
-    label: str = "straight"
 
     @staticmethod
     def straight() -> "InterfaceSpec":
         return InterfaceSpec(kind="straight")
 
     @staticmethod
-    def graph(psi, dpsi, d2psi, label="graph") -> "InterfaceSpec":
-        return InterfaceSpec(kind="graph", psi=psi, dpsi=dpsi, d2psi=d2psi, label=label)
+    def graph(psi, dpsi, d2psi) -> "InterfaceSpec":
+        return InterfaceSpec(kind="graph", psi=psi, dpsi=dpsi, d2psi=d2psi)
 
     @staticmethod
     def sine_wave(amplitude: float, wavenumber: float) -> "InterfaceSpec":
@@ -76,28 +75,6 @@ class InterfaceSpec:
             psi=lambda x: a * np.sin(k * x),
             dpsi=lambda x: a * k * np.cos(k * x),
             d2psi=lambda x: -a * k * k * np.sin(k * x),
-            label=f"sine({a},{k})",
-        )
-
-    @staticmethod
-    def parabola(coeff: float) -> "InterfaceSpec":
-        c = float(coeff)
-        return InterfaceSpec.graph(
-            psi=lambda x: c * x * x,
-            dpsi=lambda x: 2.0 * c * x,
-            d2psi=lambda x: 2.0 * c * np.ones_like(np.asarray(x, dtype=float)),
-            label=f"parabola({c})",
-        )
-
-    @staticmethod
-    def line(slope: float) -> "InterfaceSpec":
-        # Useful only for exercising the construction-time validation.
-        s = float(slope)
-        return InterfaceSpec.graph(
-            psi=lambda x: s * np.asarray(x, dtype=float),
-            dpsi=lambda x: s * np.ones_like(np.asarray(x, dtype=float)),
-            d2psi=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            label=f"line({s})",
         )
 
     def values(self, x):
@@ -171,9 +148,6 @@ class HalfDomain:
         ok = (a >= 0) & (a < g.shape[0]) & (b >= 0) & (b < g.shape[1])
         out = np.where(ok, g[np.where(ok, a, 0), np.where(ok, b, 0)], -1)
         return int(out) if out.ndim == 0 else out
-
-    def counts(self) -> dict:
-        return {TAG_NAMES[t]: int(np.sum(self.tag == t)) for t in TAG_NAMES}
 
 
 def _interface_angles(spec: InterfaceSpec, R: float) -> np.ndarray:
@@ -349,14 +323,16 @@ def _build_side(dom: HalfDomain, name: str, carrier_tags: set, interior_tag) -> 
 
 
 @dataclass
-class DistanceDefects:
-    quadratic: float     # sup |d - |x|| / |x|^2
-    gradient: float      # sup |grad d - x/|x|| / |x|
-    hessian: float       # sup |D2 d - (Id - rr^T)/|x||, measured where resolvable
-    tangency: float      # sup over interface samples of |grad d . normal|
+class DistanceField:
+    """The modified distance, its gradient, and the two mismatches from
+    the radial model that the frequency drift terms read (0 for d = |x|)."""
+
+    d: np.ndarray        # (N,)
+    grad: np.ndarray     # (N, 2)
     laplace_mismatch: float   # sup |lap d - |grad d|^2 / d|
     flow_mismatch: float      # sup |D(d grad d / |grad d|^2) - Id| / d
 
+    @property
     def monotonicity_constant(self) -> float:
         """Measured effective constant for the frequency drift terms.
 
@@ -366,17 +342,6 @@ class DistanceDefects:
         flow term in dimension two. Zero when d is exactly |x|.
         """
         return self.laplace_mismatch + 3.0 * self.flow_mismatch
-
-
-@dataclass
-class DistanceField:
-    d: np.ndarray        # (N,)
-    grad: np.ndarray     # (N, 2)
-    defects: DistanceDefects
-
-    @property
-    def monotonicity_constant(self) -> float:
-        return self.defects.monotonicity_constant()
 
 
 def _tube_coordinates(spec: InterfaceSpec, pts: np.ndarray):
@@ -421,7 +386,6 @@ def _graph_distance(spec: InterfaceSpec, pts: np.ndarray):
     T = np.column_stack((np.ones_like(dp), dp)) / w[:, None]
     Nrm = np.column_stack((-dp, np.ones_like(dp))) / w[:, None]
     safe = d > 0
-    grad = np.zeros_like(pts)
     coef_t = np.where(safe, sigma / np.where(safe, d, 1.0), 0.0) / mu
     coef_s = np.where(safe, s / np.where(safe, d, 1.0), 0.0)
     grad = coef_t[:, None] * T + coef_s[:, None] * Nrm
@@ -440,26 +404,15 @@ def _fd_jacobian(dom: HalfDomain, fld: np.ndarray):
     return out
 
 
-def _measure_defects(dom: HalfDomain, d: np.ndarray, grad: np.ndarray,
-                     spec: InterfaceSpec) -> DistanceDefects:
+def _mismatches(dom: HalfDomain, d: np.ndarray, grad: np.ndarray):
+    """DistanceField's two mismatches, from central differences at least
+    8 h from the origin, where the stencil is trustworthy."""
     r = np.hypot(dom.xy[:, 0], dom.xy[:, 1])
-    pos = r > 0
-    quad = float(np.max(np.abs(d[pos] - r[pos]) / r[pos] ** 2))
-    radial = dom.xy[pos] / r[pos, None]
-    gdef = float(np.max(np.linalg.norm(grad[pos] - radial, axis=1) / r[pos]))
-
-    # Second-derivative defects need a resolvable scale; measure away
-    # from the origin where the finite-difference stencil is trustworthy.
-    jac = _fd_jacobian(dom, grad)  # (N, 2, 2), d_col of grad rows
     far = r >= 8.0 * dom.h
-    stencil_ok = ~np.isnan(jac).any(axis=(1, 2))
-    sel = far & stencil_ok
+    jac = _fd_jacobian(dom, grad)  # (N, 2, 2), d_col of grad rows
+    sel = far & ~np.isnan(jac).any(axis=(1, 2))
     hess = np.transpose(jac[sel], (0, 2, 1))  # D2 d, rows grad comps
     hess = 0.5 * (hess + np.transpose(hess, (0, 2, 1)))
-    rr = dom.xy[sel] / r[sel, None]
-    model = (np.eye(2)[None] - rr[:, :, None] * rr[:, None, :]) / r[sel, None, None]
-    hdef = float(np.max(np.linalg.norm(hess - model, axis=(1, 2))))
-
     lap = hess[:, 0, 0] + hess[:, 1, 1]
     g2 = np.einsum("ij,ij->i", grad[sel], grad[sel])
     lap_mis = float(np.max(np.abs(lap - g2 / d[sel])))
@@ -470,42 +423,18 @@ def _measure_defects(dom: HalfDomain, d: np.ndarray, grad: np.ndarray,
     selY = far & ~np.isnan(jacY).any(axis=(1, 2))
     DY = np.transpose(jacY[selY], (0, 2, 1))
     flow_mis = float(np.max(np.linalg.norm(DY - np.eye(2)[None], axis=(1, 2)) / d[selY]))
-
-    # Tangency along the true curve, sampled at grid resolution.
-    tmax = dom.R
-    ts = np.arange(dom.h, tmax, dom.h)
-    ts = np.concatenate((-ts[::-1], ts))
-    p, dp, _ = spec.values(ts)
-    keep = ts * ts + p * p <= (dom.R * 0.999) ** 2
-    pts = np.column_stack((ts[keep], p[keep]))
-    if spec.kind == "straight":
-        tang = 0.0
-    else:
-        _, gcurve = _graph_distance(spec, pts)
-        wv = np.hypot(1.0, dp[keep])
-        normal = np.column_stack((-dp[keep], np.ones_like(dp[keep]))) / wv[:, None]
-        tang = float(np.max(np.abs(np.einsum("ij,ij->i", gcurve, normal))))
-
-    return DistanceDefects(
-        quadratic=quad,
-        gradient=gdef,
-        hessian=hdef,
-        tangency=tang,
-        laplace_mismatch=lap_mis,
-        flow_mismatch=flow_mis,
-    )
+    return lap_mis, flow_mis
 
 
 def build_distance_field(dom: HalfDomain) -> DistanceField:
-    """Modified distance adapted to the interface, with measured defects."""
+    """Modified distance adapted to the interface, with measured mismatches."""
     if dom.interface.kind == "straight":
         d = np.hypot(dom.xy[:, 0], dom.xy[:, 1])
         grad = np.zeros_like(dom.xy)
         pos = d > 0
         grad[pos] = dom.xy[pos] / d[pos, None]
-        defects = DistanceDefects(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        return DistanceField(d=d, grad=grad, defects=defects)
+        return DistanceField(d=d, grad=grad, laplace_mismatch=0.0,
+                             flow_mismatch=0.0)
 
     d, grad = _graph_distance(dom.interface, dom.xy)
-    defects = _measure_defects(dom, d, grad, dom.interface)
-    return DistanceField(d=d, grad=grad, defects=defects)
+    return DistanceField(d, grad, *_mismatches(dom, d, grad))

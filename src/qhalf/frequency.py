@@ -16,10 +16,10 @@ which both sides share). Each node's cutoff weight is averaged over the
 d-range the cell spans, so H and D are differentiable in r and the
 finite-difference identity checks are meaningful. The Cauchy-Schwarz
 inequality E^2 <= H * Gq holds exactly at the quadrature level because
-all three sums share the same nodal weights. annulus_sums returns the four
-sums at one radius; frequency_scan evaluates them on a radii ladder.
+all three sums share the same nodal weights. frequency_scan evaluates the
+four sums on a radii ladder.
 
-Both keep per field what does not depend on r: the matched Jacobian
+It keeps per field what does not depend on r: the matched Jacobian
 terms, the cell areas and each cell's d-range a = max(d - delta, 0),
 b = d + delta. A radius costs one comparison per node plus the cutoff
 weights of its ring a < r < 2b: a cell with b <= r/2 has a fixed D term
@@ -66,17 +66,11 @@ class FrequencyScan:
     E: np.ndarray
     Gq: np.ndarray
     I: np.ndarray
-    csq_residual: np.ndarray     # positive part of (E^2 - H Gq) / (H Gq)
     outer_residual: np.ndarray   # |D - E| / D
     reliable: np.ndarray
     h: float
     c_mono: float
     i0: float
-
-
-def cutoff(t):
-    t = np.asarray(t, dtype=float)
-    return np.clip(2.0 * (1.0 - t), 0.0, 1.0)
 
 
 def cutoff_antiderivative(s, r):
@@ -184,22 +178,9 @@ class _Quad:
         return D, H, E, Gq, int(j.size)
 
 
-def _as_quads(u, dist: DistanceField):
-    return [_Quad(f, dist) for f in u.fields()]
-
-
 def _eval(quads, r):
     """(D, H, E, Gq, annulus nodes) summed over the fields, in field order."""
     return tuple(sum(col) for col in zip(*(q.at(r) for q in quads)))
-
-
-def annulus_sums(u, dist: DistanceField, r: float):
-    """(D, H, E, Gq) of a QHalfMap or GridField at radius r."""
-    D, H, E, Gq, count = _eval(_as_quads(u, dist), r)
-    if count == 0:
-        raise ResolutionError(
-            f"annulus [{r / 2}, {r}] contains no grid nodes")
-    return D, H, E, Gq
 
 
 def scan_bounds(R: float, h: float, r_min: Optional[float] = None,
@@ -222,7 +203,7 @@ def frequency_scan(u, dist: DistanceField, *, r_min: Optional[float] = None,
     ResolutionError. i0 is the mean of I over the smallest reliable
     half-decade of radii.
     """
-    quads = _as_quads(u, dist)
+    quads = [_Quad(f, dist) for f in u.fields()]
     h = quads[0].h
     r_min, r_max = scan_bounds(u.domain.R, h, r_min, r_max)
     if r_max <= r_min:
@@ -246,8 +227,6 @@ def frequency_scan(u, dist: DistanceField, *, r_min: Optional[float] = None,
     arr = np.array(rows)
     r, D, H, E, Gq = arr.T
     I = r * D / H
-    hg = H * Gq
-    csq = np.where(hg > 0, np.maximum(E**2 - hg, 0.0) / np.where(hg > 0, hg, 1.0), 0.0)
     outer = np.abs(D - E) / np.maximum(D, 1e-300)
     reliable = r >= 2 * MIN_RADIAL_CELLS * h * (1 - 1e-12)
     if not reliable.any():
@@ -258,7 +237,7 @@ def frequency_scan(u, dist: DistanceField, *, r_min: Optional[float] = None,
     i0 = float(I[sel].mean())
 
     c_mono = dist.monotonicity_constant
-    return FrequencyScan(r=r, D=D, H=H, E=E, Gq=Gq, I=I, csq_residual=csq,
+    return FrequencyScan(r=r, D=D, H=H, E=E, Gq=Gq, I=I,
                          outer_residual=outer, reliable=reliable, h=h,
                          c_mono=c_mono, i0=i0)
 

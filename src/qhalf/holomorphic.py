@@ -38,6 +38,8 @@ from typing import Optional
 
 _K_PHASES = tuple((3 - 2 * k) * np.pi / 6.0 for k in range(4))
 
+MATCH_TOL = 1e-10  # farthest a numeric zero may lie from its closed form
+
 
 class ZeroMatchError(RuntimeError):
     """Numeric zero search disagrees with the closed-form prediction."""
@@ -181,20 +183,19 @@ def _newton_polish(z0, alpha, steps=60):
     raise ZeroMatchError(f"Newton did not converge from {z0}")
 
 
-def find_zeros_numeric(r_lo: float, r_hi: float, alpha: float = 0.5,
-                       match_tol: float = 1e-10):
+def find_zeros_numeric(r_lo: float, r_hi: float, alpha: float = 0.5):
     """Locate the product's zeros in an annulus and certify the formula.
 
     Sector-annulus cells covering moduli [r_lo, r_hi] and angles just
     past [-pi/2, pi/2] are scanned by winding count; each zero is
     positioned by the boundary moment and polished by Newton. Each
     numeric zero is paired with its nearest closed-form zero; the
-    pairing must be one-to-one and every pair within match_tol, else
+    pairing must be one-to-one and every pair within MATCH_TOL, else
     ZeroMatchError (a missed, spurious, or displaced zero). The closed
-    form's zeros lie far more than 2 match_tol apart, so this is the
-    only one-to-one matching within match_tol. Returns the numeric
-    zeros sorted by modulus then angle, and the closed-form zero paired
-    with each.
+    form's zeros lie far more than 2 MATCH_TOL apart, so this is the
+    only one-to-one matching within MATCH_TOL. Returns the numeric
+    zeros sorted by ring n (the nearest integer to log|z| / pi), then by
+    angle within the ring, and the closed-form zero paired with each.
     """
     if not 0 < r_lo < r_hi:
         raise ValueError("need 0 < r_lo < r_hi")
@@ -243,10 +244,12 @@ def find_zeros_numeric(r_lo: float, r_hi: float, alpha: float = 0.5,
         raise ZeroMatchError("two numeric zeros share their nearest "
                              "closed-form zero")
     worst = float(dist[np.arange(len(found)), nearest].max())
-    if worst > match_tol:
+    if worst > MATCH_TOL:
         raise ZeroMatchError(
-            f"zero matching distance {worst:.3e} exceeds {match_tol}")
-    order = np.lexsort((np.angle(found), np.abs(found)))
+            f"zero matching distance {worst:.3e} exceeds {MATCH_TOL}")
+    # a ring's zeros share |z| up to rounding: sort by ring index first
+    order = np.lexsort((np.angle(found),
+                        np.rint(np.log(np.abs(found)) / np.pi)))
     return found[order], predicted[nearest[order]]
 
 
@@ -296,17 +299,16 @@ def fd_weights(x, x0, m: int) -> np.ndarray:
 
 @dataclass
 class DecayReport:
-    order: int
-    alpha: float
+    """What derivative_decay_check measured; envelope_ok is None past
+    order 0, and the caller judges the fitted exponent."""
+
     s: np.ndarray
     magnitude: np.ndarray
     crossover: float
     tail_monotone: bool
     envelope_ok: Optional[bool]
-    underflow_zeros: int
     fitted_exponent: float
     expected_exponent: float
-    exponent_ok: bool
 
 
 def _turnaround_u(order: int, alpha: float) -> float:
@@ -406,8 +408,7 @@ def _fit_decay_exponent(xs, ys):
     return float(_TRIAL_BETAS[k]) if res[k] < np.inf else float("nan")
 
 
-def derivative_decay_check(order: int, alpha: float = 0.5,
-                           s_grid=None) -> DecayReport:
+def derivative_decay_check(order: int, alpha: float = 0.5) -> DecayReport:
     """Measure the decay of |h^{(order)}| toward s = 0.
 
     Derivatives are finite differences on five-point stencils of the
@@ -416,21 +417,13 @@ def derivative_decay_check(order: int, alpha: float = 0.5,
     actually decays, the order-0 envelope bound with the 0.5 slack
     constant, and a stretched-exponential fit of the decay exponent
     -log|h^(order)| ~ A + B log s + C s^{-beta} against the expected
-    beta = alpha/3. Magnitudes that underflow count as exact zeros.
+    beta = alpha/3 (NaN when no trial fits).
     """
     if not 0 <= order <= 4:
         raise ValueError("order must be in 0..4")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    if s_grid is None:
-        if order == 0:
-            s = np.geomspace(1e-2, 1e-4, 49)
-        else:
-            s = _span_grid(order, alpha)
-    else:
-        s = np.asarray(s_grid, dtype=float)
-        if np.any(np.diff(s) >= 0):
-            raise ValueError("s_grid must decrease toward 0")
+    s = np.geomspace(1e-2, 1e-4, 49) if order == 0 else _span_grid(order, alpha)
 
     def magnitudes(grid):
         h = flat_profile(grid, alpha)
@@ -446,7 +439,6 @@ def derivative_decay_check(order: int, alpha: float = 0.5,
         return vals, grid[half:-half]
 
     mag, s_eval = magnitudes(s)
-    underflow = int(np.sum(mag == 0.0))
 
     # longest monotone (nonincreasing) run ending at the smallest s
     c = len(mag) - 1
@@ -472,11 +464,7 @@ def derivative_decay_check(order: int, alpha: float = 0.5,
     fitted = float("nan")
     if np.sum(keep) >= 8:
         fitted = _fit_decay_exponent(fit_nodes[keep], -np.log(fit_mag[keep]))
-    exponent_ok = bool(np.isfinite(fitted)
-                       and abs(fitted - expected) <= 0.2 * expected)
-
-    return DecayReport(order=order, alpha=alpha, s=s_eval, magnitude=mag,
-                       crossover=crossover, tail_monotone=bool(tail_monotone),
-                       envelope_ok=envelope_ok, underflow_zeros=underflow,
-                       fitted_exponent=fitted, expected_exponent=expected,
-                       exponent_ok=exponent_ok)
+    return DecayReport(s=s_eval, magnitude=mag, crossover=crossover,
+                       tail_monotone=bool(tail_monotone),
+                       envelope_ok=envelope_ok, fitted_exponent=fitted,
+                       expected_exponent=expected)

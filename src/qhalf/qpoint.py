@@ -5,9 +5,10 @@ Q-points is the smallest root-sum-square pairing cost over all ways of
 matching the sheets of one onto the sheets of the other.
 
 One matching kernel, batch_match_values / batch_match_cost2, serves every
-caller: a rank sort for scalar sheets (1-D optimal transport is the
-monotone rearrangement), a permutation table otherwise. The Q!
-enumeration in g_distance_bruteforce is the oracle it is tested against.
+caller: a rank sort for scalar sheets with Q >= 3 (1-D optimal transport
+is the monotone rearrangement), a permutation table otherwise, which
+includes scalar Q = 2, where the table is faster. The Q! enumeration in
+g_distance_bruteforce is the oracle it is tested against.
 """
 
 from __future__ import annotations

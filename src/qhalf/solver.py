@@ -97,7 +97,6 @@ class SolveInfo:
     converged: bool
     sweeps: int
     energy: float
-    initial_energy: float
     max_update: float
     stop_reason: str
     energy_trace: list = field(default_factory=list)
@@ -447,9 +446,8 @@ def minimize(dom: HalfDomain, data: DataSpec, *, init: str = "harmonic",
     Vm.sort(axis=1)
     state = _RankedState((dom.plus, dom.minus), (Vp, Vm), suggested_omega(dom))
 
-    e0 = state.energy()
-    e_prev = e0
-    trace = [e0]
+    e_prev = state.energy()
+    trace = [e_prev]
     converged = False
     sweeps = 0
     max_update = np.inf
@@ -470,7 +468,7 @@ def minimize(dom: HalfDomain, data: DataSpec, *, init: str = "harmonic",
     state.unpack()
     u = QHalfMap(dom, data.Q, 1, Vp, Vm, phi)
     info = SolveInfo(converged=converged, sweeps=sweeps, energy=e_prev,
-                     initial_energy=e0, max_update=max_update,
+                     max_update=max_update,
                      stop_reason="update_stop" if converged else "max_sweeps",
                      energy_trace=trace)
     return u, info
@@ -478,7 +476,6 @@ def minimize(dom: HalfDomain, data: DataSpec, *, init: str = "harmonic",
 
 @dataclass
 class CollapseReport:
-    mean_field: np.ndarray      # (N_global, n) glued sheet means
     sheet_spread: float
     harmonic_defect: float
     odd_defect: Optional[float]
@@ -537,8 +534,8 @@ def collapse_decompose(u: QHalfMap, info: SolveInfo) -> CollapseReport:
         pair_sum = mean[upper[ok]] + mean[mirror[ok]]
         odd = float(np.abs(pair_sum).max()) if pair_sum.size else 0.0
 
-    return CollapseReport(mean_field=mean, sheet_spread=max(sp_p, sp_m),
-                          harmonic_defect=res, odd_defect=odd)
+    return CollapseReport(sheet_spread=max(sp_p, sp_m), harmonic_defect=res,
+                          odd_defect=odd)
 
 
 @dataclass
@@ -547,7 +544,6 @@ class InterpolationReport:
     collar_energy_f: float
     collar_energy_g: float
     collar_distance_sq: float
-    lam: float
     fitted_constant: float
 
 
@@ -624,5 +620,5 @@ def interpolate_annulus(f: QHalfMap, g: QHalfMap, lam: float):
     fitted = band_e / rhs if rhs > 0 else 0.0
     report = InterpolationReport(band_energy=band_e, collar_energy_f=ef,
                                  collar_energy_g=eg, collar_distance_sq=dist2,
-                                 lam=lam, fitted_constant=fitted)
+                                 fitted_constant=fitted)
     return out, report

@@ -43,6 +43,9 @@ from dataclasses import dataclass
 
 from .holomorphic import branch_product, branch_product_and_prime
 
+# Subdivision levels of the density quadtree before the leaf rule.
+QUADTREE_DEPTH = 8
+
 
 def _image_and_area(z, alpha):
     """Image rows and area element from one fused evaluation of (g, g')."""
@@ -128,7 +131,6 @@ def build_surface(alpha: float = 0.5, tau: float = 1.2, fillet: float = 0.2,
 
 @dataclass
 class DensityReport:
-    point: np.ndarray
     radii: np.ndarray
     ratios: np.ndarray
     extrapolated: float
@@ -204,7 +206,7 @@ def _meets_box(surface, cz, hw):
     return cz[keep], hw[keep]
 
 
-def _quadtree_mass(surface, center, w, p, r, depth):
+def _quadtree_mass(surface, center, w, p, r):
     # Start from cells no larger than the preimage blob (radius about
     # r over the root of the area element), so a component strictly
     # inside the box cannot slip between the probes of a single cell.
@@ -215,7 +217,7 @@ def _quadtree_mass(surface, center, w, p, r, depth):
     hw = np.full(cz.size, w / side)
     cz, hw = _meets_box(surface, cz, hw)
     mass = 0.0
-    for _ in range(depth):
+    for _ in range(QUADTREE_DEPTH):
         # the slit, where the product is undefined, gets an infinite gap
         gap, dens = _gap_and_area(surface, cz, p,
                                   (cz.real > 0.0) | (cz.imag != 0.0))
@@ -297,7 +299,7 @@ def _leaf_mass(surface, cz, hw, p, r):
     return mass + float((J.mean(axis=1) * (2.0 * hw[cross]) ** 2).sum())
 
 
-def _component_mass(surface, seed, p, r, depth):
+def _component_mass(surface, seed, p, r):
     j0 = area_density(seed, surface.alpha)
     w = 4.0 * r / np.sqrt(j0) if j0 > 1e-12 else 2.0 * r ** (1.0 / 3.0)
     s = np.linspace(-1.0, 1.0, 17)
@@ -308,10 +310,10 @@ def _component_mass(surface, seed, p, r, depth):
         w *= 1.6
     else:
         raise ValueError("ball preimage keeps escaping its bounding box")
-    return _quadtree_mass(surface, seed, w, p, r, depth)
+    return _quadtree_mass(surface, seed, w, p, r)
 
 
-def density_at(surface, point, radii, depth: int = 8) -> DensityReport:
+def density_at(surface, point, radii) -> DensityReport:
     """Mass ratio mass(B_r)/(pi r^2) per radius with an r -> 0 limit.
 
     The limit estimate is the intercept of a linear fit in r, since
@@ -337,14 +339,13 @@ def density_at(surface, point, radii, depth: int = 8) -> DensityReport:
                              "image of the branch point")
     ratios = np.empty(radii.shape)
     for k, r in enumerate(radii):
-        mass = sum(_component_mass(surface, s, p, float(r), depth)
-                   for s in seeds)
+        mass = sum(_component_mass(surface, s, p, float(r)) for s in seeds)
         ratios[k] = mass / (np.pi * r * r)
     if radii.size >= 2:
         extrap = float(np.polyfit(radii, ratios, 1)[1])
     else:
         extrap = float(ratios[0])
-    return DensityReport(point=p, radii=radii, ratios=ratios,
+    return DensityReport(radii=radii, ratios=ratios,
                          extrapolated=extrap, seeds=np.array(seeds))
 
 

@@ -9,11 +9,9 @@ from qhalf.domain import (INTERFACE, InterfaceSpec, build_halfdisk,
                           build_distance_field)
 from qhalf.frequency import (
     ResolutionError,
-    annulus_sums,
     check_doubling_bounds,
     check_monotonicity,
     check_outer_identity,
-    cutoff,
     cutoff_antiderivative,
     frequency_scan,
     homogeneity_defect,
@@ -52,12 +50,35 @@ def unpinned_map(dom, data):
                     np.asarray(minus, float), np.asarray(phi, float))
 
 
+def cutoff(t):
+    """The Lipschitz cutoff of the module docstring: 1 on [0, 1/2], linear
+    down to 0 on [1/2, 1], 0 beyond."""
+    return np.clip(2.0 * (1.0 - np.asarray(t, dtype=float)), 0.0, 1.0)
+
+
+def annulus_sums(u, dist, r):
+    """(D, H, E, Gq) of a QHalfMap or GridField at one radius, from the
+    scan's quadrature; an annulus with no grid node raises."""
+    quads = [frequency._Quad(f, dist) for f in u.fields()]
+    D, H, E, Gq, count = frequency._eval(quads, r)
+    if count == 0:
+        raise ResolutionError(f"annulus [{r / 2}, {r}] contains no grid nodes")
+    return D, H, E, Gq
+
+
 def test_cutoff_shape():
     assert cutoff(0.0) == 1.0
     assert cutoff(0.49) == 1.0
     assert cutoff(0.75) == pytest.approx(0.5)
     assert cutoff(1.0) == 0.0
     assert cutoff(2.0) == 0.0
+    # the scan's closed-form weights integrate this cutoff
+    r = 0.8
+    for s in (0.0, 0.3, 0.4, 0.55, 0.7, 0.8, 1.3):
+        ref, _ = integrate.quad(lambda t: cutoff(t / r), 0.0, s,
+                                points=[r / 2, r])
+        assert cutoff_antiderivative(np.array([s]), r)[0] == pytest.approx(
+            ref, rel=1e-12, abs=1e-14)
 
 
 def test_constant_map_zero_quantities(dom64, dist64):
@@ -138,7 +159,10 @@ def test_cauchy_schwarz_random_map(dom64, dist64):
                 for k in range(4)] for _ in range(2)]]
     u = unpinned_map(dom64, data_maps.custom_coefficients(coeffs))
     scan = frequency_scan(u, dist64)
-    assert scan.csq_residual.max() <= 1e-9
+    # positive part of (E^2 - H Gq) / (H Gq)
+    hg = scan.H * scan.Gq
+    assert np.all(hg > 0)
+    assert (np.maximum(scan.E**2 - hg, 0.0) / hg).max() <= 1e-9
 
 
 def test_sheet_storage_permutation_invariance(dom64, dist64):
@@ -335,8 +359,8 @@ def test_scan_is_bit_equal_to_the_reference_quadrature(dom64, monkeypatch):
     monkeypatch.setattr(frequency, "_Quad", _ReferenceQuad)
     for label, u, dist in fields:
         want = frequency_scan(u, dist)
-        for name in ("r", "D", "H", "E", "Gq", "I", "csq_residual",
-                     "outer_residual", "reliable"):
+        for name in ("r", "D", "H", "E", "Gq", "I", "outer_residual",
+                     "reliable"):
             assert np.array_equal(getattr(got[label], name),
                                   getattr(want, name)), (label, name)
         assert got[label].i0 == want.i0, label

@@ -203,6 +203,24 @@ def test_find_zeros_three_rings():
     assert np.unique(paired).size == 12
 
 
+def test_zeros_come_ring_by_ring_in_increasing_angle():
+    # The four zeros of a ring share one modulus, so |z| alone leaves
+    # their order to rounding: rings ascend, then angles inside a ring.
+    # The zeros runner scans each ring n in -4..3 on its own 4:1 annulus.
+    for n in range(-4, 4):
+        ring = np.exp(n * np.pi)
+        zeros, _ = find_zeros_numeric(ring / 2.0, 2.0 * ring)
+        np.testing.assert_allclose(np.degrees(np.angle(zeros)),
+                                   [-90.0, -30.0, 30.0, 90.0], rtol=0,
+                                   atol=1e-9, err_msg=f"ring {n}")
+    zeros, _ = find_zeros_numeric(0.02, 30.0)
+    assert np.rint(np.log(np.abs(zeros)) / np.pi).tolist() == (
+        [-1.0] * 4 + [0.0] * 4 + [1.0] * 4)
+    np.testing.assert_allclose(np.degrees(np.angle(zeros)).reshape(3, 4),
+                               np.tile([-90.0, -30.0, 30.0, 90.0], (3, 1)),
+                               rtol=0, atol=1e-9)
+
+
 def test_find_zeros_empty_annulus():
     zeros, paired = find_zeros_numeric(2.0, 10.0)
     assert zeros.size == paired.size == 0
@@ -224,7 +242,7 @@ def test_zero_match_must_be_one_to_one(monkeypatch):
 
 
 def test_zero_match_bounds_the_worst_pair(monkeypatch):
-    # one closed-form zero moved by 1e-6, far beyond match_tol
+    # one closed-form zero moved by 1e-6, far beyond MATCH_TOL
     def shifted(r_lo, r_hi):
         pts = predicted_zeros_in_annulus(r_lo, r_hi)
         pts[1] += 1e-6
@@ -350,12 +368,19 @@ def test_batched_decay_fit_picks_the_loops_exponent(monkeypatch):
     assert all(np.isfinite(batched))
 
 
+def exponent_within(rep, rtol=0.2):
+    """The fitted decay exponent within rtol of the expected alpha / 3."""
+    fitted, expected = rep.fitted_exponent, rep.expected_exponent
+    return np.isfinite(fitted) and abs(fitted - expected) <= rtol * expected
+
+
 def test_decay_reports_default_windows():
     for order in range(5):
         rep = derivative_decay_check(order)
         assert rep.tail_monotone
-        assert rep.underflow_zeros == 0
-        assert rep.exponent_ok
+        # no magnitude on the default windows underflows to zero
+        assert np.all(rep.magnitude > 0.0)
+        assert exponent_within(rep)
         assert rep.expected_exponent == pytest.approx(1.0 / 6.0)
         if order == 0:
             assert rep.envelope_ok
@@ -369,14 +394,8 @@ def test_decay_other_alphas():
     for alpha in (0.4, 0.7):
         rep = derivative_decay_check(4, alpha=alpha)
         assert rep.expected_exponent == pytest.approx(alpha / 3.0)
-        assert rep.exponent_ok
+        assert exponent_within(rep)
         assert rep.tail_monotone
-
-
-def test_decay_deep_grid_underflows_to_zero():
-    rep = derivative_decay_check(0, s_grid=np.geomspace(1e-2, 1e-20, 40))
-    assert rep.underflow_zeros >= 1
-    assert np.all(rep.magnitude >= 0.0)
 
 
 def test_decay_validation():
@@ -384,5 +403,3 @@ def test_decay_validation():
         derivative_decay_check(5)
     with pytest.raises(ValueError):
         derivative_decay_check(1, alpha=1.0)
-    with pytest.raises(ValueError):
-        derivative_decay_check(1, s_grid=np.geomspace(1e-4, 1e-2, 20))

@@ -11,10 +11,11 @@ from scipy.spatial import cKDTree
 from qhalf import surface as surface_mod
 from qhalf.cli import list_presets
 from qhalf.holomorphic import find_zeros_numeric
-from qhalf.surface import (_MIDS, _PROBES, BranchedSurface, _cut_fraction,
-                           _gap_and_area, _leaf_mass, _meets_box, _member,
-                           _top_profile, area_density, build_surface,
-                           density_at, surface_image, two_circles_density)
+from qhalf.surface import (_MIDS, _PROBES, QUADTREE_DEPTH, BranchedSurface,
+                           _cut_fraction, _gap_and_area, _leaf_mass,
+                           _meets_box, _member, _top_profile, area_density,
+                           build_surface, density_at, surface_image,
+                           two_circles_density)
 
 # value of the product at 0.7 + 0.2i, frozen from high-precision
 # evaluation (same point as in the holomorphic tests)
@@ -394,7 +395,7 @@ def test_branch_point_density_between_wraps(surf):
     assert np.all(rep.ratios < 3.1)
 
 
-def unpruned_quadtree_mass(surface, center, w, p, r, depth):
+def unpruned_quadtree_mass(surface, center, w, p, r):
     """The quadtree without the bounding-box test: every cell, inside
     the region's box or not, is probed, split and handed to the leaf
     rule."""
@@ -404,7 +405,7 @@ def unpruned_quadtree_mass(surface, center, w, p, r, depth):
     cz = (center + w * (g[:, None] + 1j * g[None, :])).ravel()
     hw = np.full(cz.size, w / side)
     mass = 0.0
-    for _ in range(depth):
+    for _ in range(QUADTREE_DEPTH):
         gap, dens = _gap_and_area(surface, cz, p,
                                   (cz.real > 0.0) | (cz.imag != 0.0))
         probes = cz[:, None] + hw[:, None] * _PROBES[None, :]
@@ -457,7 +458,7 @@ def test_box_prune_skips_cells_outside_the_region(surf, monkeypatch):
         return contains(self, z)
 
     monkeypatch.setattr(BranchedSurface, "contains", counting)
-    rep = density_at(surf, surface_image(0.75j), np.array([0.05]), depth=8)
+    rep = density_at(surf, surface_image(0.75j), np.array([0.05]))
     assert sum(calls) < 100_000
     assert rep.ratios[0] == pytest.approx(0.49092640291453493, rel=1e-12)
 
