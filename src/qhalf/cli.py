@@ -554,13 +554,14 @@ def _run_frequency(cfg):
 
 def _run_zeros(cfg):
     alpha = cfg.get("alpha", 0.5)
-    # ring n is the 4:1 annulus around the zero circle |z| = e^{n pi}
+    # ring n is the 4:1 annulus around the zero circle |z| = e^{n pi}, the
+    # only ring that annulus holds
+    rings = [int(n) for n in cfg.get("rings", [0])]
     annuli = [{"r_lo": math.exp(n * math.pi) / 2.0,
-               "r_hi": math.exp(n * math.pi) * 2.0}
-              for n in cfg.get("rings", [0])]
+               "r_hi": math.exp(n * math.pi) * 2.0} for n in rings]
     report = _base_report(cfg)
     rows = []
-    for ann in annuli:
+    for ring, ann in zip(rings, annuli):
         r_lo, r_hi = ann["r_lo"], ann["r_hi"]
         name = f"zero-match-[{r_lo:.4g},{r_hi:.4g}]"
         try:
@@ -571,9 +572,8 @@ def _run_zeros(cfg):
                 count=len(predicted_zeros_in_annulus(r_lo, r_hi)),
                 detail=str(exc)))
             continue
-        for z, p in zip(zeros, paired):
-            ring = int(round(math.log(abs(z)) / math.pi))
-            rows.append((ring, z.real, z.imag, p.real, p.imag))
+        rows.extend((ring, z.real, z.imag, p.real, p.imag)
+                    for z, p in zip(zeros, paired))
         # a pair farther apart than MATCH_TOL would have raised
         worst = float(np.abs(zeros - paired).max(initial=0.0))
         report["checks"].append(_check_row(

@@ -108,7 +108,7 @@ class SideGraph:
     xy: np.ndarray           # (Ns, 2)
     color: np.ndarray        # (Ns,) checkerboard parity 0/1
     edges: np.ndarray        # (Es, 2) local index pairs
-    free: np.ndarray = field(default=None)  # interior mask
+    free: np.ndarray = field(default=None)  # interior rows; ~free: pinned
 
     @property
     def n_nodes(self) -> int:

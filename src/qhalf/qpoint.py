@@ -50,18 +50,6 @@ class QPoint:
     def n(self) -> int:
         return self.sheets.shape[1]
 
-    def sorted_sheets(self) -> np.ndarray:
-        """Sheets in lexicographic order, for canonical comparison."""
-        order = np.lexsort(self.sheets.T[::-1])
-        return self.sheets[order]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QPoint):
-            return NotImplemented
-        if self.Q != other.Q or self.n != other.n:
-            return False
-        return bool(np.array_equal(self.sorted_sheets(), other.sorted_sheets()))
-
     def __repr__(self) -> str:
         return f"QPoint(Q={self.Q}, n={self.n}, sheets={self.sheets.tolist()})"
 

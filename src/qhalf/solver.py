@@ -21,27 +21,29 @@ sorted-to-sorted matching is optimal on every edge and the start attains
 that bound. The sweeps then run as usual and certify it, stopping after
 one.
 
-The start costs one sparse factorization per grid. Each side's free
-nodes carry the 5-point Laplacian, which is symmetric positive definite,
-so it is factored as such (symmetric fill-reducing order, diagonal
-pivots) and all ranks of a side are columns of one solve. When the
-reflection j -> -j carries the minus side's system onto the plus side's
-(the straight interface), the minus ranks are further columns of the
-plus solve; otherwise (a curved interface) the minus side is factored
-on its own.
+A side's pinned rows are ~side.free: its boundary and interface rows,
+which hold the data. The start costs one sparse factorization per grid.
+Each side's free nodes carry the 5-point Laplacian, which is symmetric
+positive definite, so it is factored as such (symmetric fill-reducing
+order, diagonal pivots) and all ranks of a side are columns of one
+solve. When the reflection j -> -j carries the minus side's system onto
+the plus side's (the straight interface), the minus ranks are further
+columns of the plus solve; otherwise (a curved interface) the minus
+side is factored on its own.
 
-Every solve, from any init, stores each row of sheet values in rank
-order. Sorted goes to sorted under the optimal matching, so the matching
-step is the identity and a sweep takes the plain mean of the four
-neighbor rows. Both sides live in one flat buffer ordered by color: the
-free rows of color 0 of both sides, those of color 1, then the pinned
-rows. A color half-sweep reads its rows as one slice, forms their
-neighbor means with one precomputed sparse product, writes the slice back
-and re-sorts the few rows that over-relaxation pushed out of order; the
-energy is one sparse incidence product over both sides. A tie between
-sheets of a node is thus broken by rank at every Q, which makes the
-sweeps independent of storage order. (The permutation table of
-batch_match_values breaks it by storage order at Q = 2.)
+Every start, from any init, hands back the map with each row of sheet
+values in rank order, and the sweeps keep it so. Sorted goes to sorted
+under the optimal matching, so the matching step is the identity and a
+sweep takes the plain mean of the four neighbor rows. Both sides live
+in one flat buffer ordered by color: the free rows of color 0 of both
+sides, those of color 1, then the pinned rows. A color half-sweep reads
+its rows as one slice, forms their neighbor means with one precomputed
+sparse product, writes the slice back and re-sorts the few rows that
+over-relaxation pushed out of order; the energy is one sparse incidence
+product over both sides. A tie between sheets of a node is thus broken
+by rank at every Q, which makes the sweeps independent of storage
+order. (The permutation table of batch_match_values breaks it by
+storage order at Q = 2.)
 """
 
 from __future__ import annotations
@@ -111,10 +113,6 @@ class GridField:
     values: np.ndarray  # (Ns, q, n)
 
     @property
-    def q(self) -> int:
-        return self.values.shape[1]
-
-    @property
     def n(self) -> int:
         return self.values.shape[2]
 
@@ -151,11 +149,6 @@ def edge_energy(values: np.ndarray, edges: np.ndarray) -> float:
         return 0.0
     c2 = batch_match_cost2(values[edges[:, 0]], values[edges[:, 1]])
     return float(c2.sum())
-
-
-def _pinned_mask(side: SideGraph) -> np.ndarray:
-    return ((side.tag == BOUNDARY_PLUS) | (side.tag == BOUNDARY_MINUS)
-            | (side.tag == INTERFACE))
 
 
 def _solve_harmonic(side: SideGraph, pinned: np.ndarray,
@@ -207,14 +200,13 @@ def harmonic_reference(dom: HalfDomain, side_name: str,
     probe = np.atleast_2d(boundary_fn(side.xy[:1]))
     n = probe.shape[1]
     vals = np.zeros((side.n_nodes, n))
-    pinned = _pinned_mask(side)
     bmask = (side.tag == BOUNDARY_PLUS) | (side.tag == BOUNDARY_MINUS)
     imask = side.tag == INTERFACE
     if bmask.any():
         vals[bmask] = np.atleast_2d(boundary_fn(side.xy[bmask]))
     if imask.any():
         vals[imask] = np.atleast_2d(interface_fn(side.xy[imask]))
-    return _solve_harmonic(side, pinned, vals)
+    return _solve_harmonic(side, ~side.free, vals)
 
 
 def sample_map(dom: HalfDomain, data: DataSpec) -> QHalfMap:
@@ -246,8 +238,8 @@ class _RankedState:
     Every row is kept in rank order, so the matched neighbor mean is the
     plain mean (module docstring). buf holds one float per sheet value:
     the color-0 free rows of plus then minus, the color-1 free rows of
-    plus then minus, then every other row (pinned boundary and
-    interface). Color c's rows are the slice bounds[c]; nb_sum[c] carries
+    plus then minus, then the pinned rows of each side (~side.free).
+    Color c's rows are the slice bounds[c]; nb_sum[c] carries
     1.0 at their four neighbor entries in stencil order (never
     canonicalised, so each sum adds neighbors in the order of the
     matched mean, one neighbor at a time).
@@ -261,11 +253,8 @@ class _RankedState:
         self.omega = omega
         widths = [V.shape[1] for V in values]
         used = [s for s in range(len(sides)) if widths[s]]
-        parts = {s: [_color_rows(sides[s], c) for c in (0, 1)] for s in used}
-        for s in used:
-            pinned = np.ones(sides[s].n_nodes, dtype=bool)
-            pinned[np.concatenate(parts[s])] = False
-            parts[s].append(np.nonzero(pinned)[0])
+        parts = {s: [_color_rows(sides[s], c) for c in (0, 1)]
+                 + [np.nonzero(~sides[s].free)[0]] for s in used}
         self.blocks = [(s, parts[s][part]) for part in range(3) for s in used]
         ends = np.cumsum([widths[s] * rows.size for s, rows in self.blocks])
         self.starts = np.concatenate(([0], ends))
@@ -365,7 +354,7 @@ def _mirror_onto_plus(dom: HalfDomain) -> Optional[np.ndarray]:
     if (image < 0).any() or (plus.loc[image] < 0).any():
         return None
     mirror = plus.loc[image]
-    if not np.array_equal(_pinned_mask(minus), _pinned_mask(plus)[mirror]):
+    if not np.array_equal(minus.free, plus.free[mirror]):
         return None
     nb = minus.nb[:, [0, 1, 3, 2]]          # E, W, S, N
     if not np.array_equal(np.where(nb >= 0, mirror[nb], -1), plus.nb[mirror]):
@@ -373,7 +362,8 @@ def _mirror_onto_plus(dom: HalfDomain) -> Optional[np.ndarray]:
     return mirror
 
 
-def _initial_values(dom: HalfDomain, data: DataSpec, init: str):
+def _initial_values(dom: HalfDomain, data: DataSpec, init: str) -> QHalfMap:
+    """The start of a solve, every row of sheet values in rank order."""
     Q, n = data.Q, data.n
     if_ids = np.nonzero(dom.tag == INTERFACE)[0]
     phi = np.atleast_2d(np.asarray(data.phi(dom.xy[if_ids]), dtype=float))
@@ -399,24 +389,25 @@ def _initial_values(dom: HalfDomain, data: DataSpec, init: str):
             # solve, each row placed at its mirror node.
             chans.append(np.empty((dom.plus.n_nodes, Vm[0].size)))
             chans[1][mirror] = Vm.reshape(dom.minus.n_nodes, -1)
-        sol = _solve_harmonic(dom.plus, _pinned_mask(dom.plus),
-                              np.hstack(chans))
+        sol = _solve_harmonic(dom.plus, ~dom.plus.free, np.hstack(chans))
         k = Vp[0].size
         Vp = sol[:, :k].reshape(Vp.shape)
         if mirror is not None:
             Vm = sol[mirror, k:].reshape(Vm.shape)
         elif Q > 1:
-            Vm = _solve_harmonic(dom.minus, _pinned_mask(dom.minus),
+            Vm = _solve_harmonic(dom.minus, ~dom.minus.free,
                                  Vm.reshape(dom.minus.n_nodes, -1)).reshape(Vm.shape)
     elif init == "mean":
         for V, side in ((Vp, dom.plus), (Vm, dom.minus)):
-            if V.shape[1] == 0:
-                continue
-            pinned = _pinned_mask(side)
-            V[~pinned] = V[pinned].mean(axis=(0, 1))
+            if V.shape[1]:
+                V[side.free] = V[~side.free].mean(axis=(0, 1))
     else:
         raise ValueError(f"unknown init {init!r}")
-    return Vp, Vm, phi
+    # Every row in rank order makes every optimal matching in the sweeps
+    # the identity (module docstring).
+    Vp.sort(axis=1)
+    Vm.sort(axis=1)
+    return QHalfMap(dom, Q, n, Vp, Vm, phi)
 
 
 def minimize(dom: HalfDomain, data: DataSpec, *, init: str = "harmonic",
@@ -439,12 +430,9 @@ def minimize(dom: HalfDomain, data: DataSpec, *, init: str = "harmonic",
     if data.n != 1:
         raise ValueError(f"minimize solves scalar sheets (n = 1), "
                          f"not n = {data.n}")
-    Vp, Vm, phi = _initial_values(dom, data, init)
-    # Every row in rank order makes every optimal matching in the sweeps
-    # the identity (module docstring).
-    Vp.sort(axis=1)
-    Vm.sort(axis=1)
-    state = _RankedState((dom.plus, dom.minus), (Vp, Vm), suggested_omega(dom))
+    u = _initial_values(dom, data, init)
+    state = _RankedState((dom.plus, dom.minus), (u.plus, u.minus),
+                         suggested_omega(dom))
 
     e_prev = state.energy()
     trace = [e_prev]
@@ -466,7 +454,6 @@ def minimize(dom: HalfDomain, data: DataSpec, *, init: str = "harmonic",
             break
 
     state.unpack()
-    u = QHalfMap(dom, data.Q, 1, Vp, Vm, phi)
     info = SolveInfo(converged=converged, sweeps=sweeps, energy=e_prev,
                      max_update=max_update,
                      stop_reason="update_stop" if converged else "max_sweeps",
@@ -498,25 +485,16 @@ def collapse_decompose(u: QHalfMap, info: SolveInfo) -> CollapseReport:
     if not info.converged:
         raise ValueError("refusing to decompose a non-converged solve")
     dom = u.domain
-    n = u.n
-    N = dom.xy.shape[0]
-    mean = np.zeros((N, n))
-    pm = u.plus.mean(axis=1) if u.Q > 0 else None
-    mean[dom.plus.ids] = pm
-    if u.Q > 1:
-        mm = u.minus.mean(axis=1)
-        mean[dom.minus.ids] = mm
-    if_ids = u.interface_ids()
-    mean[if_ids] = u.phi
-
-    def spread_of(V, m_local):
+    mean = np.zeros((dom.xy.shape[0], u.n))
+    spread = 0.0
+    for side, V in ((dom.plus, u.plus), (dom.minus, u.minus)):
         if V.shape[1] == 0:
-            return 0.0
-        d = V - m_local[:, None, :]
-        return float(np.sqrt(np.einsum("mqn,mqn->m", d, d).max()))
-
-    sp_p = spread_of(u.plus, u.plus.mean(axis=1))
-    sp_m = spread_of(u.minus, u.minus.mean(axis=1)) if u.Q > 1 else 0.0
+            continue
+        m = V.mean(axis=1)
+        mean[side.ids] = m
+        d = V - m[:, None, :]
+        spread = max(spread, float(np.sqrt(np.einsum("mqn,mqn->m", d, d).max())))
+    mean[u.interface_ids()] = u.phi
 
     full = (dom.nb >= 0).all(axis=1)
     idx = np.nonzero(full)[0]
@@ -534,7 +512,7 @@ def collapse_decompose(u: QHalfMap, info: SolveInfo) -> CollapseReport:
         pair_sum = mean[upper[ok]] + mean[mirror[ok]]
         odd = float(np.abs(pair_sum).max()) if pair_sum.size else 0.0
 
-    return CollapseReport(sheet_spread=max(sp_p, sp_m), harmonic_defect=res,
+    return CollapseReport(sheet_spread=spread, harmonic_defect=res,
                           odd_defect=odd)
 
 
@@ -565,55 +543,38 @@ def interpolate_annulus(f: QHalfMap, g: QHalfMap, lam: float):
         raise ValueError("maps live on different domains")
     if f.Q != g.Q or f.n != g.n:
         raise ValueError("sheet count or target dimension mismatch")
-    if not np.allclose(f.phi, g.phi, atol=1e-12):
+    if not np.allclose(f.phi, g.phi, rtol=0.0, atol=1e-12):
         raise ValueError("interface traces differ; cannot blend")
     if lam < 2 * dom.h:
         raise ValueError(f"band width {lam} needs at least two node layers "
                          f"(h={dom.h})")
-    R = dom.R
+    band_rmin, collar_rmin = dom.R - lam, dom.R - 2 * lam
+    h2 = dom.h**2
     out = g.copy()
+    band_e = ef = eg = dist2 = 0.0
+    counted = np.zeros(dom.xy.shape[0], dtype=bool)
+    # One pass per side: each sum adds its plus term, then its minus term.
     for side, Vf, Vg, Vo in ((dom.plus, f.plus, g.plus, out.plus),
                              (dom.minus, f.minus, g.minus, out.minus)):
         if Vf.shape[1] == 0:
             continue
         r = np.hypot(side.xy[:, 0], side.xy[:, 1])
-        s = np.clip((r - (R - lam)) / lam, 0.0, 1.0)
+        s = np.clip((r - band_rmin) / lam, 0.0, 1.0)
         sel = np.nonzero((s > 0) & (side.tag != INTERFACE))[0]
         if sel.size:
             matched = batch_match_values(Vg[sel], Vf[sel])
             t = s[sel][:, None, None]
             Vo[sel] = (1.0 - t) * Vg[sel] + t * matched
-
-    def region_energy(u, rmin):
-        total = 0.0
-        for side, V in ((dom.plus, u.plus), (dom.minus, u.minus)):
-            if V.shape[1] == 0 or side.edges.shape[0] == 0:
-                continue
-            r = np.hypot(side.xy[:, 0], side.xy[:, 1])
-            inside = r >= rmin - 1e-12
-            e = side.edges
-            keep = inside[e[:, 0]] & inside[e[:, 1]]
-            if keep.any():
-                total += edge_energy(V, e[keep])
-        return total
-
-    band_e = region_energy(out, R - lam)
-    collar_rmin = R - 2 * lam
-    ef = region_energy(f, collar_rmin)
-    eg = region_energy(g, collar_rmin)
-
-    dist2 = 0.0
-    h2 = dom.h**2
-    counted = np.zeros(dom.xy.shape[0], dtype=bool)
-    for side, Vf, Vg in ((dom.plus, f.plus, g.plus),
-                         (dom.minus, f.minus, g.minus)):
-        if Vf.shape[1] == 0:
-            continue
-        r = np.hypot(side.xy[:, 0], side.xy[:, 1])
-        sel = np.nonzero((r >= collar_rmin - 1e-12) & ~counted[side.ids])[0]
+        e = side.edges
+        band = r >= band_rmin - 1e-12
+        band_e += edge_energy(Vo, e[band[e[:, 0]] & band[e[:, 1]]])
+        collar = r >= collar_rmin - 1e-12
+        in_collar = e[collar[e[:, 0]] & collar[e[:, 1]]]
+        ef += edge_energy(Vf, in_collar)
+        eg += edge_energy(Vg, in_collar)
+        sel = np.nonzero(collar & ~counted[side.ids])[0]
         if sel.size:
-            c2 = batch_match_cost2(Vf[sel], Vg[sel])
-            dist2 += float(c2.sum()) * h2
+            dist2 += float(batch_match_cost2(Vf[sel], Vg[sel]).sum()) * h2
             counted[side.ids[sel]] = True
 
     rhs = lam * (ef + eg) + dist2 / lam

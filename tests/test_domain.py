@@ -1,5 +1,7 @@
 """Mesh construction, tagging, and the modified distance field."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -263,13 +265,18 @@ def test_wavy_interface_builds():
     assert fld.monotonicity_constant < 10.0
 
 
-def test_side_graphs_are_consistent(parabola_64):
-    dom = parabola_64
-    for name in ("plus", "minus"):
+def test_side_graphs_are_consistent(parabola_64, straight_64):
+    for dom, name in itertools.product((parabola_64, straight_64),
+                                       ("plus", "minus")):
         sg = getattr(dom, name)
         # free nodes are exactly the interior nodes of that side
         want = INTERIOR_PLUS if name == "plus" else INTERIOR_MINUS
         assert np.all(sg.tag[sg.free] == want)
+        assert np.array_equal(sg.free, sg.tag == want)
+        # the pinned rows, ~free, are the boundary and interface rows
+        pinned = ((sg.tag == BOUNDARY_PLUS) | (sg.tag == BOUNDARY_MINUS)
+                  | (sg.tag == INTERFACE))
+        assert np.array_equal(~sg.free, pinned)
         # neighbor structure round-trips through global ids
         for k in range(4):
             ok = sg.nb[:, k] >= 0

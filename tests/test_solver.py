@@ -13,7 +13,6 @@ from qhalf.solver import (
     _color_rows,
     _initial_values,
     _mirror_onto_plus,
-    _pinned_mask,
     _solve_harmonic,
     collapse_decompose,
     edge_energy,
@@ -110,7 +109,7 @@ def test_harmonic_solve_matches_per_node_assembly(dom32):
     import scipy.sparse.linalg as spla
 
     side = dom32.minus
-    pinned = _pinned_mask(side)
+    pinned = ~side.free
     values = np.random.default_rng(5).standard_normal((side.n_nodes, 3))
     free_idx = np.nonzero(~pinned)[0]
     pos = -np.ones(side.n_nodes, dtype=np.int64)
@@ -234,9 +233,9 @@ def test_ranked_minimize_matches_matched_sweeps(dom16):
     sweeps, omega = 25, suggested_omega(dom16)
     u, info = minimize(dom16, data, init="mean", max_sweeps=sweeps)
 
-    Vp, Vm, _ = _initial_values(dom16, data, "mean")
-    states = [_MatchedSide(dom16.plus, np.sort(Vp, axis=1), omega),
-              _MatchedSide(dom16.minus, np.sort(Vm, axis=1), omega)]
+    start = _initial_values(dom16, data, "mean")
+    states = [_MatchedSide(dom16.plus, np.sort(start.plus, axis=1), omega),
+              _MatchedSide(dom16.minus, np.sort(start.minus, axis=1), omega)]
     trace = [sum(st.energy() for st in states)]
     for _ in range(sweeps):
         for c in (0, 1):
@@ -379,9 +378,9 @@ def test_shared_minus_solve_matches_its_own_factorization(request, dom_name):
     dom = request.getfixturevalue(dom_name)
     assert _mirror_onto_plus(dom) is not None
     data = _refinement_data()
-    _, shared, _ = _initial_values(dom, data, "harmonic")
-    _, seeded, _ = _initial_values(dom, data, "mean")
-    own = _solve_harmonic(dom.minus, _pinned_mask(dom.minus),
+    shared = _initial_values(dom, data, "harmonic").minus
+    seeded = _initial_values(dom, data, "mean").minus
+    own = _solve_harmonic(dom.minus, ~dom.minus.free,
                           np.sort(seeded, axis=1).reshape(dom.minus.n_nodes, -1))
     own = own.reshape(shared.shape)
     assert np.abs(shared - own).max() <= 1e-13 * np.abs(own).max()
@@ -545,6 +544,20 @@ def test_interpolation_band_guard(dom16):
     g = sample_map(dom16, data)
     with pytest.raises(ValueError):
         interpolate_annulus(f, g, dom16.h * 1.5)
+
+
+def test_interpolation_refuses_traces_5e6_apart(dom16):
+    # The stated bound is absolute: traces near 1 that differ by 5e-6 are
+    # not one trace, whatever their size.
+    def spec(phi):
+        return data_maps.custom_coefficients(
+            [[[(0, 1.0, 0.0)], [(1, 1.0, 0.0)]], [[(0, 1.0, 0.0)]]],
+            phi_coeffs=[(0, phi, 0.0)])
+
+    f = sample_map(dom16, spec(1.0))
+    g = sample_map(dom16, spec(1.0 + 5e-6))
+    with pytest.raises(ValueError, match="traces differ"):
+        interpolate_annulus(f, g, 0.3)
 
 
 def test_interpolation_endpoints(dom16):
