@@ -31,7 +31,6 @@ import jsonschema
 
 from . import data_maps
 from .domain import (
-    BOUNDARY_PLUS,
     ConstructionError,
     InterfaceSpec,
     build_distance_field,
@@ -146,10 +145,12 @@ def validate_config(cfg):
     spacings = [("domain.h", dcfg["h"])] if "h" in dcfg else []
     spacings += [(f"domain.h_values.{i}", h)
                  for i, h in enumerate(dcfg.get("h_values", []))]
-    sheet_counts = [("Q", cfg["Q"])] if "Q" in cfg else []
-    q_param = cfg.get("data", {}).get("params", {}).get("Q")
-    if isinstance(q_param, int):
-        sheet_counts.append(("data.params.Q", q_param))
+    checks = cfg.get("checks", [])
+    interp = any(c["type"] == "interpolation-bound" for c in checks)
+    spec = _data_from(cfg) if spacing is not None and not interp else None
+    # The budget counts the data's own sheets, at the field that set Q.
+    params = cfg.get("data", {}).get("params", {})
+    q_path = "Q" if "Q" in cfg else "data.params.Q" if "Q" in params else "data.params"
     R = dcfg.get("R", 1.0)
     iface = _interface_from(dcfg.get("interface"))
     for path, h in spacings:
@@ -161,11 +162,9 @@ def validate_config(cfg):
         if side * side > MAX_GRID_CELLS:
             raise UsageError(f"grid spacing {h} needs a {side:.0f}^2 "
                              f"grid, above {MAX_GRID_CELLS} cells", path)
-        for q_path, q in sheet_counts:
-            if q * side * side > MAX_SHEET_VALUES:
-                raise UsageError(f"Q={q} sheets on the {side:.0f}^2 grid of "
-                                 f"{path} exceed {MAX_SHEET_VALUES} values",
-                                 q_path)
+        if spec is not None and spec.Q * side * side > MAX_SHEET_VALUES:
+            raise UsageError(f"Q={spec.Q} sheets on the {side:.0f}^2 grid of "
+                             f"{path} exceed {MAX_SHEET_VALUES} values", q_path)
         try:
             check_interface(iface, R, h)
         except ConstructionError as exc:
@@ -173,9 +172,6 @@ def validate_config(cfg):
     scan = cfg.get("scan", {})
     if scan.get("r_min", 0.0) >= scan.get("r_max", math.inf):
         raise UsageError("scan.r_min must be below scan.r_max", "scan.r_max")
-    checks = cfg.get("checks", [])
-    interp = any(c["type"] == "interpolation-bound" for c in checks)
-    spec = _data_from(cfg) if spacing is not None and not interp else None
     solves = kind != "frequency" or cfg.get("source", "minimize") == "minimize"
     if spec is not None and solves and spec.n != 1:
         raise UsageError(f"generator {cfg['data']['generator']!r} yields "
@@ -323,8 +319,13 @@ def _run_metric_suite(cfg):
 
 
 def _boundary_oscillation(dom, data):
-    sel = dom.plus.tag == BOUNDARY_PLUS
-    return data.oscillation(dom.plus.xy[sel])
+    return data.oscillation(dom.plus.xy[dom.plus.boundary])
+
+
+def _solve_summary(info):
+    """What every report states about a solve."""
+    return {"energy": info.energy, "sweeps": info.sweeps,
+            "converged": info.converged, "stop_reason": info.stop_reason}
 
 
 def _run_solve(cfg):
@@ -336,9 +337,7 @@ def _run_solve(cfg):
     data = _data_from(cfg)
     u, info = minimize(dom, data, **cfg.get("solver", {}))
     report = _base_report(cfg)
-    report["summary"] = {"h": dom.h, "Q": data.Q, "energy": info.energy,
-                         "sweeps": info.sweeps, "converged": info.converged,
-                         "stop_reason": info.stop_reason}
+    report["summary"] = {"h": dom.h, "Q": data.Q, **_solve_summary(info)}
     for ccfg in checks_cfg:
         if ccfg["type"] == "classical-reference":
             tol = ccfg.get("tol", 1e-8)
@@ -421,9 +420,7 @@ def _run_collapse(cfg):
                        "harmonic_defect": rep.harmonic_defect,
                        "odd_defect": rep.odd_defect,
                        "oscillation": _boundary_oscillation(dom, data),
-                       "energy": info.energy, "sweeps": info.sweeps,
-                       "converged": info.converged,
-                       "stop_reason": info.stop_reason})
+                       **_solve_summary(info)})
     spreads = np.array([lv["sheet_spread"] for lv in levels])
     defects = np.array([lv["harmonic_defect"] for lv in levels])
     osc = levels[-1]["oscillation"]
@@ -492,10 +489,7 @@ def _run_frequency(cfg):
     report = _base_report(cfg)
     if source == "minimize":
         u, info = minimize(dom, data, **cfg.get("solver", {}))
-        report["summary"].update({"converged": info.converged,
-                                  "energy": info.energy,
-                                  "sweeps": info.sweeps,
-                                  "stop_reason": info.stop_reason})
+        report["summary"].update(_solve_summary(info))
     elif source == "sample":
         u = sample_map(dom, data)
     elif source == "glued-plus":
@@ -521,7 +515,7 @@ def _run_frequency(cfg):
         if t == "i-value":
             target = ccfg["target"]
             tol = ccfg.get("tol", 0.02)
-            worst = float(np.abs(scan.I[scan.reliable] - target).max())
+            worst = float(np.abs(scan.I - target).max())
             report["checks"].append(_check_row(
                 f"frequency-near-{target:g}", worst <= tol, worst, tol,
                 expect=expect, homogeneity=homogeneity_defect(u, scan.i0)))
@@ -547,7 +541,7 @@ def _run_frequency(cfg):
             series["doubling"] = (list(DOUBLING_COLUMNS), rep.rows)
     report["summary"].update({"h": scan.h, "i0": scan.i0,
                               "c_mono": scan.c_mono,
-                              "reliable_radii": int(scan.reliable.sum()),
+                              "reliable_radii": scan.r.size,
                               "source": source})
     return RunResult(report, series)
 

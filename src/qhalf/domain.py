@@ -97,22 +97,29 @@ class SideGraph:
     indices (east, west, north, south), -1 where the neighbor is not a
     carrier of this side. edges lists each energy-carrying edge once;
     edges between two interface nodes are excluded, since the interface
-    itself has no area.
+    itself has no area. Every row is shared, boundary or free: shared
+    rows are the interface row this side shares with the other (none on
+    full), boundary rows are the rows off the interface that lack a grid
+    neighbor, and the rest are free.
     """
 
     name: str
     ids: np.ndarray          # global node ids, shape (Ns,)
     loc: np.ndarray          # global -> local, -1 elsewhere
     nb: np.ndarray           # (Ns, 4) local neighbor ids or -1
-    tag: np.ndarray          # (Ns,)
     xy: np.ndarray           # (Ns, 2)
     color: np.ndarray        # (Ns,) checkerboard parity 0/1
     edges: np.ndarray        # (Es, 2) local index pairs
-    free: np.ndarray = field(default=None)  # interior rows; ~free: pinned
+    free: np.ndarray         # (Ns,) rows a solve moves; ~free: pinned
+    shared: np.ndarray       # (Ns,) interface rows of a two-sided split
 
     @property
     def n_nodes(self) -> int:
         return self.ids.size
+
+    @property
+    def boundary(self) -> np.ndarray:
+        return ~(self.free | self.shared)
 
 
 @dataclass
@@ -128,6 +135,7 @@ class HalfDomain:
     ij: np.ndarray           # (N, 2) integer grid coordinates
     tag: np.ndarray          # (N,)
     nb: np.ndarray           # (N, 4) global neighbors (E, W, N, S) or -1
+    interface_ids: np.ndarray  # interface nodes in id order, phi's row order
     plus: SideGraph = None
     minus: SideGraph = None
     id_grid: np.ndarray = field(default=None, repr=False)  # (i, j) + imax -> id or -1
@@ -138,7 +146,7 @@ class HalfDomain:
 
     @cached_property
     def full(self) -> SideGraph:
-        return _build_side(self, "full", set(TAG_NAMES), None)
+        return _build_side(self, "full", set(TAG_NAMES), set())
 
     def node_at(self, i, j):
         """Global id of grid node (i, j), -1 off the disk; scalars or arrays."""
@@ -271,14 +279,18 @@ def build_halfdisk(
             raise ConstructionError("opposite sides are grid-adjacent; refine h")
 
     dom = HalfDomain(R=R, h=h, interface=interface, xy=xy, ij=ij, tag=tag, nb=nb,
+                     interface_ids=np.flatnonzero(tag == INTERFACE),
                      id_grid=id_grid)
-    dom.plus = _build_side(dom, "plus", {INTERIOR_PLUS, BOUNDARY_PLUS, INTERFACE}, INTERIOR_PLUS)
-    dom.minus = _build_side(dom, "minus", {INTERIOR_MINUS, BOUNDARY_MINUS, INTERFACE}, INTERIOR_MINUS)
+    dom.plus = _build_side(dom, "plus", {INTERIOR_PLUS, BOUNDARY_PLUS}, {INTERFACE})
+    dom.minus = _build_side(dom, "minus", {INTERIOR_MINUS, BOUNDARY_MINUS}, {INTERFACE})
     return dom
 
 
-def _build_side(dom: HalfDomain, name: str, carrier_tags: set, interior_tag) -> SideGraph:
-    mask = np.isin(dom.tag, list(carrier_tags))
+def _build_side(dom: HalfDomain, name: str, own_tags: set,
+                shared_tags: set) -> SideGraph:
+    """The side carrying own_tags and shared_tags. Its boundary-tagged and
+    shared rows are pinned; every other row is free."""
+    mask = np.isin(dom.tag, list(own_tags | shared_tags))
     ids = np.nonzero(mask)[0]
     loc = -np.ones(dom.n_nodes, dtype=np.intp)
     loc[ids] = np.arange(ids.size)
@@ -290,10 +302,8 @@ def _build_side(dom: HalfDomain, name: str, carrier_tags: set, interior_tag) -> 
         nb[ok, k] = loc[g[ok]]
 
     tag = dom.tag[ids]
-    if name == "full":
-        free = (tag == INTERIOR_PLUS) | (tag == INTERIOR_MINUS) | (tag == INTERFACE)
-    else:
-        free = tag == interior_tag
+    shared = np.isin(tag, list(shared_tags))
+    free = ~(shared | (tag == BOUNDARY_PLUS) | (tag == BOUNDARY_MINUS))
 
     color = ((dom.ij[ids, 0] + dom.ij[ids, 1]) % 2).astype(np.int8)
 
@@ -314,11 +324,11 @@ def _build_side(dom: HalfDomain, name: str, carrier_tags: set, interior_tag) -> 
         ids=ids,
         loc=loc,
         nb=nb,
-        tag=tag,
         xy=dom.xy[ids],
         color=color,
         edges=edges,
         free=free,
+        shared=shared,
     )
 
 

@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import DistanceField, HalfDomain, INTERFACE
+from .domain import DistanceField, HalfDomain
 from .qpoint import batch_match_cost2, batch_match_rows
 from .solver import GridField
 
@@ -47,7 +47,7 @@ KAPPA_ZERO = 1e-12       # calibrated drift below this counts as none
 HOMOGENEITY_SCALE = 0.5  # x -> x/2 keeps even grid nodes on grid nodes
 HOMOGENEITY_MIN_CELLS = 4
 RHO = 0.95               # ratio of consecutive radii in a scan
-MIN_RADIAL_CELLS = 8     # a reliable annulus spans at least this many cells
+MIN_RADIAL_CELLS = 8     # a scanned annulus spans at least this many cells
 
 # Columns of DoublingReport.rows: one row per radii pair s < t.
 DOUBLING_COLUMNS = ("s", "t", "H_ratio", "H_lower", "H_upper",
@@ -55,7 +55,7 @@ DOUBLING_COLUMNS = ("s", "t", "H_ratio", "H_lower", "H_upper",
 
 
 class ResolutionError(ValueError):
-    """Raised when an annulus is too thin for the grid."""
+    """Raised when a scan finds no radius it can evaluate."""
 
 
 @dataclass
@@ -67,7 +67,6 @@ class FrequencyScan:
     Gq: np.ndarray
     I: np.ndarray
     outer_residual: np.ndarray   # |D - E| / D
-    reliable: np.ndarray
     h: float
     c_mono: float
     i0: float
@@ -129,8 +128,7 @@ class _Quad:
         g_term = np.einsum("mqn,mqn->m", Jd, Jd)
 
         cell = np.full(ns, h * h)
-        if side.name in ("plus", "minus"):
-            cell[side.tag == INTERFACE] *= 0.5
+        cell[side.shared] *= 0.5
         # Half-width of the d-range spanned by a cell along grad d. Where
         # the d-gradient stencil is cut (origin, rim) fall back to the
         # nominal |grad d| = 1; those nodes never carry annulus weight.
@@ -185,22 +183,20 @@ def _eval(quads, r):
 
 def scan_bounds(R: float, h: float, r_min: Optional[float] = None,
                 r_max: Optional[float] = None):
-    """(r_min, r_max) of a scan, with the defaults r_min = 2 MIN_RADIAL_CELLS h
-    (the smallest reliable radius) and r_max = R - 4h."""
+    """(r_min, r_max) of a scan: r_max defaults to R - 4h, and r_min is
+    raised to 2 MIN_RADIAL_CELLS h, the smallest radius whose annulus
+    [r/2, r] spans MIN_RADIAL_CELLS cells."""
     r_max = r_max if r_max is not None else R - 4 * h
-    r_min = r_min if r_min is not None else 2 * MIN_RADIAL_CELLS * h
-    return r_min, r_max
+    return max(r_min or 0.0, 2 * MIN_RADIAL_CELLS * h), r_max
 
 
 def frequency_scan(u, dist: DistanceField, *, r_min: Optional[float] = None,
                    r_max: Optional[float] = None) -> FrequencyScan:
     """Evaluate all frequency quantities on a geometric radii ladder.
 
-    The ladder runs down from r_max by the ratio RHO to r_min (defaults
-    in scan_bounds). Radii whose annulus is empty or where H vanishes
-    are dropped. A radius is reliable when its annulus spans at least
-    MIN_RADIAL_CELLS grid cells radially; a scan without one raises
-    ResolutionError. i0 is the mean of I over the smallest reliable
+    The ladder runs down from r_max by the ratio RHO to r_min, both as
+    scan_bounds resolves them. Radii whose annulus is empty or where H
+    vanishes are dropped. i0 is the mean of I over the smallest
     half-decade of radii.
     """
     quads = [_Quad(f, dist) for f in u.fields()]
@@ -228,46 +224,33 @@ def frequency_scan(u, dist: DistanceField, *, r_min: Optional[float] = None,
     r, D, H, E, Gq = arr.T
     I = r * D / H
     outer = np.abs(D - E) / np.maximum(D, 1e-300)
-    reliable = r >= 2 * MIN_RADIAL_CELLS * h * (1 - 1e-12)
-    if not reliable.any():
-        raise ResolutionError(
-            f"no reliable radius: no annulus spans {MIN_RADIAL_CELLS} "
-            "cells; refine h or widen the scan")
-    sel = reliable & (r <= r[reliable][0] * np.sqrt(10.0))
-    i0 = float(I[sel].mean())
-
-    c_mono = dist.monotonicity_constant
-    return FrequencyScan(r=r, D=D, H=H, E=E, Gq=Gq, I=I,
-                         outer_residual=outer, reliable=reliable, h=h,
-                         c_mono=c_mono, i0=i0)
+    i0 = float(I[r <= r[0] * np.sqrt(10.0)].mean())
+    return FrequencyScan(r=r, D=D, H=H, E=E, Gq=Gq, I=I, outer_residual=outer,
+                         h=h, c_mono=dist.monotonicity_constant, i0=i0)
 
 
 def check_outer_identity(scan: FrequencyScan, tol: float):
-    """Max relative |D - E| / D over reliable radii; passes if <= tol."""
-    worst = float(scan.outer_residual[scan.reliable].max())
+    """Max relative |D - E| / D over the scan; passes if <= tol."""
+    worst = float(scan.outer_residual.max())
     return worst <= tol, worst
 
 
 def effective_constant(scan: FrequencyScan, kappa: float) -> float:
-    """c_mono plus the quadrature term kappa h / r_min.
-
-    r_min is the smallest reliable radius.
-    """
-    r_min = float(scan.r[scan.reliable][0])
-    return scan.c_mono + kappa * scan.h / r_min
+    """c_mono plus the quadrature term kappa h / r_min, with r_min the
+    smallest scanned radius."""
+    return scan.c_mono + kappa * scan.h / float(scan.r[0])
 
 
 def check_monotonicity(scan: FrequencyScan, tol: float, kappa: float):
-    """Verify e^{c r} I(r) is nondecreasing over reliable radii.
+    """Verify e^{c r} I(r) is nondecreasing over the scanned radii.
 
-    Consecutive reliable radii r_k < r_{k+1} must satisfy
+    Consecutive radii r_k < r_{k+1} must satisfy
     e^{c r_k} I(r_k) <= e^{c r_{k+1}} I(r_{k+1}) (1 + tol). Returns
     (pass, worst violation, c_eff).
     """
     c_eff = effective_constant(scan, kappa)
-    idx = np.nonzero(scan.reliable)[0]
     worst = 0.0
-    for a, b in zip(idx[:-1], idx[1:]):
+    for a, b in zip(range(scan.r.size - 1), range(1, scan.r.size)):
         lhs = np.exp(c_eff * scan.r[a]) * scan.I[a]
         rhs = np.exp(c_eff * scan.r[b]) * scan.I[b]
         if rhs <= 0:
@@ -276,11 +259,9 @@ def check_monotonicity(scan: FrequencyScan, tol: float, kappa: float):
     return worst <= tol, worst, c_eff
 
 
-def smallest_reliable_decade(scan: FrequencyScan) -> np.ndarray:
-    """Indices of reliable radii within 10x of the smallest reliable one."""
-    idx = np.nonzero(scan.reliable)[0]
-    lo = scan.r[idx[0]]
-    return idx[scan.r[idx] <= 10.0 * lo * (1 + 1e-12)]
+def smallest_decade(scan: FrequencyScan) -> np.ndarray:
+    """Indices of the radii within 10x of the smallest one."""
+    return np.flatnonzero(scan.r <= 10.0 * scan.r[0] * (1 + 1e-12))
 
 
 @dataclass
@@ -298,9 +279,9 @@ class DoublingReport:
 
 def check_doubling_bounds(scan: FrequencyScan, lam: float,
                           kappa: float) -> DoublingReport:
-    """Two-sided growth bounds for H and D on the smallest reliable decade.
+    """Two-sided growth bounds for H and D on the smallest decade of radii.
 
-    For every reliable pair s < t in the decade, with i0 = scan.i0 and
+    For every pair s < t in the decade, with i0 = scan.i0 and
     m = DIM,
         e^{-C(t-s)} (t/s)^{m-1+2 i0/lam} <= H(t)/H(s)
                                          <= e^{C(t-s)} (t/s)^{m-1+2 lam i0}
@@ -311,7 +292,7 @@ def check_doubling_bounds(scan: FrequencyScan, lam: float,
     """
     i0 = scan.i0
     c_eff = effective_constant(scan, kappa)
-    idx = smallest_reliable_decade(scan)
+    idx = smallest_decade(scan)
     lo_exp_h = DIM - 1 + 2 * i0 / lam
     hi_exp_h = DIM - 1 + 2 * lam * i0
     lo_exp_d = DIM - 2 + 2 * i0 / lam
@@ -351,7 +332,7 @@ def calibrate_kappa(dom: HalfDomain, dist: DistanceField):
     the exact minimizer, so one sweep certifies it and kappa depends on
     neither omega nor the stop rule. Scans it with dist, the domain's
     distance field, and finds the smallest c >= 0 making e^{c r} I
-    nondecreasing on reliable radii.
+    nondecreasing on the scanned radii.
     Returns (kappa, info) with c = kappa * h / r_min and info the
     SolveInfo of the calibration solve.
     """
@@ -363,13 +344,12 @@ def calibrate_kappa(dom: HalfDomain, dist: DistanceField):
     if not info.converged:
         raise RuntimeError("calibration solve did not converge")
     scan = frequency_scan(u, dist)
-    idx = np.nonzero(scan.reliable)[0]
     c_needed = 0.0
-    for a, b in zip(idx[:-1], idx[1:]):
+    for a, b in zip(range(scan.r.size - 1), range(1, scan.r.size)):
         if scan.I[b] < scan.I[a]:
             c = np.log(scan.I[a] / scan.I[b]) / (scan.r[b] - scan.r[a])
             c_needed = max(c_needed, c)
-    r_min = float(scan.r[idx[0]])
+    r_min = float(scan.r[0])
     kappa = c_needed * r_min / scan.h if c_needed > KAPPA_ZERO else 0.0
     return kappa, info
 

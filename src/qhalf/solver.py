@@ -21,7 +21,7 @@ sorted-to-sorted matching is optimal on every edge and the start attains
 that bound. The sweeps then run as usual and certify it, stopping after
 one.
 
-A side's pinned rows are ~side.free: its boundary and interface rows,
+A side's pinned rows are ~side.free: its boundary and shared rows,
 which hold the data. The start costs one sparse factorization per grid.
 Each side's free nodes carry the 5-point Laplacian, which is symmetric
 positive definite, so it is factored as such (symmetric fill-reducing
@@ -55,13 +55,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .domain import (
-    BOUNDARY_MINUS,
-    BOUNDARY_PLUS,
-    HalfDomain,
-    INTERFACE,
-    SideGraph,
-)
+from .domain import HalfDomain, SideGraph
 from .data_maps import DataSpec
 from .qpoint import batch_match_cost2, batch_match_values
 
@@ -127,16 +121,13 @@ class QHalfMap:
     n: int
     plus: np.ndarray    # (N_plus, Q, n)
     minus: np.ndarray   # (N_minus, Q-1, n)
-    phi: np.ndarray     # (N_interface, n), ordered like domain interface ids
+    phi: np.ndarray     # (N_interface, n), ordered like domain.interface_ids
 
     def fields(self):
         out = [GridField(self.domain, self.domain.plus, self.plus)]
         if self.Q > 1:
             out.append(GridField(self.domain, self.domain.minus, self.minus))
         return out
-
-    def interface_ids(self):
-        return np.nonzero(self.domain.tag == INTERFACE)[0]
 
     def copy(self) -> "QHalfMap":
         return QHalfMap(self.domain, self.Q, self.n, self.plus.copy(),
@@ -200,12 +191,9 @@ def harmonic_reference(dom: HalfDomain, side_name: str,
     probe = np.atleast_2d(boundary_fn(side.xy[:1]))
     n = probe.shape[1]
     vals = np.zeros((side.n_nodes, n))
-    bmask = (side.tag == BOUNDARY_PLUS) | (side.tag == BOUNDARY_MINUS)
-    imask = side.tag == INTERFACE
-    if bmask.any():
-        vals[bmask] = np.atleast_2d(boundary_fn(side.xy[bmask]))
-    if imask.any():
-        vals[imask] = np.atleast_2d(interface_fn(side.xy[imask]))
+    for rows, fn in ((side.boundary, boundary_fn), (side.shared, interface_fn)):
+        if rows.any():
+            vals[rows] = np.atleast_2d(fn(side.xy[rows]))
     return _solve_harmonic(side, ~side.free, vals)
 
 
@@ -216,7 +204,7 @@ def sample_map(dom: HalfDomain, data: DataSpec) -> QHalfMap:
     plus = np.asarray(data.plus(dom.plus.xy), dtype=float)
     minus = (np.asarray(data.minus(dom.minus.xy), dtype=float)
              if Q > 1 else np.zeros((dom.minus.n_nodes, 0, n)))
-    if_ids = np.nonzero(dom.tag == INTERFACE)[0]
+    if_ids = dom.interface_ids
     phi = np.asarray(data.phi(dom.xy[if_ids]), dtype=float)
     plus[dom.plus.loc[if_ids]] = phi[:, None, :]
     if Q > 1:
@@ -365,13 +353,13 @@ def _mirror_onto_plus(dom: HalfDomain) -> Optional[np.ndarray]:
 def _initial_values(dom: HalfDomain, data: DataSpec, init: str) -> QHalfMap:
     """The start of a solve, every row of sheet values in rank order."""
     Q, n = data.Q, data.n
-    if_ids = np.nonzero(dom.tag == INTERFACE)[0]
+    if_ids = dom.interface_ids
     phi = np.atleast_2d(np.asarray(data.phi(dom.xy[if_ids]), dtype=float))
 
     def seed_side(side: SideGraph, q, gen):
         vals = np.zeros((side.n_nodes, q, n))
         if q > 0:
-            bmask = (side.tag == BOUNDARY_PLUS) | (side.tag == BOUNDARY_MINUS)
+            bmask = side.boundary
             vals[bmask] = np.asarray(gen(side.xy[bmask]), dtype=float)
             vals[side.loc[if_ids]] = phi[:, None, :]
         return vals
@@ -494,7 +482,7 @@ def collapse_decompose(u: QHalfMap, info: SolveInfo) -> CollapseReport:
         mean[side.ids] = m
         d = V - m[:, None, :]
         spread = max(spread, float(np.sqrt(np.einsum("mqn,mqn->m", d, d).max())))
-    mean[u.interface_ids()] = u.phi
+    mean[dom.interface_ids] = u.phi
 
     full = (dom.nb >= 0).all(axis=1)
     idx = np.nonzero(full)[0]
@@ -560,7 +548,7 @@ def interpolate_annulus(f: QHalfMap, g: QHalfMap, lam: float):
             continue
         r = np.hypot(side.xy[:, 0], side.xy[:, 1])
         s = np.clip((r - band_rmin) / lam, 0.0, 1.0)
-        sel = np.nonzero((s > 0) & (side.tag != INTERFACE))[0]
+        sel = np.nonzero((s > 0) & ~side.shared)[0]
         if sel.size:
             matched = batch_match_values(Vg[sel], Vf[sel])
             t = s[sel][:, None, None]

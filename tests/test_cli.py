@@ -179,18 +179,18 @@ def test_empty_series_writes_header_only(tmp_path):
 
 
 def test_pipeline_failure_writes_error_report(tmp_path):
-    # a valid config whose scan finds no annulus wide enough at this h:
-    # only the pipeline can see that, so it fails there
-    cfg = {"kind": "frequency", "label": "thin", "domain": {"h": 1 / 64},
-           "Q": 2, "data": {"generator": "linear"}, "source": "sample",
-           "scan": {"r_max": 0.2, "r_min": 0.1}}
+    # a valid config whose field vanishes everywhere, so H vanishes at
+    # every radius: only the pipeline can see that, so it fails there
+    cfg = {"kind": "frequency", "label": "flat", "domain": {"h": 1 / 64},
+           "Q": 2, "data": {"generator": "linear", "params": {"slope": 0.0}},
+           "source": "sample"}
     validate_config(cfg)
     rc = run(cfg, out_dir=str(tmp_path))
     assert rc == 1
-    report = read_report(tmp_path / "thin-report.json")
+    report = read_report(tmp_path / "flat-report.json")
     assert not report["passed"]
     assert report["error"]["type"] == "ResolutionError"
-    assert "reliable radius" in report["error"]["message"]
+    assert "no radius produced a usable annulus" in report["error"]["message"]
 
 
 def test_expected_failure_inverts_exit_code(tmp_path):
@@ -243,14 +243,16 @@ def test_runs_import_neither_scipy_optimize_nor_spatial(tmp_path):
                                    {"type": "outer-identity"}])
 def test_scan_without_reliable_radius_fails(tmp_path, check):
     # every radius in [0.1, 0.2] is thinner than 8 cells at h = 1/64, so
-    # there is nothing to check; the run must fail rather than pass on 0
+    # there is nothing to check; the config is refused before any work
     cfg = {"kind": "frequency", "label": "thin", "domain": {"h": 1 / 64},
            "Q": 2, "data": {"generator": "linear"}, "source": "sample",
            "scan": {"r_max": 0.2, "r_min": 0.1}, "checks": [check]}
-    assert run(cfg, out_dir=str(tmp_path)) == 1
-    report = read_report(tmp_path / "thin-report.json")
-    assert not report["passed"]
-    assert report["error"]["type"] == "ResolutionError"
+    with pytest.raises(UsageError) as err:
+        run(cfg, out_dir=str(tmp_path))
+    assert err.value.path == "scan.r_max"
+    assert main(["frequency", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "thin-report.json").exists()
 
 
 def test_oversized_grid_is_usage_error(tmp_path, monkeypatch):
@@ -291,6 +293,19 @@ def test_oversized_sheet_count_is_usage_error(tmp_path, monkeypatch):
                    "--out", str(tmp_path)])
         assert rc == 2
     validate_config(dict(big, Q=7, domain={"h": 1 / 16}))
+
+
+def test_sheet_budget_counts_the_datas_own_sheets():
+    # Neither Q nor data.params.Q is set: the 32 sheets come from the
+    # coefficients, 32 * 513^2 values at h = 1/256.
+    sheet = [[0, 1.0, 0.0]]
+    cfg = {"kind": "solve", "domain": {"h": 1 / 256},
+           "data": {"generator": "custom-coefficients",
+                    "params": {"coeffs": [[sheet] * 32, [sheet] * 31]}}}
+    with pytest.raises(UsageError) as err:
+        validate_config(cfg)
+    assert err.value.path == "data.params"
+    validate_config(dict(cfg, domain={"h": 1 / 128}))
 
 
 def test_readme_library_example_runs(capsys):
@@ -414,6 +429,11 @@ GUARD_CASES = [
      dict(load_preset("frequency-linear"), scan={"r_min": 0.99}), "scan.r_min"),
     ("scan-r-max-below-default-r-min",
      dict(load_preset("frequency-linear"), scan={"r_max": 0.2}), "scan.r_max"),
+    # r_min below 16 h is raised to it, above r_max = 0.2 at h = 1/64
+    ("scan-r-max-below-resolvable-r-min",
+     {"kind": "frequency", "domain": {"h": 1 / 64}, "Q": 2, "source": "sample",
+      "data": _LINEAR, "scan": {"r_min": 0.1, "r_max": 0.2}},
+     "scan.r_max"),
     ("scan-r-min-above-default-r-max-in-ladder",
      dict(load_preset("collapse-refinement"), scan={"r_min": 0.95}),
      "scan.r_min"),

@@ -210,6 +210,10 @@ def test_no_cross_side_adjacency(parabola_64):
 def test_interface_nodes_track_the_curve(parabola_64):
     dom = parabola_64
     iface = dom.tag == INTERFACE
+    # the row order of phi, against the reference formula
+    want = np.nonzero(iface)[0]
+    assert dom.interface_ids.dtype == want.dtype
+    assert np.array_equal(dom.interface_ids, want)
     x, y = dom.xy[iface, 0], dom.xy[iface, 1]
     assert np.max(np.abs(y - 0.1 * x * x)) <= dom.h / 2 + 1e-12
     # one interface node per column, so spacing along the curve is <= h
@@ -267,16 +271,26 @@ def test_wavy_interface_builds():
 
 def test_side_graphs_are_consistent(parabola_64, straight_64):
     for dom, name in itertools.product((parabola_64, straight_64),
-                                       ("plus", "minus")):
+                                       ("plus", "minus", "full")):
         sg = getattr(dom, name)
-        # free nodes are exactly the interior nodes of that side
-        want = INTERIOR_PLUS if name == "plus" else INTERIOR_MINUS
-        assert np.all(sg.tag[sg.free] == want)
-        assert np.array_equal(sg.free, sg.tag == want)
-        # the pinned rows, ~free, are the boundary and interface rows
-        pinned = ((sg.tag == BOUNDARY_PLUS) | (sg.tag == BOUNDARY_MINUS)
-                  | (sg.tag == INTERFACE))
-        assert np.array_equal(~sg.free, pinned)
+        tag = dom.tag[sg.ids]
+        boundary = (tag == BOUNDARY_PLUS) | (tag == BOUNDARY_MINUS)
+        if name == "full":
+            # one side carrying every node: nothing is shared, and free
+            # is the interior and interface rows
+            assert not sg.shared.any()
+            free = ((tag == INTERIOR_PLUS) | (tag == INTERIOR_MINUS)
+                    | (tag == INTERFACE))
+        else:
+            # free nodes are exactly the interior nodes of that side, and
+            # the interface row is the one shared with the other side
+            assert np.array_equal(sg.shared, tag == INTERFACE)
+            free = tag == (INTERIOR_PLUS if name == "plus" else INTERIOR_MINUS)
+        assert np.array_equal(sg.free, free)
+        assert np.array_equal(sg.boundary, boundary)
+        # the pinned rows, ~free, are the boundary and shared rows
+        assert np.array_equal(~sg.free, boundary | sg.shared)
+        assert not (boundary & sg.shared).any()
         # neighbor structure round-trips through global ids
         for k in range(4):
             ok = sg.nb[:, k] >= 0
@@ -284,7 +298,7 @@ def test_side_graphs_are_consistent(parabola_64, straight_64):
             glob_b = sg.ids[sg.nb[ok, k]]
             assert np.all(dom.nb[glob_a, k] == glob_b)
         # every edge touches at most one interface node
-        both = (sg.tag[sg.edges[:, 0]] == INTERFACE) & (sg.tag[sg.edges[:, 1]] == INTERFACE)
+        both = (tag[sg.edges[:, 0]] == INTERFACE) & (tag[sg.edges[:, 1]] == INTERFACE)
         assert not np.any(both)
 
 
@@ -306,7 +320,7 @@ def test_full_graph_is_built_once_on_first_access(monkeypatch):
     full = dom.full
     assert dom.full is full
     assert built == ["plus", "minus", "full"]
-    eager = build_side(dom, "full", set(TAG_NAMES), None)
+    eager = build_side(dom, "full", set(TAG_NAMES), set())
     for f in fields(eager):
         got, want = getattr(full, f.name), getattr(eager, f.name)
         if isinstance(want, np.ndarray):

@@ -6,7 +6,7 @@ function or class, and each public method or property, must be named by
 package code outside its own definition, or by a file under bench/,
 where the dotted names in bench/tracing.TRACED count. Code that only
 the tests call belongs in the tests. Dunders and dataclass fields are
-not checked.
+not checked. Only domain names the grid's row tags.
 """
 
 import ast
@@ -91,3 +91,16 @@ def test_every_public_member_has_a_caller_outside_the_tests():
             if member.name not in rest:
                 unread.append(f"{cls.name}.{member.name}")
     assert unread == []
+
+
+# The row tags and their names; domain turns them into SideGraph.free,
+# .shared and .boundary and HalfDomain.interface_ids for everyone else.
+ROW_TAGS = {"INTERIOR_PLUS", "INTERIOR_MINUS", "INTERFACE", "BOUNDARY_PLUS",
+            "BOUNDARY_MINUS", "TAG_NAMES"}
+
+
+def test_only_domain_names_the_row_tags():
+    named = {path.name: sorted(_names(ast.parse(path.read_text())) & ROW_TAGS)
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "domain.py"}
+    assert {name: tags for name, tags in named.items() if tags} == {}

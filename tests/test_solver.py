@@ -472,7 +472,7 @@ def test_collapse_decompose_odd_data(dom16):
     m = np.zeros((dom16.n_nodes, 1))
     m[dom16.plus.ids] = u.plus.mean(axis=1)
     m[dom16.minus.ids] = u.minus.mean(axis=1)
-    m[u.interface_ids()] = u.phi
+    m[dom16.interface_ids] = u.phi
     assert rep.odd_defect == max(float(np.abs(m[v] + m[w]).max())
                                  for v, w in pairs)
     assert rep.odd_defect < 1e-7
