@@ -8,9 +8,10 @@ below the first line. CSV series for plotting are written next to the
 report.
 
 validate_config checks every config rule before any work starts: the
-schema, grid and sheet budgets, the boundary data, and the CHECKS table
-of which check types each kind accepts and what they need. The runners
-assume a valid config and have no error branches of their own.
+schema, the FIELDS and CHECKS tables of which fields each kind and each
+check type reads and what a check needs, grid and sheet budgets, and the
+boundary data. The runners assume a valid config and have no error
+branches of their own.
 
 Exit codes: 0 all checks passed, 1 a check or the pipeline itself
 failed, 2 the config or command line is malformed.
@@ -23,6 +24,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -69,6 +71,7 @@ from .solver import (
 from .surface import (
     QUADTREE_DEPTH,
     build_surface,
+    check_two_circles,
     density_at,
     surface_image,
     two_circles_density,
@@ -86,17 +89,43 @@ OUTER_IDENTITY_TOL = 0.05
 # the collapse checks accept.
 OSCILLATION_RATIO = 0.02
 
-# The only list of check types: kind -> check type -> what the check needs
-# beyond the schema (None: nothing). validate_config enforces it.
+# Fields every kind reads: the report states kind, label and seed.
+COMMON_FIELDS = ("kind", "label", "description", "seed")
+# kind -> the top-level fields its runner reads beyond COMMON_FIELDS.
+# validate_config refuses every other field.
+FIELDS = {
+    "metric-suite": (),
+    "solve": ("Q", "domain", "data", "solver", "checks"),
+    "interpolation": ("domain",),
+    "frequency": ("Q", "domain", "data", "solver", "scan", "source", "checks"),
+    "collapse": ("Q", "domain", "data", "solver", "scan", "checks"),
+    "zeros": ("alpha", "rings"),
+    "decay": ("alpha",),
+    "density": ("surface", "points", "theta_floor"),
+    "two-circles": ("r_inner", "r_outer", "point", "radii", "expect"),
+}
+
+
+# What a check type reads beyond type and expect, its bound when the
+# config gives no tol, and what it needs beyond the schema.
+Check = namedtuple("Check", "fields tol need", defaults=((), None, None))
+# The only list of check types: kind -> check type -> Check.
+# validate_config enforces it and the runners read their bounds from it.
 CHECKS = {
-    "solve": {"converged": None, "classical-reference": "Q = 1",
-              "interpolation-bound": "to be the only check"},
-    "collapse": {"spread-decreasing": None, "spread-max": None,
-                 "spread-vs-oscillation": None, "defect-decreasing": None,
-                 "odd-defect-vs-oscillation": "a straight interface",
-                 "outer-identity-refinement": "two or more grid spacings"},
-    "frequency": {"i-value": None, "outer-identity": None,
-                  "monotonicity": None, "doubling": None},
+    "solve": {"converged": Check(tol=UPDATE_STOP),
+              "classical-reference": Check(("tol",), 1e-8, "Q = 1")},
+    "collapse": {"spread-decreasing": Check(tol=0.0),
+                 "spread-max": Check(("tol",), 1e-8),
+                 "spread-vs-oscillation": Check(tol=OSCILLATION_RATIO),
+                 "defect-decreasing": Check(tol=0.0),
+                 "odd-defect-vs-oscillation": Check(
+                     tol=OSCILLATION_RATIO, need="a straight interface"),
+                 "outer-identity-refinement": Check(
+                     ("tol",), OUTER_IDENTITY_TOL, "two or more grid spacings")},
+    "frequency": {"i-value": Check(("target", "tol"), 0.02),
+                  "outer-identity": Check(("tol",), OUTER_IDENTITY_TOL),
+                  "monotonicity": Check(("tol", "kappa"), 0.02),
+                  "doubling": Check(("kappa",), 0.0)},
 }
 
 
@@ -131,26 +160,30 @@ def _load_schema():
 
 def validate_config(cfg):
     """Check every config rule before any work; raises UsageError with a path."""
-    if not isinstance(cfg, dict):
-        raise UsageError("config must be a JSON object")
     validator = jsonschema.Draft202012Validator(_load_schema())
     err = jsonschema.exceptions.best_match(validator.iter_errors(cfg))
     if err is not None:
         path = ".".join(str(p) for p in err.absolute_path)
         raise UsageError(err.message, path)
     kind, dcfg = cfg["kind"], cfg.get("domain", {})
-    spacing = {"solve": "h", "frequency": "h", "collapse": "h_values"}.get(kind)
+    for name in cfg:
+        if name not in COMMON_FIELDS + FIELDS[kind]:
+            raise UsageError(f"kind {kind!r} does not read {name!r}", name)
+    try:
+        if kind == "density":
+            build_surface(**cfg.get("surface", {}))
+        elif kind == "two-circles":
+            check_two_circles(cfg["r_inner"], cfg["r_outer"])
+    except ValueError as exc:
+        raise UsageError(str(exc), "surface" if kind == "density" else "r_outer")
+    spacing = {"solve": "h", "interpolation": "h", "frequency": "h",
+               "collapse": "h_values"}.get(kind)
     if spacing is not None and spacing not in dcfg:
         raise UsageError(f"{kind} needs domain.{spacing}", f"domain.{spacing}")
     spacings = [("domain.h", dcfg["h"])] if "h" in dcfg else []
     spacings += [(f"domain.h_values.{i}", h)
                  for i, h in enumerate(dcfg.get("h_values", []))]
-    checks = cfg.get("checks", [])
-    interp = any(c["type"] == "interpolation-bound" for c in checks)
-    spec = _data_from(cfg) if spacing is not None and not interp else None
-    # The budget counts the data's own sheets, at the field that set Q.
-    params = cfg.get("data", {}).get("params", {})
-    q_path = "Q" if "Q" in cfg else "data.params.Q" if "Q" in params else "data.params"
+    spec = _data_from(cfg) if "data" in FIELDS[kind] else None
     R = dcfg.get("R", 1.0)
     iface = _interface_from(dcfg.get("interface"))
     for path, h in spacings:
@@ -164,7 +197,7 @@ def validate_config(cfg):
                              f"grid, above {MAX_GRID_CELLS} cells", path)
         if spec is not None and spec.Q * side * side > MAX_SHEET_VALUES:
             raise UsageError(f"Q={spec.Q} sheets on the {side:.0f}^2 grid of "
-                             f"{path} exceed {MAX_SHEET_VALUES} values", q_path)
+                             f"{path} exceed {MAX_SHEET_VALUES} values", "Q")
         try:
             check_interface(iface, R, h)
         except ConstructionError as exc:
@@ -179,16 +212,19 @@ def validate_config(cfg):
                          "data.generator")
     met = {None: True, "Q = 1": spec is not None and spec.Q == 1,
            "a straight interface": iface.kind == "straight",
-           "two or more grid spacings": len(dcfg.get("h_values", [])) >= 2,
-           "to be the only check": len(checks) == 1}
-    table = CHECKS.get(kind, {})
+           "two or more grid spacings": len(dcfg.get("h_values", [])) >= 2}
+    checks = cfg.get("checks", [])
     for i, ccfg in enumerate(checks):
-        t = ccfg["type"]
-        if t not in table:
+        t, rule = ccfg["type"], CHECKS[kind].get(ccfg["type"])
+        if rule is None:
             raise UsageError(f"check {t!r} does not apply to kind {kind!r}",
                              f"checks.{i}.type")
-        if not met[table[t]]:
-            raise UsageError(f"check {t!r} needs {table[t]}", f"checks.{i}.type")
+        for name in ccfg:
+            if name not in ("type", "expect") + rule.fields:
+                raise UsageError(f"check {t!r} does not read {name!r}",
+                                 f"checks.{i}.{name}")
+        if not met[rule.need]:
+            raise UsageError(f"check {t!r} needs {rule.need}", f"checks.{i}.type")
     # A bound left out takes its default at each scanned spacing.
     refine = any(c["type"] == "outer-identity-refinement" for c in checks)
     scanned = {"frequency": spacings,
@@ -197,7 +233,8 @@ def validate_config(cfg):
         r_min, r_max = scan_bounds(R, h, **scan)
         if r_min >= r_max:
             at = ("scan.r_max" if "r_max" in scan
-                  else "scan.r_min" if "r_min" in scan else path)
+                  else "scan.r_min" if scan.get("r_min", 0.0) >= r_max
+                  else path)
             raise UsageError(f"scan radii r_min={r_min:g} and r_max={r_max:g} "
                              f"leave nothing to scan at h={h:g}", at)
 
@@ -241,8 +278,8 @@ def _interface_from(icfg):
     return InterfaceSpec.sine_wave(icfg["amplitude"], icfg["wavenumber"])
 
 
-def _domain_from(dcfg, h):
-    return build_halfdisk(R=dcfg.get("R", 1.0), h=h,
+def _domain_from(dcfg, h=None):
+    return build_halfdisk(R=dcfg.get("R", 1.0), h=h or dcfg["h"],
                           interface=_interface_from(dcfg.get("interface")))
 
 
@@ -252,17 +289,15 @@ def _data_from(cfg):
         raise UsageError(f"kind {cfg['kind']!r} needs boundary data", "data")
     params = dict(dcfg.get("params", {}))
     name = dcfg["generator"]
-    if "Q" in cfg and name in ("linear", "quadratic-harmonic", "odd-cubic",
-                               "frequency-drop"):
-        params.setdefault("Q", cfg["Q"])
+    if "Q" in cfg and name != "sqrt-branch":
+        params["Q"] = cfg["Q"]
     try:
         spec = data_maps.make_boundary_data(name, **params)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc), "data.params")
     if "Q" in cfg and spec.Q != cfg["Q"]:
-        raise UsageError(
-            f"generator {name!r} yields Q={spec.Q} but config says Q={cfg['Q']}",
-            "Q")
+        raise UsageError(f"generator {name!r} yields Q={spec.Q} but config "
+                         f"says Q={cfg['Q']}", "Q")
     return spec
 
 
@@ -273,6 +308,21 @@ def _check_row(name, ok, value, bound, expect="pass", **extra):
            "value": value, "bound": bound}
     row.update(extra)
     return row
+
+
+def _checks(cfg, report):
+    """Each configured check as (type, config, bound, row); row(name, ok,
+    value, bound=bound, **extra) adds its report row under its expect."""
+    for ccfg in cfg.get("checks", []):
+        t = ccfg["type"]
+        tol = ccfg.get("tol", CHECKS[cfg["kind"]][t].tol)
+
+        def row(name, ok, value, bound=tol, expect=ccfg.get("expect", "pass"),
+                **extra):
+            report["checks"].append(_check_row(name, ok, value, bound, expect,
+                                               **extra))
+
+        yield t, ccfg, tol, row
 
 
 def _base_report(cfg):
@@ -329,32 +379,23 @@ def _solve_summary(info):
 
 
 def _run_solve(cfg):
-    dcfg = cfg["domain"]
-    checks_cfg = cfg.get("checks", [])
-    if checks_cfg and checks_cfg[0]["type"] == "interpolation-bound":
-        return _run_interpolation_suite(cfg, dcfg, checks_cfg[0])
-    dom = _domain_from(dcfg, dcfg["h"])
+    dom = _domain_from(cfg["domain"])
     data = _data_from(cfg)
     u, info = minimize(dom, data, **cfg.get("solver", {}))
     report = _base_report(cfg)
     report["summary"] = {"h": dom.h, "Q": data.Q, **_solve_summary(info)}
-    for ccfg in checks_cfg:
-        if ccfg["type"] == "classical-reference":
-            tol = ccfg.get("tol", 1e-8)
+    for t, _, tol, row in _checks(cfg, report):
+        if t == "classical-reference":
 
             def bfn(xy):
                 return np.asarray(data.plus(xy), dtype=float)[:, 0, :]
 
             ref = harmonic_reference(dom, "plus", bfn, bfn)
             err = float(np.abs(u.plus[:, 0, :] - ref).max())
-            report["checks"].append(_check_row(
-                "matches-direct-solve", err <= tol, err, tol,
-                expect=ccfg.get("expect", "pass")))
-        elif ccfg["type"] == "converged":
-            report["checks"].append(_check_row(
-                "solver-converged", info.converged, info.max_update,
-                cfg.get("solver", {}).get("update_stop", UPDATE_STOP),
-                expect=ccfg.get("expect", "pass")))
+            row("matches-direct-solve", err <= tol, err)
+        elif t == "converged":
+            row("solver-converged", info.converged, info.max_update,
+                cfg.get("solver", {}).get("update_stop", tol))
     return RunResult(report)
 
 
@@ -368,7 +409,7 @@ def _random_polynomial_spec(rng, q, degree_max, phi_terms):
     return data_maps.custom_coefficients(coeffs, phi_coeffs=phi_terms)
 
 
-def _run_interpolation_suite(cfg, dcfg, ccfg):
+def _run_interpolation(cfg):
     """Random map pairs through the annulus blend, one shared constant.
 
     Every pair shares its interface trace (the blend requires that), the
@@ -376,11 +417,10 @@ def _run_interpolation_suite(cfg, dcfg, ccfg):
     constant is the worst ratio of band energy to the weighted collar
     bound over all pairs and band widths.
     """
-    dom = _domain_from(dcfg, dcfg["h"])
+    dom = _domain_from(cfg["domain"])
     rng = np.random.default_rng(cfg.get("seed", 0))
     pairs, lams, c_max, degree_max = 50, [0.1, 0.2], 20.0, 3
-    rows = []
-    worst = 0.0
+    rows, worst = [], 0.0
     for k in range(pairs):
         q = int(rng.integers(1, 4))
         phi_terms = [(int(j), float(cr), float(ci)) for j, (cr, ci) in
@@ -395,8 +435,7 @@ def _run_interpolation_suite(cfg, dcfg, ccfg):
                          rep.fitted_constant))
     report = _base_report(cfg)
     report["checks"] = [_check_row("interpolation-constant", worst <= c_max,
-                                   worst, c_max,
-                                   expect=ccfg.get("expect", "pass"))]
+                                   worst, c_max)]
     report["summary"] = {"h": dom.h, "pairs": pairs, "lams": lams,
                          "fitted_constant": worst}
     header = ["pair", "Q", "lam", "band_energy", "collar_energy_f",
@@ -408,9 +447,7 @@ def _run_collapse(cfg):
     dcfg = cfg["domain"]
     data = _data_from(cfg)
     report = _base_report(cfg)
-    series = {}
-    levels = []
-    solves = []
+    series, levels, solves = {}, [], []
     for h in dcfg["h_values"]:
         dom = _domain_from(dcfg, h)
         u, info = minimize(dom, data, **cfg.get("solver", {}))
@@ -426,36 +463,18 @@ def _run_collapse(cfg):
     osc = levels[-1]["oscillation"]
     report["summary"] = {"levels": levels, "Q": data.Q, "data": data.label}
 
-    for ccfg in cfg.get("checks", []):
-        t = ccfg["type"]
-        expect = ccfg.get("expect", "pass")
-        if t == "spread-decreasing":
-            step = float(np.diff(spreads).max()) if spreads.size > 1 else 0.0
-            report["checks"].append(_check_row(
-                "spread-decreasing", step < 0.0 or spreads.size == 1,
-                step, 0.0, expect=expect))
+    for t, ccfg, tol, row in _checks(cfg, report):
+        if t.endswith("-decreasing"):
+            vals = spreads if t == "spread-decreasing" else defects
+            step = float(np.diff(vals).max()) if vals.size > 1 else 0.0
+            row(t, step < tol or vals.size == 1, step)
         elif t == "spread-max":
-            tol = ccfg.get("tol", 1e-8)
-            report["checks"].append(_check_row(
-                "spread-max", spreads[-1] <= tol, float(spreads[-1]), tol,
-                expect=expect))
-        elif t == "spread-vs-oscillation":
-            val = float(spreads[-1] / osc)
-            report["checks"].append(_check_row(
-                "spread-vs-oscillation", val <= OSCILLATION_RATIO, val,
-                OSCILLATION_RATIO, expect=expect))
-        elif t == "defect-decreasing":
-            step = float(np.diff(defects).max()) if defects.size > 1 else 0.0
-            report["checks"].append(_check_row(
-                "defect-decreasing", step < 0.0 or defects.size == 1,
-                step, 0.0, expect=expect))
-        elif t == "odd-defect-vs-oscillation":
-            val = float(levels[-1]["odd_defect"] / osc)
-            report["checks"].append(_check_row(
-                "odd-defect-vs-oscillation", val <= OSCILLATION_RATIO, val,
-                OSCILLATION_RATIO, expect=expect))
+            row(t, spreads[-1] <= tol, float(spreads[-1]))
+        elif t.endswith("-vs-oscillation"):
+            key = "odd_defect" if t.startswith("odd") else "sheet_spread"
+            val = float(levels[-1][key] / osc)
+            row(t, val <= tol, val)
         elif t == "outer-identity-refinement":
-            tol = ccfg.get("tol", OUTER_IDENTITY_TOL)
             shrink_min = 1.5
             worsts = []
             for dom, u in solves[-2:]:
@@ -466,11 +485,8 @@ def _run_collapse(cfg):
                 name = f"frequency-{int(round(1.0 / dom.h))}"
                 series[name] = _frequency_series(scan)
             shrink = worsts[0] / worsts[1] if worsts[1] > 0 else math.inf
-            ok = worsts[1] <= tol and shrink >= shrink_min
-            report["checks"].append(_check_row(
-                "outer-identity-refinement", ok, worsts[1], tol,
-                expect=expect, coarse=worsts[0], shrink=shrink,
-                shrink_min=shrink_min))
+            row(t, worsts[1] <= tol and shrink >= shrink_min, worsts[1],
+                coarse=worsts[0], shrink=shrink, shrink_min=shrink_min)
 
     header = ["h", "sheet_spread", "harmonic_defect", "odd_defect",
               "oscillation", "energy"]
@@ -482,8 +498,7 @@ def _run_collapse(cfg):
 
 
 def _run_frequency(cfg):
-    dcfg = cfg["domain"]
-    dom = _domain_from(dcfg, dcfg["h"])
+    dom = _domain_from(cfg["domain"])
     data = _data_from(cfg)
     source = cfg.get("source", "minimize")
     report = _base_report(cfg)
@@ -509,35 +524,25 @@ def _run_frequency(cfg):
             summary.update({"kappa": kappa, "kappa_sweeps": kinfo.sweeps})
         return summary["kappa"]
 
-    for ccfg in cfg.get("checks", []):
-        t = ccfg["type"]
-        expect = ccfg.get("expect", "pass")
+    for t, ccfg, tol, row in _checks(cfg, report):
         if t == "i-value":
             target = ccfg["target"]
-            tol = ccfg.get("tol", 0.02)
             worst = float(np.abs(scan.I - target).max())
-            report["checks"].append(_check_row(
-                f"frequency-near-{target:g}", worst <= tol, worst, tol,
-                expect=expect, homogeneity=homogeneity_defect(u, scan.i0)))
+            row(f"frequency-near-{target:g}", worst <= tol, worst,
+                homogeneity=homogeneity_defect(u, scan.i0))
         elif t == "outer-identity":
-            tol = ccfg.get("tol", OUTER_IDENTITY_TOL)
             ok, worst = check_outer_identity(scan, tol)
-            report["checks"].append(_check_row(
-                "outer-identity", ok, worst, tol, expect=expect))
+            row(t, ok, worst)
         elif t == "monotonicity":
-            tol = ccfg.get("tol", 0.02)
             ok, worst, c_eff = check_monotonicity(scan, tol=tol,
                                                   kappa=kappa_of(ccfg))
-            report["checks"].append(_check_row(
-                "almost-monotone", ok, worst, tol, expect=expect,
-                c_eff=c_eff))
+            row("almost-monotone", ok, worst, c_eff=c_eff)
         elif t == "doubling":
             rep = check_doubling_bounds(scan, lam=1.2, kappa=kappa_of(ccfg))
             worst = max(rep.worst_h_margin, rep.worst_d_margin)
-            report["checks"].append(_check_row(
-                "doubling-bounds", rep.passed, worst, 0.0, expect=expect,
-                h_pass=rep.h_pass, d_pass=rep.d_pass,
-                range_pass=rep.range_pass, pairs=rep.pairs, c_eff=rep.c_eff))
+            row("doubling-bounds", rep.passed, worst, h_pass=rep.h_pass,
+                d_pass=rep.d_pass, range_pass=rep.range_pass, pairs=rep.pairs,
+                c_eff=rep.c_eff)
             series["doubling"] = (list(DOUBLING_COLUMNS), rep.rows)
     report["summary"].update({"h": scan.h, "i0": scan.i0,
                               "c_mono": scan.c_mono,
@@ -603,10 +608,7 @@ def _run_decay(cfg):
 
 
 def _run_density(cfg):
-    scfg = cfg.get("surface", {})
-    alpha = scfg.get("alpha", 0.5)
-    surf = build_surface(alpha=alpha, tau=scfg.get("tau", 1.2),
-                         fillet=scfg.get("fillet", 0.2))
+    surf = build_surface(**cfg.get("surface", {}))
     report = _base_report(cfg)
     series = {}
     for pt in cfg["points"]:
@@ -614,7 +616,7 @@ def _run_density(cfg):
         if "coords" in pt:
             point = np.asarray(pt["coords"], dtype=float)
         else:
-            point = surface_image(complex(pt["z"][0], pt["z"][1]), alpha)
+            point = surface_image(complex(pt["z"][0], pt["z"][1]), surf.alpha)
         rep = density_at(surf, point, np.asarray(pt["radii"], float))
         expect, tol = pt["expect"], pt["tol"]
         ok = abs(rep.extrapolated - expect) <= tol * expect
@@ -632,13 +634,13 @@ def _run_density(cfg):
         radii = np.asarray(tf.get("radii", [0.08, 0.05]), dtype=float)
         worst = math.inf
         for z in tf["z_points"]:
-            rep = density_at(surf, surface_image(complex(z[0], z[1]), alpha),
-                             radii)
+            rep = density_at(surf, surface_image(complex(z[0], z[1]),
+                                                 surf.alpha), radii)
             worst = min(worst, rep.extrapolated)
         report["checks"].append(_check_row(
             "density-floor-on-boundary", worst >= floor, worst, floor,
             sampled=len(tf["z_points"])))
-    report["summary"] = {"alpha": alpha, "depth": QUADTREE_DEPTH}
+    report["summary"] = {"alpha": surf.alpha, "depth": QUADTREE_DEPTH}
     return RunResult(report, series)
 
 
@@ -678,6 +680,7 @@ def _run_two_circles(cfg):
 _RUNNERS = {
     "metric-suite": _run_metric_suite,
     "solve": _run_solve,
+    "interpolation": _run_interpolation,
     "frequency": _run_frequency,
     "collapse": _run_collapse,
     "zeros": _run_zeros,

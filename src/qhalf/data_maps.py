@@ -135,7 +135,7 @@ def sqrt_branch() -> DataSpec:
                     label="sqrt-branch")
 
 
-def custom_coefficients(coeffs, phi_coeffs=None) -> DataSpec:
+def custom_coefficients(coeffs, phi_coeffs) -> DataSpec:
     """Sheets built from harmonic polynomials Re(z^k), Im(z^k).
 
     coeffs: nested list, coeffs[side][sheet] = [(k, c_re, c_im), ...];
@@ -164,8 +164,6 @@ def custom_coefficients(coeffs, phi_coeffs=None) -> DataSpec:
 
     def phi(xy):
         xy = np.atleast_2d(np.asarray(xy, dtype=float))
-        if phi_coeffs is None:
-            return np.zeros((xy.shape[0], 1))
         return poly(xy, phi_coeffs)[:, None]
 
     return DataSpec(
@@ -207,14 +205,10 @@ GENERATORS = {
     "quadratic-harmonic": quadratic_harmonic,
     "odd-cubic": odd_cubic,
     "sqrt-branch": sqrt_branch,
-    "custom-coefficients": custom_coefficients,
     "frequency-drop": frequency_drop,
 }
 
 
 def make_boundary_data(name: str, **params) -> DataSpec:
-    try:
-        factory = GENERATORS[name]
-    except KeyError:
-        raise ValueError(f"unknown boundary data generator {name!r}") from None
-    return factory(**params)
+    """The spec the generator GENERATORS[name] makes from params."""
+    return GENERATORS[name](**params)

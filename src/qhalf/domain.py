@@ -103,7 +103,6 @@ class SideGraph:
     neighbor, and the rest are free.
     """
 
-    name: str
     ids: np.ndarray          # global node ids, shape (Ns,)
     loc: np.ndarray          # global -> local, -1 elsewhere
     nb: np.ndarray           # (Ns, 4) local neighbor ids or -1
@@ -146,7 +145,7 @@ class HalfDomain:
 
     @cached_property
     def full(self) -> SideGraph:
-        return _build_side(self, "full", set(TAG_NAMES), set())
+        return _build_side(self, set(TAG_NAMES), set())
 
     def node_at(self, i, j):
         """Global id of grid node (i, j), -1 off the disk; scalars or arrays."""
@@ -281,13 +280,12 @@ def build_halfdisk(
     dom = HalfDomain(R=R, h=h, interface=interface, xy=xy, ij=ij, tag=tag, nb=nb,
                      interface_ids=np.flatnonzero(tag == INTERFACE),
                      id_grid=id_grid)
-    dom.plus = _build_side(dom, "plus", {INTERIOR_PLUS, BOUNDARY_PLUS}, {INTERFACE})
-    dom.minus = _build_side(dom, "minus", {INTERIOR_MINUS, BOUNDARY_MINUS}, {INTERFACE})
+    dom.plus = _build_side(dom, {INTERIOR_PLUS, BOUNDARY_PLUS}, {INTERFACE})
+    dom.minus = _build_side(dom, {INTERIOR_MINUS, BOUNDARY_MINUS}, {INTERFACE})
     return dom
 
 
-def _build_side(dom: HalfDomain, name: str, own_tags: set,
-                shared_tags: set) -> SideGraph:
+def _build_side(dom: HalfDomain, own_tags: set, shared_tags: set) -> SideGraph:
     """The side carrying own_tags and shared_tags. Its boundary-tagged and
     shared rows are pinned; every other row is free."""
     mask = np.isin(dom.tag, list(own_tags | shared_tags))
@@ -320,7 +318,6 @@ def _build_side(dom: HalfDomain, name: str, own_tags: set,
     edges = np.vstack(pairs) if pairs else np.empty((0, 2), dtype=np.intp)
 
     return SideGraph(
-        name=name,
         ids=ids,
         loc=loc,
         nb=nb,

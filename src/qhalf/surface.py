@@ -375,6 +375,12 @@ def _disk_overlap(big_r, d, r):
             - 0.5 * np.sqrt(max(k, 0.0)))
 
 
+def check_two_circles(r_inner: float, r_outer: float):
+    """Raise ValueError unless the circles nest: 0 < r_inner < r_outer."""
+    if not 0.0 < r_inner < r_outer:
+        raise ValueError("need 0 < r_inner < r_outer")
+
+
 def two_circles_density(r_inner: float, r_outer: float, point=None,
                         radii=None) -> TwoCirclesReport:
     """Density of two stacked disks spanning concentric circles.
@@ -385,8 +391,7 @@ def two_circles_density(r_inner: float, r_outer: float, point=None,
     disk contributes a half plane and the outer disk a full one: the
     ratio tends to 3/2 (from below: both disks are convex).
     """
-    if not 0.0 < r_inner < r_outer:
-        raise ValueError("need 0 < r_inner < r_outer")
+    check_two_circles(r_inner, r_outer)
     rho = abs(complex(point)) if point is not None else r_inner
     if radii is None:
         radii = r_inner * np.geomspace(0.1, 0.005, 10)

@@ -283,29 +283,13 @@ def test_oversized_sheet_count_is_usage_error(tmp_path, monkeypatch):
     monkeypatch.setattr("qhalf.cli.build_halfdisk", no_build)
     big = {"kind": "solve", "domain": {"h": 1 / 32}, "Q": 10**6,
            "data": {"generator": "linear"}}
-    in_params = {"kind": "solve", "domain": {"h": 1 / 32},
-                 "data": {"generator": "linear", "params": {"Q": 10**6}}}
-    for cfg, path in ((big, "Q"), (in_params, "data.params.Q")):
-        with pytest.raises(UsageError) as err:
-            validate_config(cfg)
-        assert err.value.path == path
-        rc = main([cfg["kind"], "--config", write_config(tmp_path, cfg),
-                   "--out", str(tmp_path)])
-        assert rc == 2
-    validate_config(dict(big, Q=7, domain={"h": 1 / 16}))
-
-
-def test_sheet_budget_counts_the_datas_own_sheets():
-    # Neither Q nor data.params.Q is set: the 32 sheets come from the
-    # coefficients, 32 * 513^2 values at h = 1/256.
-    sheet = [[0, 1.0, 0.0]]
-    cfg = {"kind": "solve", "domain": {"h": 1 / 256},
-           "data": {"generator": "custom-coefficients",
-                    "params": {"coeffs": [[sheet] * 32, [sheet] * 31]}}}
     with pytest.raises(UsageError) as err:
-        validate_config(cfg)
-    assert err.value.path == "data.params"
-    validate_config(dict(cfg, domain={"h": 1 / 128}))
+        validate_config(big)
+    assert err.value.path == "Q"
+    rc = main([big["kind"], "--config", write_config(tmp_path, big),
+               "--out", str(tmp_path)])
+    assert rc == 2
+    validate_config(dict(big, Q=7, domain={"h": 1 / 16}))
 
 
 def test_readme_library_example_runs(capsys):
@@ -362,11 +346,11 @@ _FIXED_FIELDS = [
     ("collapse-refinement", "checks.1", "ratio", 0.02),
     ("collapse-refinement", "checks.4", "shrink_min", 1.5),
     ("doubling-bounds", "checks.0", "lam", 1.2),
-    ("interpolation-bound", "checks.0", "pairs", 50),
-    ("interpolation-bound", "checks.0", "lams", [0.1, 0.2]),
-    ("interpolation-bound", "checks.0", "c_max", 20.0),
-    ("interpolation-bound", "checks.0", "degree_max", 3),
-    ("interpolation-bound", "checks.0", "amplitude", 1.0),
+    ("interpolation-bound", "", "pairs", 50),
+    ("interpolation-bound", "", "lams", [0.1, 0.2]),
+    ("interpolation-bound", "", "c_max", 20.0),
+    ("interpolation-bound", "", "degree_max", 3),
+    ("interpolation-bound", "", "amplitude", 1.0),
     ("zeros-annulus-n0", "", "annuli", [{"r_lo": 0.5, "r_hi": 2.0}]),
     ("zeros-three-rings", "", "ring_pad", 2.0),
     ("zeros-three-rings", "", "match_tol", 1e-10),
@@ -404,9 +388,8 @@ GUARD_CASES = [
      "checks.1.type"),
     ("interpolation-bound-mix",
      _preset_plus("interpolation-bound", {"type": "converged"},
-                  {"type": "classical-reference"},
-                  {"type": "interpolation-bound"}),
-     "checks.0.type"),
+                  {"type": "classical-reference"}),
+     "checks"),
     ("i-value-without-target", _without_target(), "checks.0"),
     ("solve-without-data",
      {"kind": "solve", "domain": {"h": 1 / 16}, "Q": 1,
@@ -480,6 +463,54 @@ GUARD_CASES = [
      "data.generator"),
     ("numeric-kappa", _with_field("monotonicity-wavy", "checks.0", "kappa", 0.5),
      "checks.0.kappa"),
+    # a field its kind or check does not read would be ignored
+    ("doubling-tol", _with_field("doubling-bounds", "checks.0", "tol", 0.1),
+     "checks.0.tol"),
+    ("doubling-target",
+     _with_field("doubling-bounds", "checks.0", "target", 1.0),
+     "checks.0.target"),
+    ("i-value-kappa",
+     _with_field("frequency-linear", "checks.0", "kappa", "calibrated"),
+     "checks.0.kappa"),
+    ("spread-decreasing-tol",
+     _with_field("collapse-refinement", "checks.0", "tol", 0.1),
+     "checks.0.tol"),
+    ("surface-on-zeros",
+     dict(load_preset("zeros-three-rings"), surface={"tau": 1.2}), "surface"),
+    ("points-on-zeros",
+     dict(load_preset("zeros-three-rings"),
+          points=load_preset("density-suite")["points"]),
+     "points"),
+    ("Q-on-interpolation", dict(load_preset("interpolation-bound"), Q=2), "Q"),
+    ("data-on-interpolation",
+     dict(load_preset("interpolation-bound"), data=_LINEAR), "data"),
+    ("solver-on-interpolation",
+     dict(load_preset("interpolation-bound"), solver={"init": "mean"}),
+     "solver"),
+    ("custom-coefficients-generator",
+     {"kind": "solve", "domain": {"h": 1 / 16},
+      "data": {"generator": "custom-coefficients"}},
+     "data.generator"),
+    # Q is set at the top level only; params.Q would reach the generator
+    ("params-Q",
+     {"kind": "solve", "domain": {"h": 1 / 16},
+      "data": {"generator": "linear", "params": {"Q": 0}}},
+     "data.params"),
+    ("params-amplitude-string",
+     {"kind": "collapse", "Q": 2, "domain": {"h_values": [1 / 16]},
+      "data": {"generator": "odd-cubic", "params": {"amplitude": "x"}}},
+     "data.params.amplitude"),
+    # 16h = 1 raises the given r_min = 0.1 past the default r_max = 0.75
+    ("scan-r-min-raised-past-default-r-max",
+     dict(load_preset("frequency-linear"), domain={"h": 1 / 16},
+          scan={"r_min": 0.1}),
+     "domain.h"),
+    ("surface-fillet-above-tau",
+     dict(load_preset("density-suite"),
+          surface={"alpha": 0.5, "tau": 1.2, "fillet": 1.5}),
+     "surface"),
+    ("two-circles-inner-above-outer",
+     dict(load_preset("two-circles"), r_inner=3.0), "r_outer"),
     # build_halfdisk would refuse both mid-pipeline (exit 1): the first
     # meets the outer circle at 23.6 deg, the second snaps to rows that
     # jump by more than one between columns at h = 1/32
@@ -518,6 +549,24 @@ def test_kind_and_generator_enums_are_the_code_tables():
     assert schema["properties"]["kind"]["enum"] == list(KINDS)
     generators = schema["$defs"]["data"]["properties"]["generator"]["enum"]
     assert generators == list(GENERATORS)
+
+
+def test_field_tables_are_the_schema_fields():
+    # validate_config refuses what the tables leave out, so a schema field
+    # no kind or check reads could never be set.
+    schema = json.loads(resources.files("qhalf").joinpath(
+        "presets/config.schema.json").read_text())
+    assert list(cli.FIELDS) == list(KINDS)
+    kinds = set(cli.COMMON_FIELDS).union(*cli.FIELDS.values())
+    assert set(schema["properties"]) == kinds
+    checks = {"type", "expect"}.union(*(rule.fields
+                                        for table in cli.CHECKS.values()
+                                        for rule in table.values()))
+    assert set(schema["$defs"]["check"]["properties"]) == checks
+    params = set().union(*(inspect.signature(fn).parameters
+                           for fn in GENERATORS.values()))
+    assert set(schema["$defs"]["data"]["properties"]["params"]
+               ["properties"]) == params - {"Q"}
 
 
 def test_solver_and_scan_fields_are_the_keyword_parameters():

@@ -155,7 +155,7 @@ def test_cauchy_schwarz_random_map(dom64, dist64):
                 for k in range(4)] for _ in range(3)],
               [[(k, rng.standard_normal(), rng.standard_normal())
                 for k in range(4)] for _ in range(2)]]
-    u = unpinned_map(dom64, data_maps.custom_coefficients(coeffs))
+    u = unpinned_map(dom64, data_maps.custom_coefficients(coeffs, []))
     scan = frequency_scan(u, dist64)
     # positive part of (E^2 - H Gq) / (H Gq)
     hg = scan.H * scan.Gq
@@ -307,7 +307,7 @@ class _ReferenceQuad:
         self.g_term = np.einsum("mqn,mqn->m", Jd, Jd)
 
         cell = np.full(ns, h * h)
-        if side.name in ("plus", "minus"):
+        if side is fld.domain.plus or side is fld.domain.minus:
             cell[fld.domain.tag[side.ids] == INTERFACE] *= 0.5
         self.cell = cell
         gd2_safe = np.where(np.isfinite(self.gd2), self.gd2, 1.0)
