@@ -1,4 +1,4 @@
-"""Branched surface from the flat product, with mass density probes.
+"""Branched surface from the flat product, and its mass density ratios.
 
 The map z -> (z^3, g(z)) takes a rounded half-stadium region in the
 right half-plane to a surface in R^4. Both components are holomorphic,
@@ -16,21 +16,20 @@ component, components being seeded at the cube roots of the first
 coordinate.
 
 The image and the area element come from one fused evaluation of
-(g, g') per point, and the quadtree evaluates each cell centre once for
-its membership, its distance from the ball centre and its Lipschitz
-reach. The quadtree keeps only cells whose closed square meets the
-region's bounding box: at a boundary point about half of every box lies
-outside the region, and there the continued product gives no Lipschitz
-reason to drop a cell. The cells still undecided at the last depth go
-to a second-order leaf rule. The region is convex (the segment, two
-fillet arcs, two horizontals and the cap arc bound it, and its upper
-edge is a concave function of x), so a cell whose four corners lie
-inside lies wholly inside. Such a cell is integrated from one
-evaluation of (g, g') at its centre: the gap |F - p| is linearized
-there, and the cell's mass is the area element at the centre times the
-exact share of the square on the near side of that line, the closed
-distribution function of a sum of two uniform variables. Cells the
-region boundary crosses keep a membership-weighted 4x4 subsample.
+(g, g') per point. The region is convex (the segment, two fillet arcs,
+two horizontals and the cap arc bound it, and its upper edge is a
+concave function of x), so a cell whose four corners lie inside lies
+wholly inside. The quadtree decides each cell from the gap |F - p| at
+its centre and the Lipschitz reach of its image: past r + reach it is
+dropped, short of r - reach with its corners inside it counts full,
+and otherwise it is split. Cells whose closed square misses the
+region's bounding box are dropped as well; the continued product there
+gives no Lipschitz reason to. Cells undecided at the last depth go to a
+second-order leaf rule: a cell with its corners inside takes the area
+element at its centre times the exact share of the square on the near
+side of the linearized gap, the closed distribution function of a sum
+of two uniform variables; cells the region boundary crosses keep a
+membership-weighted 4x4 subsample.
 
 The two-circles configuration (two stacked flat disks spanning
 concentric circles) is computed in closed form as a reference: exact
@@ -189,12 +188,9 @@ def _member(surface, z, p, r):
     return _gap_and_area(surface, z, p, surface.contains(z))[0] < r
 
 
-# membership probes around a cell centre, in half-widths, the four
-# corners first; the centre is decided from its own evaluation, which
-# also gives the Lipschitz data
-_PROBES = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j, 1 + 0j, -1 + 0j,
-                    1j, -1j])
-_MIDS = 0.5 * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+# a cell's corners in half-widths, and the midpoints of its four quarters
+_CORNERS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+_MIDS = 0.5 * _CORNERS
 
 
 def _meets_box(surface, cz, hw):
@@ -206,10 +202,23 @@ def _meets_box(surface, cz, hw):
     return cz[keep], hw[keep]
 
 
+def _classify(surface, cz, hw, p, r):
+    """Masks of the cells proved full and of those left to split. A cell's
+    image stays within reach of its centre's image, and a cell whose four
+    corners are inside the convex region lies wholly inside it."""
+    # the slit, where the product is undefined, gets an infinite gap
+    gap, dens = _gap_and_area(surface, cz, p,
+                              (cz.real > 0.0) | (cz.imag != 0.0))
+    reach = 1.5 * np.sqrt(np.maximum(dens, 1e-12) * 2.0) * hw
+    corners = cz[:, None] + hw[:, None] * _CORNERS[None, :]
+    full = (gap + reach < r) & surface.contains(corners).all(axis=1)
+    return full, ~full & (gap <= r + reach)
+
+
 def _quadtree_mass(surface, center, w, p, r):
     # Start from cells no larger than the preimage blob (radius about
-    # r over the root of the area element), so a component strictly
-    # inside the box cannot slip between the probes of a single cell.
+    # r over the root of the area element): a start cell's reach is then
+    # about 2r, so a level or two of splitting already decides cells.
     j0 = area_density(center, surface.alpha)
     side = max(2, int(np.ceil(w * np.sqrt(max(j0, 1e-12)) / r)))
     g = (np.arange(side) + 0.5) * 2.0 / side - 1.0
@@ -218,22 +227,11 @@ def _quadtree_mass(surface, center, w, p, r):
     cz, hw = _meets_box(surface, cz, hw)
     mass = 0.0
     for _ in range(QUADTREE_DEPTH):
-        # the slit, where the product is undefined, gets an infinite gap
-        gap, dens = _gap_and_area(surface, cz, p,
-                                  (cz.real > 0.0) | (cz.imag != 0.0))
-        probes = cz[:, None] + hw[:, None] * _PROBES[None, :]
-        m = _member(surface, probes, p, r)
-        n_in = m.sum(axis=1) + (surface.contains(cz) & (gap < r))
-        full = n_in == len(_PROBES) + 1
+        full, mixed = _classify(surface, cz, hw, p, r)
         if np.any(full):
             zs = cz[full, None] + hw[full, None] * _MIDS[None, :]
             J = area_density(zs.ravel(), surface.alpha).reshape(zs.shape)
             mass += float((J.mean(axis=1) * (2.0 * hw[full]) ** 2).sum())
-        # drop a cell only when a Lipschitz bound proves its image
-        # stays clear of the ball; probes alone are not a proof
-        reach = 1.5 * np.sqrt(np.maximum(dens, 1e-12) * 2.0) * hw
-        empty = (n_in == 0) & (gap > r + reach)
-        mixed = ~full & ~empty
         if not np.any(mixed):
             return mass
         cz = (cz[mixed, None] + hw[mixed, None] * _MIDS[None, :]).ravel()
@@ -277,7 +275,7 @@ def _leaf_mass(surface, cz, hw, p, r):
     gap < r of that line. Cells the region boundary crosses keep a
     membership-weighted 4x4 subsample.
     """
-    corners = cz[:, None] + hw[:, None] * _PROBES[None, :4]
+    corners = cz[:, None] + hw[:, None] * _CORNERS[None, :]
     inner = surface.contains(corners).all(axis=1)
     z, h = cz[inner], hw[inner]
     g, gp = branch_product_and_prime(z, surface.alpha)

@@ -11,11 +11,10 @@ from scipy.spatial import cKDTree
 from qhalf import surface as surface_mod
 from qhalf.cli import list_presets
 from qhalf.holomorphic import find_zeros_numeric
-from qhalf.surface import (_MIDS, _PROBES, QUADTREE_DEPTH, BranchedSurface,
-                           _cut_fraction, _gap_and_area, _leaf_mass,
-                           _meets_box, _member, _top_profile, area_density,
-                           build_surface, density_at, surface_image,
-                           two_circles_density)
+from qhalf.surface import (_CORNERS, BranchedSurface, _cut_fraction,
+                           _gap_and_area, _meets_box, _member, _top_profile,
+                           area_density, build_surface, density_at,
+                           surface_image, two_circles_density)
 
 # value of the product at 0.7 + 0.2i, frozen from high-precision
 # evaluation (same point as in the holomorphic tests)
@@ -395,37 +394,6 @@ def test_branch_point_density_between_wraps(surf):
     assert np.all(rep.ratios < 3.1)
 
 
-def unpruned_quadtree_mass(surface, center, w, p, r):
-    """The quadtree without the bounding-box test: every cell, inside
-    the region's box or not, is probed, split and handed to the leaf
-    rule."""
-    j0 = area_density(center, surface.alpha)
-    side = max(2, int(np.ceil(w * np.sqrt(max(j0, 1e-12)) / r)))
-    g = (np.arange(side) + 0.5) * 2.0 / side - 1.0
-    cz = (center + w * (g[:, None] + 1j * g[None, :])).ravel()
-    hw = np.full(cz.size, w / side)
-    mass = 0.0
-    for _ in range(QUADTREE_DEPTH):
-        gap, dens = _gap_and_area(surface, cz, p,
-                                  (cz.real > 0.0) | (cz.imag != 0.0))
-        probes = cz[:, None] + hw[:, None] * _PROBES[None, :]
-        m = _member(surface, probes, p, r)
-        n_in = m.sum(axis=1) + (surface.contains(cz) & (gap < r))
-        full = n_in == len(_PROBES) + 1
-        if np.any(full):
-            zs = cz[full, None] + hw[full, None] * _MIDS[None, :]
-            J = area_density(zs.ravel(), surface.alpha).reshape(zs.shape)
-            mass += float((J.mean(axis=1) * (2.0 * hw[full]) ** 2).sum())
-        reach = 1.5 * np.sqrt(np.maximum(dens, 1e-12) * 2.0) * hw
-        empty = (n_in == 0) & (gap > r + reach)
-        mixed = ~full & ~empty
-        if not np.any(mixed):
-            return mass
-        cz = (cz[mixed, None] + hw[mixed, None] * _MIDS[None, :]).ravel()
-        hw = np.repeat(0.5 * hw[mixed], 4)
-    return mass + _leaf_mass(surface, cz, hw, p, r)
-
-
 # double point, segment boundary point, interior point, and the
 # theta-floor points on the cap apex and the top horizontal
 PRUNE_CASES = [(np.array([0.0, 1.0, 0.0, 0.0]), 0.07),
@@ -436,20 +404,20 @@ PRUNE_CASES = [(np.array([0.0, 1.0, 0.0, 0.0]), 0.07),
 @pytest.mark.parametrize("point, r", PRUNE_CASES,
                          ids=["double", "segment", "interior", "cap", "top"])
 def test_box_prune_keeps_ratios_bit_equal(surf, monkeypatch, point, r):
-    # Reference: the quadtree that keeps cells outside the region's box.
-    # Those cells hold no region point, so dropping them must leave the
-    # ratio unchanged to the last bit.
+    # Reference: the quadtree with a box test that keeps every cell.
+    # Cells outside the region's box hold no region point, so dropping
+    # them must leave the ratio unchanged to the last bit.
     p = point if np.ndim(point) else surface_image(point)
     radii = np.array([r])
     pruned = density_at(surf, p, radii).ratios
-    monkeypatch.setattr(surface_mod, "_quadtree_mass", unpruned_quadtree_mass)
+    monkeypatch.setattr(surface_mod, "_meets_box", lambda s, cz, hw: (cz, hw))
     assert np.all(density_at(surf, p, radii).ratios == pruned)
 
 
 def test_box_prune_skips_cells_outside_the_region(surf, monkeypatch):
     # At a segment point half of every box lies at x < 0, where the
     # continued product gives no Lipschitz drop; the unpruned tree hands
-    # 520,740 points to contains, the pruned one 42,386.
+    # 554,692 points to contains, the pruned one 20,332.
     calls = []
     contains = BranchedSurface.contains
 
@@ -460,7 +428,7 @@ def test_box_prune_skips_cells_outside_the_region(surf, monkeypatch):
     monkeypatch.setattr(BranchedSurface, "contains", counting)
     rep = density_at(surf, surface_image(0.75j), np.array([0.05]))
     assert sum(calls) < 100_000
-    assert rep.ratios[0] == pytest.approx(0.49092640291453493, rel=1e-12)
+    assert rep.ratios[0] == pytest.approx(0.4909272556217036, rel=1e-12)
 
 
 _SURF = build_surface()
@@ -529,6 +497,32 @@ def test_leaf_rule_agrees_with_the_subsample(surf, monkeypatch):
         assert np.max(np.abs(ratios - ref)) < 5e-5
 
 
+def test_decided_cells_agree_with_the_subsample(surf, monkeypatch):
+    # Every cell the depth loop decides for a density-suite or PRUNE_CASES
+    # ratio: a 9x9 membership grid over its closed square lies wholly in
+    # the ball's preimage when the cell counts full, and misses it wholly
+    # when the cell is dropped.
+    classify, decided = surface_mod._classify, []
+
+    def recording(surface, cz, hw, p, r):
+        full, mixed = classify(surface, cz, hw, p, r)
+        decided.append((cz, hw, p, r, full, ~full & ~mixed))
+        return full, mixed
+
+    monkeypatch.setattr(surface_mod, "_classify", recording)
+    for p, radii in _density_suite_cases():
+        density_at(surf, p, np.array(radii))
+    t = np.linspace(-1.0, 1.0, 9)
+    grid = (t[:, None] + 1j * t[None, :]).ravel()
+    counts = np.zeros(2, dtype=int)
+    for cz, hw, p, r, full, empty in decided:
+        for k, (cells, want) in enumerate(((full, True), (empty, False))):
+            zs = cz[cells, None] + hw[cells, None] * grid[None, :]
+            assert np.all(_member(surf, zs, p, r) == want)
+            counts[k] += cells.sum()
+    assert np.all(counts > 1000)
+
+
 def _polygon_cut_area(gap, gx, gy, hw, r):
     """Area of the square |dx|, |dy| <= hw on the side gap + gx dx + gy dy
     < r: the square clipped by the half-plane, then the shoelace area."""
@@ -589,7 +583,7 @@ def test_cells_with_inside_corners_lie_inside(anchor, u, v, hw, flip):
     c = _ANCHORS[anchor] + hw * complex(u, v)
     if flip:
         c = c.conjugate()
-    if not np.all(_SURF.contains(c + hw * _PROBES[:4])):
+    if not np.all(_SURF.contains(c + hw * _CORNERS)):
         return
     t = np.linspace(-1.0, 1.0, 9)
     assert np.all(_SURF.contains(c + hw * (t[:, None] + 1j * t[None, :])))
