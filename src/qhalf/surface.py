@@ -44,6 +44,8 @@ from .holomorphic import branch_product, branch_product_and_prime
 
 # Subdivision levels of the density quadtree before the leaf rule.
 QUADTREE_DEPTH = 8
+# x where the horizontal edges of the region end and its cap begins.
+STRAIGHT_X = 1.6
 
 
 def _image_and_area(z, alpha):
@@ -64,17 +66,17 @@ def area_density(z, alpha: float = 0.5):
     return _image_and_area(np.asarray(z, dtype=complex), alpha)[1]
 
 
-def _top_profile(x, tau, fillet, straight_x):
+def _top_profile(x, tau, fillet):
     """Upper edge of the region over x; each arc is evaluated only where
-    it applies (the fillet for x <= fillet, the cap past straight_x)."""
+    it applies (the fillet for x <= fillet, the cap past STRAIGHT_X)."""
     x = np.asarray(x, dtype=float)
     cap_r = tau + fillet
     out = np.full(x.shape, cap_r)
     lo = x <= fillet
-    hi = x > straight_x
+    hi = x > STRAIGHT_X
     out[lo] = tau + np.sqrt(np.maximum(fillet ** 2 - (x[lo] - fillet) ** 2,
                                        0.0))
-    out[hi] = np.sqrt(np.maximum(cap_r ** 2 - (x[hi] - straight_x) ** 2, 0.0))
+    out[hi] = np.sqrt(np.maximum(cap_r ** 2 - (x[hi] - STRAIGHT_X) ** 2, 0.0))
     return out
 
 
@@ -85,13 +87,12 @@ class BranchedSurface:
     The region boundary runs up the imaginary segment [-tau i, tau i],
     around a fillet of the given radius onto horizontals at
     +-(tau + fillet), and closes with a semicircular cap of radius
-    tau + fillet centered at straight_x on the real axis.
+    tau + fillet centered at STRAIGHT_X on the real axis.
     """
 
     alpha: float
     tau: float
     fillet: float
-    straight_x: float
 
     @property
     def cap_radius(self) -> float:
@@ -99,16 +100,16 @@ class BranchedSurface:
 
     @property
     def x_max(self) -> float:
-        return self.straight_x + self.cap_radius
+        return STRAIGHT_X + self.cap_radius
 
     def contains(self, z):
         x, y = np.real(z), np.imag(z)
-        top = _top_profile(x, self.tau, self.fillet, self.straight_x)
+        top = _top_profile(x, self.tau, self.fillet)
         return (x > 0.0) & (x < self.x_max) & (np.abs(y) < top)
 
 
-def build_surface(alpha: float = 0.5, tau: float = 1.2, fillet: float = 0.2,
-                  straight_x: float = 1.6) -> BranchedSurface:
+def build_surface(alpha: float = 0.5, tau: float = 1.2,
+                  fillet: float = 0.2) -> BranchedSurface:
     """Construct the surface after checking its shape parameters.
 
     tau must cover the segment zeros meant to act as boundary touching
@@ -116,12 +117,9 @@ def build_surface(alpha: float = 0.5, tau: float = 1.2, fillet: float = 0.2,
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    if not 0.0 < fillet < tau:
-        raise ValueError("need 0 < fillet < tau")
-    if straight_x <= fillet:
-        raise ValueError("straight_x must exceed the fillet radius")
-    return BranchedSurface(alpha=alpha, tau=tau, fillet=fillet,
-                           straight_x=straight_x)
+    if not 0.0 < fillet < min(tau, STRAIGHT_X):
+        raise ValueError(f"need 0 < fillet < tau and fillet < {STRAIGHT_X:g}")
+    return BranchedSurface(alpha=alpha, tau=tau, fillet=fillet)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +139,7 @@ def _in_closed_region(surface, z, tol):
     if x < -tol or x > surface.x_max + tol:
         return False
     xc = min(max(x, 0.0), surface.x_max)
-    top = float(_top_profile(xc, surface.tau, surface.fillet,
-                             surface.straight_x))
+    top = float(_top_profile(xc, surface.tau, surface.fillet))
     return abs(y) <= top + tol
 
 

@@ -509,6 +509,10 @@ GUARD_CASES = [
      dict(load_preset("density-suite"),
           surface={"alpha": 0.5, "tau": 1.2, "fillet": 1.5}),
      "surface"),
+    # the horizontal edges end at x = 1.6, so the fillet must stay below it
+    ("surface-fillet-above-straight-x",
+     dict(load_preset("density-suite"), surface={"tau": 2.0, "fillet": 1.7}),
+     "surface"),
     ("two-circles-inner-above-outer",
      dict(load_preset("two-circles"), r_inner=3.0), "r_outer"),
     # build_halfdisk would refuse both mid-pipeline (exit 1): the first

@@ -11,10 +11,10 @@ from scipy.spatial import cKDTree
 from qhalf import surface as surface_mod
 from qhalf.cli import list_presets
 from qhalf.holomorphic import find_zeros_numeric
-from qhalf.surface import (_CORNERS, BranchedSurface, _cut_fraction,
-                           _gap_and_area, _meets_box, _member, _top_profile,
-                           area_density, build_surface, density_at,
-                           surface_image, two_circles_density)
+from qhalf.surface import (_CORNERS, STRAIGHT_X, BranchedSurface,
+                           _cut_fraction, _gap_and_area, _meets_box, _member,
+                           _top_profile, area_density, build_surface,
+                           density_at, surface_image, two_circles_density)
 
 # value of the product at 0.7 + 0.2i, frozen from high-precision
 # evaluation (same point as in the holomorphic tests)
@@ -34,7 +34,7 @@ G_AT_P = 0.019133197544892224165 + 0.0026486411817210529721j
 
 
 def _piece_lengths(surf):
-    f, tau, x = surf.fillet, surf.tau, surf.straight_x
+    f, tau, x = surf.fillet, surf.tau, STRAIGHT_X
     return np.array([2.0 * tau, 0.5 * np.pi * f, x - f,
                      np.pi * surf.cap_radius, x - f, 0.5 * np.pi * f])
 
@@ -51,7 +51,7 @@ def boundary_point(surf, t):
     cum = np.concatenate([[0.0], np.cumsum(_piece_lengths(surf))])
     idx = np.clip(np.searchsorted(cum, t, side="right") - 1, 0, 5)
     s = t - cum[idx]
-    f, tau, x = surf.fillet, surf.tau, surf.straight_x
+    f, tau, x = surf.fillet, surf.tau, STRAIGHT_X
     cap = surf.cap_radius
     z = np.empty(t.shape, dtype=complex)
     m = idx == 0
@@ -190,8 +190,8 @@ def test_build_validation():
         build_surface(alpha=0.0)
     with pytest.raises(ValueError):
         build_surface(fillet=1.3, tau=1.2)
-    with pytest.raises(ValueError):
-        build_surface(straight_x=0.1, fillet=0.2)
+    with pytest.raises(ValueError, match="fillet < 1.6"):
+        build_surface(tau=2.0, fillet=1.7)
 
 
 def test_grid_inside_positive_density(surf):
@@ -209,7 +209,7 @@ def test_grid_inside_positive_density(surf):
 
 def test_boundary_point_geometry(surf):
     length = boundary_length(surf)
-    f, tau, x = surf.fillet, surf.tau, surf.straight_x
+    f, tau, x = surf.fillet, surf.tau, STRAIGHT_X
     expected_length = 2 * tau + np.pi * f + 2 * (x - f) + np.pi * (tau + f)
     assert np.isclose(length, expected_length, rtol=1e-14)
     assert np.isclose(boundary_point(surf, 0.0), -1j * tau)
@@ -233,24 +233,24 @@ def test_boundary_point_geometry(surf):
     assert not np.any(surf.contains(z - 1e-7 * right))
 
 
-def where_top_profile(x, tau, fillet, straight_x):
+def where_top_profile(x, tau, fillet):
     """Both arcs over every x, then selected by np.where."""
     x = np.asarray(x, dtype=float)
     cap_r = tau + fillet
     with np.errstate(invalid="ignore"):
         fillet_y = tau + np.sqrt(np.maximum(fillet ** 2 - (x - fillet) ** 2,
                                             0.0))
-        cap_y = np.sqrt(np.maximum(cap_r ** 2 - (x - straight_x) ** 2, 0.0))
+        cap_y = np.sqrt(np.maximum(cap_r ** 2 - (x - STRAIGHT_X) ** 2, 0.0))
     return np.where(x <= fillet, fillet_y,
-                    np.where(x <= straight_x, cap_r, cap_y))
+                    np.where(x <= STRAIGHT_X, cap_r, cap_y))
 
 
 def test_top_profile_matches_where_form(surf):
-    shape = (surf.tau, surf.fillet, surf.straight_x)
+    shape = (surf.tau, surf.fillet)
     x = np.concatenate([
         [-0.3, -1e-12, 0.0, 0.5 * surf.fillet, surf.fillet,
-         np.nextafter(surf.fillet, 1.0), 1.0, surf.straight_x,
-         np.nextafter(surf.straight_x, 9.0), surf.straight_x + 0.7,
+         np.nextafter(surf.fillet, 1.0), 1.0, STRAIGHT_X,
+         np.nextafter(STRAIGHT_X, 9.0), STRAIGHT_X + 0.7,
          surf.x_max, surf.x_max + 0.2, 5.0],
         np.linspace(-0.5, surf.x_max + 0.5, 997)])
     for arr in (x, x.reshape(10, 101)):
