@@ -71,6 +71,7 @@ from .solver import (
 from .surface import (
     QUADTREE_DEPTH,
     build_surface,
+    check_density_point,
     check_two_circles,
     density_at,
     surface_image,
@@ -88,6 +89,8 @@ OUTER_IDENTITY_TOL = 0.05
 # Largest sheet spread and odd defect, relative to the boundary oscillation,
 # the collapse checks accept.
 OSCILLATION_RATIO = 0.02
+# Radii of the theta_floor densities when the config gives none.
+THETA_FLOOR_RADII = [0.08, 0.05]
 
 # Fields every kind reads: the report states kind, label and seed.
 COMMON_FIELDS = ("kind", "label", "description", "seed")
@@ -171,11 +174,23 @@ def validate_config(cfg):
             raise UsageError(f"kind {kind!r} does not read {name!r}", name)
     try:
         if kind == "density":
-            build_surface(**cfg.get("surface", {}))
+            surf = build_surface(**cfg.get("surface", {}))
         elif kind == "two-circles":
             check_two_circles(cfg["r_inner"], cfg["r_outer"])
     except ValueError as exc:
         raise UsageError(str(exc), "surface" if kind == "density" else "r_outer")
+    if kind == "density":
+        tf = cfg.get("theta_floor", {})
+        targets = [(f"points.{i}", pt, pt["radii"])
+                   for i, pt in enumerate(cfg["points"])]
+        targets += [(f"theta_floor.z_points.{i}", {"z": z},
+                     tf.get("radii", THETA_FLOOR_RADII))
+                    for i, z in enumerate(tf.get("z_points", []))]
+        for path, pt, radii in targets:
+            try:
+                check_density_point(surf, _density_point(surf, pt), max(radii))
+            except ValueError as exc:
+                raise UsageError(str(exc), path)
     spacing = {"solve": "h", "interpolation": "h", "frequency": "h",
                "collapse": "h_values"}.get(kind)
     if spacing is not None and spacing not in dcfg:
@@ -299,6 +314,13 @@ def _data_from(cfg):
         raise UsageError(f"generator {name!r} yields Q={spec.Q} but config "
                          f"says Q={cfg['Q']}", "Q")
     return spec
+
+
+def _density_point(surf, pt):
+    """A density point's coords, or the image of its z."""
+    if "coords" in pt:
+        return np.asarray(pt["coords"], dtype=float)
+    return surface_image(complex(pt["z"][0], pt["z"][1]), surf.alpha)
 
 
 def _check_row(name, ok, value, bound, expect="pass", **extra):
@@ -613,11 +635,8 @@ def _run_density(cfg):
     series = {}
     for pt in cfg["points"]:
         name = pt["name"]
-        if "coords" in pt:
-            point = np.asarray(pt["coords"], dtype=float)
-        else:
-            point = surface_image(complex(pt["z"][0], pt["z"][1]), surf.alpha)
-        rep = density_at(surf, point, np.asarray(pt["radii"], float))
+        rep = density_at(surf, _density_point(surf, pt),
+                         np.asarray(pt["radii"], float))
         expect, tol = pt["expect"], pt["tol"]
         ok = abs(rep.extrapolated - expect) <= tol * expect
         extra = {"expected": expect}
@@ -631,11 +650,10 @@ def _run_density(cfg):
     tf = cfg.get("theta_floor")
     if tf:
         floor = 0.5 - 0.01  # density 1/2 less a sampling slack
-        radii = np.asarray(tf.get("radii", [0.08, 0.05]), dtype=float)
+        radii = np.asarray(tf.get("radii", THETA_FLOOR_RADII), dtype=float)
         worst = math.inf
         for z in tf["z_points"]:
-            rep = density_at(surf, surface_image(complex(z[0], z[1]),
-                                                 surf.alpha), radii)
+            rep = density_at(surf, _density_point(surf, {"z": z}), radii)
             worst = min(worst, rep.extrapolated)
         report["checks"].append(_check_row(
             "density-floor-on-boundary", worst >= floor, worst, floor,

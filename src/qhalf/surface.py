@@ -308,30 +308,40 @@ def _component_mass(surface, seed, p, r):
     return _quadtree_mass(surface, seed, w, p, r)
 
 
+def check_density_point(surface, point, r_max):
+    """Preimage seeds of a point that density_at can measure with balls
+    of radius up to r_max; raise ValueError unless the point lies on the
+    surface and the ball stays clear of other sheets and of the branch
+    point's image (unless it is the point being measured)."""
+    p = np.asarray(point, dtype=float).ravel()
+    if p.size != 4:
+        raise ValueError("point must have 4 coordinates")
+    p1, p2 = complex(p[0], p[1]), complex(p[2], p[3])
+    seeds = _preimage_seeds(surface, p1, p2, r_max)
+    if not seeds:
+        raise ValueError("point is not on the surface within tolerance")
+    # near the branch point the image triple-wraps
+    if not any(abs(s) < 1e-12 for s in seeds):
+        if 2.0 * r_max > float(np.linalg.norm(p)):
+            raise ValueError("radius too large: the ball reaches the "
+                             "image of the branch point")
+    return seeds
+
+
 def density_at(surface, point, radii) -> DensityReport:
     """Mass ratio mass(B_r)/(pi r^2) per radius with an r -> 0 limit.
 
     The limit estimate is the intercept of a linear fit in r, since
     the leading finite-radius correction at both regular and boundary
     points is first order. Radii must stay below the separation of
-    other sheets over the same cube coordinate; that is enforced.
+    other sheets over the same cube coordinate; check_density_point
+    enforces that.
     """
     p = np.asarray(point, dtype=float).ravel()
-    if p.size != 4:
-        raise ValueError("point must have 4 coordinates")
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0 or np.any(radii <= 0.0):
         raise ValueError("radii must be positive")
-    p1, p2 = complex(p[0], p[1]), complex(p[2], p[3])
-    seeds = _preimage_seeds(surface, p1, p2, float(radii.max()))
-    if not seeds:
-        raise ValueError("point is not on the surface within tolerance")
-    # near the branch point the image triple-wraps; unless that is the
-    # point being measured, the ball must not reach it
-    if not any(abs(s) < 1e-12 for s in seeds):
-        if 2.0 * float(radii.max()) > float(np.linalg.norm(p)):
-            raise ValueError("radius too large: the ball reaches the "
-                             "image of the branch point")
+    seeds = check_density_point(surface, p, float(radii.max()))
     ratios = np.empty(radii.shape)
     for k, r in enumerate(radii):
         mass = sum(_component_mass(surface, s, p, float(r)) for s in seeds)

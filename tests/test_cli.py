@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import subprocess
 import sys
 from importlib import resources
@@ -363,6 +364,13 @@ _FIXED_FIELDS = [
     ("two-circles", "", "model_tol", 1e-4),
 ]
 
+def _density_point(**fields):
+    """density-suite measuring one point: the interior point with fields."""
+    cfg = load_preset("density-suite")
+    point = {k: v for k, v in cfg["points"][2].items() if k != "z"}
+    return dict(cfg, points=[{**point, **fields}])
+
+
 _SINE = {"kind": "sine-wave", "amplitude": 0.05, "wavenumber": 3}
 _LINEAR = {"generator": "linear"}
 GUARD_CASES = [
@@ -513,6 +521,20 @@ GUARD_CASES = [
     ("surface-fillet-above-straight-x",
      dict(load_preset("density-suite"), surface={"tau": 2.0, "fillet": 1.7}),
      "surface"),
+    # density_at would refuse each point mid-pipeline (exit 1)
+    ("density-z-on-slit", _density_point(z=[-0.5, 0.0]), "points.0"),
+    ("density-floor-z-on-slit",
+     dict(load_preset("density-suite"), theta_floor={"z_points": [[-0.5, 0.0]]}),
+     "theta_floor.z_points.0"),
+    ("density-radius-reaches-another-sheet",
+     _density_point(z=[0.0, 0.75], radii=[0.5]), "points.0"),
+    # the touching point of ring -1 lies 8.07e-5 from the branch point image
+    ("density-radius-reaches-branch-point",
+     _density_point(coords=[0.0, -math.exp(-3.0 * math.pi), 0.0, 0.0],
+                    radii=[1e-3]),
+     "points.0"),
+    ("density-coords-off-surface", _density_point(coords=[5.0, 5.0, 5.0, 5.0]),
+     "points.0"),
     ("two-circles-inner-above-outer",
      dict(load_preset("two-circles"), r_inner=3.0), "r_outer"),
     # build_halfdisk would refuse both mid-pipeline (exit 1): the first
@@ -537,7 +559,7 @@ def test_config_rules_fail_before_any_work(tmp_path, monkeypatch, cfg, path):
         raise AssertionError("pipeline work started before validation")
 
     for name in ("minimize", "build_halfdisk", "sample_map",
-                 "interpolate_annulus"):
+                 "interpolate_annulus", "density_at"):
         monkeypatch.setattr(f"qhalf.cli.{name}", no_work)
     with pytest.raises(UsageError) as err:
         validate_config(cfg)
