@@ -221,6 +221,9 @@ def validate_config(cfg):
     if scan.get("r_min", 0.0) >= scan.get("r_max", math.inf):
         raise UsageError("scan.r_min must be below scan.r_max", "scan.r_max")
     solves = kind != "frequency" or cfg.get("source", "minimize") == "minimize"
+    if "solver" in cfg and not solves:
+        raise UsageError(f"source {cfg['source']!r} does not read 'solver'",
+                         "solver")
     if spec is not None and solves and spec.n != 1:
         raise UsageError(f"generator {cfg['data']['generator']!r} yields "
                          f"n={spec.n}, but a solve takes scalar sheets (n=1)",
@@ -242,6 +245,9 @@ def validate_config(cfg):
             raise UsageError(f"check {t!r} needs {rule.need}", f"checks.{i}.type")
     # A bound left out takes its default at each scanned spacing.
     refine = any(c["type"] == "outer-identity-refinement" for c in checks)
+    if "scan" in cfg and kind == "collapse" and not refine:
+        raise UsageError("a collapse run reads 'scan' only for "
+                         "outer-identity-refinement", "scan")
     scanned = {"frequency": spacings,
                "collapse": spacings[-2:] if refine else []}.get(kind, [])
     for path, h in scanned:

@@ -535,6 +535,11 @@ GUARD_CASES = [
      "points.0"),
     ("density-coords-off-surface", _density_point(coords=[5.0, 5.0, 5.0, 5.0]),
      "points.0"),
+    # fields read only under a setting
+    ("solver-on-sampled-frequency",
+     dict(load_preset("frequency-linear"), solver={"init": "mean"}), "solver"),
+    ("scan-on-collapse-without-refinement",
+     dict(load_preset("collapse-q3-linear"), scan={"r_max": 0.6}), "scan"),
     ("two-circles-inner-above-outer",
      dict(load_preset("two-circles"), r_inner=3.0), "r_outer"),
     # build_halfdisk would refuse both mid-pipeline (exit 1): the first
