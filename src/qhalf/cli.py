@@ -9,9 +9,9 @@ report.
 
 validate_config checks every config rule before any work starts: the
 schema, the FIELDS and CHECKS tables of which fields each kind and each
-check type reads and what a check needs, grid and sheet budgets, and the
-boundary data. The runners assume a valid config and have no error
-branches of their own.
+check type reads and what a check needs, grid and sheet budgets, the
+boundary data, and the density surface and points. The runners assume
+a valid config and have no error branches of their own.
 
 Exit codes: 0 all checks passed, 1 a check or the pipeline itself
 failed, 2 the config or command line is malformed.
@@ -90,7 +90,7 @@ OUTER_IDENTITY_TOL = 0.05
 # the collapse checks accept.
 OSCILLATION_RATIO = 0.02
 # Radii of the theta_floor densities when the config gives none.
-THETA_FLOOR_RADII = [0.08, 0.05]
+THETA_FLOOR_RADII = (0.08, 0.05)
 
 # Fields every kind reads: the report states kind, label and seed.
 COMMON_FIELDS = ("kind", "label", "description", "seed")
