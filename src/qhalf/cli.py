@@ -188,7 +188,8 @@ def validate_config(cfg):
                     for i, z in enumerate(tf.get("z_points", []))]
         for path, pt, radii in targets:
             try:
-                check_density_point(surf, _density_point(surf, pt), max(radii))
+                check_density_point(surf, _density_point(surf, pt),
+                                    max(radii))
             except ValueError as exc:
                 raise UsageError(str(exc), path)
     spacing = {"solve": "h", "interpolation": "h", "frequency": "h",

@@ -364,7 +364,8 @@ _FIXED_FIELDS = [
     ("two-circles", "", "model_tol", 1e-4),
 ]
 
-def _density_point(**fields):
+
+def _one_density_point(**fields):
     """density-suite measuring one point: the interior point with fields."""
     cfg = load_preset("density-suite")
     point = {k: v for k, v in cfg["points"][2].items() if k != "z"}
@@ -522,19 +523,20 @@ GUARD_CASES = [
      dict(load_preset("density-suite"), surface={"tau": 2.0, "fillet": 1.7}),
      "surface"),
     # density_at would refuse each point mid-pipeline (exit 1)
-    ("density-z-on-slit", _density_point(z=[-0.5, 0.0]), "points.0"),
+    ("density-z-on-slit", _one_density_point(z=[-0.5, 0.0]), "points.0"),
     ("density-floor-z-on-slit",
-     dict(load_preset("density-suite"), theta_floor={"z_points": [[-0.5, 0.0]]}),
+     dict(load_preset("density-suite"),
+          theta_floor={"z_points": [[-0.5, 0.0]]}),
      "theta_floor.z_points.0"),
     ("density-radius-reaches-another-sheet",
-     _density_point(z=[0.0, 0.75], radii=[0.5]), "points.0"),
+     _one_density_point(z=[0.0, 0.75], radii=[0.5]), "points.0"),
     # the touching point of ring -1 lies 8.07e-5 from the branch point image
     ("density-radius-reaches-branch-point",
-     _density_point(coords=[0.0, -math.exp(-3.0 * math.pi), 0.0, 0.0],
-                    radii=[1e-3]),
+     _one_density_point(coords=[0.0, -math.exp(-3.0 * math.pi), 0.0, 0.0],
+                        radii=[1e-3]),
      "points.0"),
-    ("density-coords-off-surface", _density_point(coords=[5.0, 5.0, 5.0, 5.0]),
-     "points.0"),
+    ("density-coords-off-surface",
+     _one_density_point(coords=[5.0, 5.0, 5.0, 5.0]), "points.0"),
     # fields read only under a setting
     ("solver-on-sampled-frequency",
      dict(load_preset("frequency-linear"), solver={"init": "mean"}), "solver"),
