@@ -12,12 +12,10 @@ decay like exp(-4 cos(alpha pi/2) s^{-alpha/3}) near 0.
 The phases pair up as +-i pi/2 and +-i pi/6, and sin(w + ia) sin(w - ia)
 = (cosh 2a - cos 2w)/2, so with w = Log z the product is
 g = exp(-4 z^{-alpha}) (cosh pi - cos 2w)(cosh pi/3 - cos 2w) / 4.
-branch_product_and_prime evaluates g and g' from this closed form in one
-pass, for the surface. branch_product keeps the four-factor form: the
-decay checks take finite differences up to order 4, which amplify
-rounding, and the closed form would move their values by about 1e-12.
+Every evaluation of g, its phase and its logarithmic derivative reads
+this closed form through _closed_form.
 
-Zeros are located independently of the closed form by winding counts
+Zeros are located independently of the zero formula by winding counts
 over sector-annulus cells (phase increments only, so magnitudes never
 underflow), positioned by the first moment of the logarithmic
 derivative around the cell, and polished by Newton. The decay checks
@@ -35,8 +33,6 @@ windows are placed inside the zero-free spans between those points.
 import numpy as np
 from dataclasses import dataclass
 from typing import Optional
-
-_K_PHASES = tuple((3 - 2 * k) * np.pi / 6.0 for k in range(4))
 
 MATCH_TOL = 1e-10  # farthest a numeric zero may lie from its closed form
 
@@ -62,61 +58,48 @@ def _prep(z):
     return z, scalar
 
 
-def branch_product(z, alpha: float = 0.5):
-    """Product of the four branch factors; 0 at the origin."""
-    z, scalar = _prep(z)
-    out = np.zeros(z.shape, dtype=complex)
-    nz = z != 0
-    zz = z[nz]
-    logz = np.log(zz)
-    acc = np.exp(-4.0 * zz ** (-alpha))
-    for ph in _K_PHASES:
-        acc = acc * np.sin(logz + 1j * ph)
-    out[nz] = acc
-    return complex(out[0]) if scalar else out
+def _closed_form(z, alpha):
+    """z^{-alpha}, u = z^{2i} = e^{2iw}, a = cosh pi - c and
+    b = cosh pi/3 - c with c = (u + 1/u)/2 = cos 2w, w = Log z."""
+    logz = np.log(z)
+    u = np.exp(2j * logz)
+    c = 0.5 * (u + 1.0 / u)
+    return (np.exp(-alpha * logz), u, np.cosh(np.pi) - c,
+            np.cosh(np.pi / 3.0) - c)
 
 
 def branch_product_and_prime(z, alpha: float = 0.5):
     """g and g' from the closed form in one pass; both 0 at the origin.
 
-    With c = cos 2w and e = exp(-4 z^{-alpha}), g' = e [alpha z^{-alpha}
-    (cosh pi - c)(cosh pi/3 - c) + sin 2w (cosh pi + cosh pi/3 - 2c) / 2] / z.
-    cos 2w and sin 2w come from u = e^{2iw} = z^{2i}.
+    With e = exp(-4 z^{-alpha}), g' = e [alpha z^{-alpha} a b
+    + sin 2w (a + b) / 2] / z, and sin 2w = -i (u - 1/u) / 2.
     """
     z, scalar = _prep(z)
     g, gp = np.zeros((2,) + z.shape, dtype=complex)
     nz = z != 0
     zz = z[nz]
-    logz = np.log(zz)
-    za = np.exp(-alpha * logz)
-    u = np.exp(2j * logz)
-    ui = 1.0 / u
-    c = 0.5 * (u + ui)
-    a, b = np.cosh(np.pi) - c, np.cosh(np.pi / 3.0) - c
+    za, u, a, b = _closed_form(zz, alpha)
     ab = a * b
     e = np.exp(-4.0 * za)
     g[nz] = 0.25 * e * ab
-    gp[nz] = e * (alpha * za * ab - 0.25j * (u - ui) * (a + b)) / zz
+    gp[nz] = e * (alpha * za * ab - 0.25j * (u - 1.0 / u) * (a + b)) / zz
     return (complex(g[0]), complex(gp[0])) if scalar else (g, gp)
 
 
 def log_derivative(z, alpha: float = 0.5):
-    """(d/dz) log of the product: 4 alpha z^{-alpha-1} + sum cot / z."""
+    """(d/dz) log g = (4 alpha z^{-alpha} - i (u - 1/u)(1/a + 1/b)) / z."""
     z, scalar = _prep(z)
-    logz = np.log(z)
-    acc = 4.0 * alpha * z ** (-alpha - 1.0)
-    for ph in _K_PHASES:
-        acc = acc + 1.0 / (np.tan(logz + 1j * ph) * z)
+    za, u, a, b = _closed_form(z, alpha)
+    acc = (4.0 * alpha * za - 1j * (u - 1.0 / u) * (1.0 / a + 1.0 / b)) / z
     return complex(acc[0]) if scalar else acc
 
 
 def product_phase(z, alpha: float = 0.5):
-    """Phase of the product (mod 2 pi), usable at any magnitude."""
+    """Phase of g (mod 2 pi), -4 Im z^{-alpha} + arg a + arg b: finite
+    where exp(-4 z^{-alpha}) underflows."""
     z, scalar = _prep(z)
-    logz = np.log(z)
-    acc = -4.0 * np.imag(z ** (-alpha))
-    for ph in _K_PHASES:
-        acc = acc + np.angle(np.sin(logz + 1j * ph))
+    za, _, a, b = _closed_form(z, alpha)
+    acc = -4.0 * np.imag(za) + np.angle(a) + np.angle(b)
     return float(acc[0]) if scalar else acc
 
 
@@ -258,7 +241,7 @@ def flat_profile(s, alpha: float = 0.5):
     s = np.asarray(s, dtype=float)
     if np.any(s <= 0):
         raise ValueError("s must be positive")
-    return branch_product(1j * np.cbrt(s), alpha)
+    return branch_product_and_prime(1j * np.cbrt(s), alpha)[0]
 
 
 def fd_weights(x, x0, m: int) -> np.ndarray:

@@ -40,7 +40,7 @@ circle-circle overlap areas give the ratio sequence, converging to
 import numpy as np
 from dataclasses import dataclass
 
-from .holomorphic import branch_product, branch_product_and_prime
+from .holomorphic import branch_product_and_prime
 
 # Subdivision levels of the density quadtree before the leaf rule.
 QUADTREE_DEPTH = 8
@@ -155,7 +155,7 @@ def _preimage_seeds(surface, p1, p2, r_max):
     for z in roots:
         if not _in_closed_region(surface, z, 1e-9):
             continue
-        gap = abs(complex(branch_product(z, surface.alpha)) - p2)
+        gap = abs(branch_product_and_prime(z, surface.alpha)[0] - p2)
         # relative to the ball: near the branch point every sheet's p2
         # is tiny, and an absolute test would take a nearby sheet for
         # this one

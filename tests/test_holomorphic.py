@@ -6,7 +6,6 @@ import pytest
 from qhalf import holomorphic
 from qhalf.holomorphic import (
     ZeroMatchError,
-    branch_product,
     branch_product_and_prime,
     decay_constant,
     derivative_decay_check,
@@ -60,16 +59,15 @@ def test_factor_values():
 
 
 def test_product_values():
-    np.testing.assert_allclose(branch_product(0.7 + 0.2j), G_AT_P,
-                               rtol=1e-13)
-    np.testing.assert_allclose(branch_product(0.05 + 1.3j), G_AT_Q,
-                               rtol=1e-13)
-    np.testing.assert_allclose(branch_product(0.4 - 0.6j, alpha=0.7),
-                               G_ALPHA07, rtol=1e-13)
+    for z, alpha, want in ((0.7 + 0.2j, 0.5, G_AT_P),
+                           (0.05 + 1.3j, 0.5, G_AT_Q),
+                           (0.4 - 0.6j, 0.7, G_ALPHA07)):
+        np.testing.assert_allclose(branch_product_and_prime(z, alpha)[0],
+                                   want, rtol=1e-13)
 
 
 def test_flat_extension_at_origin():
-    assert branch_product(0.0) == 0.0
+    assert branch_product_and_prime(0.0)[0] == 0.0
     for k in range(4):
         assert branch_factor(0.0, k) == 0.0
 
@@ -81,18 +79,19 @@ def test_conjugation_symmetry():
         np.testing.assert_allclose(branch_factor(np.conj(pts), k),
                                    np.conj(branch_factor(pts, 3 - k)),
                                    rtol=1e-13)
-    np.testing.assert_allclose(branch_product(np.conj(pts)),
-                               np.conj(branch_product(pts)), rtol=1e-13)
+    np.testing.assert_allclose(branch_product_and_prime(np.conj(pts))[0],
+                               np.conj(branch_product_and_prime(pts)[0]),
+                               rtol=1e-13)
 
 
 def test_slit_plane_domain():
-    with pytest.raises(ValueError):
-        branch_product(-1.0)
     for fn in (branch_product_and_prime, log_derivative, product_phase):
+        with pytest.raises(ValueError):
+            fn(-1.0)
         with pytest.raises(ValueError):
             fn(np.array([0.3 + 0.1j, -0.2 + 0.0j]))
     # just off the slit is fine
-    branch_product(-1.0 + 0.5j)
+    branch_product_and_prime(-1.0 + 0.5j)
 
 
 def test_predicted_zero_closed_forms():
@@ -110,14 +109,15 @@ def test_product_vanishes_on_zero_rings():
     for n in (-1, 0, 1):
         for k in range(4):
             z = predicted_zero_set(k, [n])[0]
-            assert abs(branch_product(z)) < 1e-12
+            assert abs(branch_product_and_prime(z)[0]) < 1e-12
             assert abs(branch_factor(z, k)) < 1e-12
 
 
 def test_prime_matches_finite_difference():
     h = 1e-5
     for z in (0.7 + 0.2j, 1.3 - 0.4j, 0.05 + 1.3j):
-        fd = (branch_product(z + h) - branch_product(z - h)) / (2 * h)
+        fd = (branch_product_and_prime(z + h)[0]
+              - branch_product_and_prime(z - h)[0]) / (2 * h)
         np.testing.assert_allclose(branch_product_and_prime(z)[1], fd,
                                    rtol=1e-5)
 
@@ -137,8 +137,18 @@ def _sample_points(rng, n):
     return r * np.exp(1j * rng.uniform(-0.95 * np.pi, 0.95 * np.pi, n))
 
 
-def _four_factor_product(z):
-    return np.prod([branch_factor(z, k) for k in range(4)], axis=0)
+def _four_factor_product(z, alpha=0.5):
+    return np.prod([branch_factor(z, k, alpha) for k in range(4)], axis=0)
+
+
+def _four_factor_phase_and_log_derivative(z, alpha):
+    """Sum over the four factors of each one's phase and of its log
+    derivative alpha z^{-alpha-1} + cot(Log z + i(3-2k)pi/6) / z."""
+    w = np.log(z)[None, :] + 1j * (3 - 2 * np.arange(4)[:, None]) * np.pi / 6
+    phase = np.sum(-np.imag(z ** -alpha) + np.angle(np.sin(w)), axis=0)
+    dlog = 4.0 * alpha * z ** (-alpha - 1.0) + np.sum(
+        np.cos(w) / np.sin(w), axis=0) / z
+    return phase, dlog
 
 
 def test_fused_product_matches_four_factors():
@@ -163,7 +173,29 @@ def test_fused_product_matches_four_factors():
     for alpha in (0.3, 0.7):
         g, _ = branch_product_and_prime(far[:200], alpha)
         np.testing.assert_allclose(
-            g, branch_product(far[:200], alpha), rtol=1e-12)
+            g, _four_factor_product(far[:200], alpha), rtol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_phase_and_log_derivative_match_four_factors(alpha):
+    # away from the zeros, and below underflow where only the phase
+    # is defined
+    rng = np.random.default_rng(13)
+    zeros = np.concatenate([predicted_zero_set(k, range(-1, 2))
+                            for k in range(4)])
+    pts = _sample_points(rng, 2000)
+    far = pts[np.min(np.abs(pts[:, None] - zeros[None, :])
+                     / np.abs(zeros)[None, :], axis=1) >= 0.05]
+    phase, dlog = _four_factor_phase_and_log_derivative(far, alpha)
+    turn = (product_phase(far, alpha) - phase + np.pi) % (2 * np.pi) - np.pi
+    assert np.max(np.abs(turn)) < 1e-12
+    np.testing.assert_allclose(log_derivative(far, alpha), dlog, rtol=1e-12)
+    # at |z| = 1e-8, 4 Im z^{-alpha} reaches about 1e6 for alpha = 0.7,
+    # so both phases carry about 1e-10 of rounding
+    tiny = 1e-8 * np.exp(1j * np.linspace(-1.5, 1.5, 7))
+    phase, _ = _four_factor_phase_and_log_derivative(tiny, alpha)
+    turn = (product_phase(tiny, alpha) - phase + np.pi) % (2 * np.pi) - np.pi
+    assert np.max(np.abs(turn)) < 1e-9
 
 
 def test_fused_evaluator_shapes_origin_and_slit():
@@ -180,7 +212,7 @@ def test_fused_evaluator_shapes_origin_and_slit():
 def test_phase_and_log_abs_below_underflow():
     # at this point exp(-4 Re z^{-1/2}) is around exp(-25000)
     z = 1e-8 * np.exp(1j * np.pi / 5)
-    assert branch_product(z) == 0.0
+    assert branch_product_and_prime(z)[0] == 0.0
     assert np.isfinite(product_phase(z))
 
 
@@ -274,7 +306,8 @@ def test_envelope_on_right_half_plane():
     slack = np.log(72.0)
     for theta in (-1.5, -0.9, -0.3, 0.2, 0.8, 1.4):
         r = np.geomspace(5e-3, 1.5, 120)
-        la = np.log(np.abs(branch_product(r * np.exp(1j * theta))))
+        g, _ = branch_product_and_prime(r * np.exp(1j * theta))
+        la = np.log(np.abs(g))
         assert np.all(la <= slack - 4 * c * r ** -0.5 + 1e-9)
 
 
