@@ -20,6 +20,7 @@ failed, 2 the config or command line is malformed.
 import argparse
 import csv
 import datetime
+import inspect
 import json
 import math
 import os
@@ -39,6 +40,7 @@ from .domain import (
     build_halfdisk,
     check_interface,
     check_spacing,
+    check_tube,
     grid_half_width,
 )
 from .frequency import (
@@ -244,14 +246,19 @@ def validate_config(cfg):
                                  f"checks.{i}.{name}")
         if not met[rule.need]:
             raise UsageError(f"check {t!r} needs {rule.need}", f"checks.{i}.type")
-    # A bound left out takes its default at each scanned spacing.
     refine = any(c["type"] == "outer-identity-refinement" for c in checks)
     if "scan" in cfg and kind == "collapse" and not refine:
         raise UsageError("a collapse run reads 'scan' only for "
                          "outer-identity-refinement", "scan")
+    # Each scanned spacing builds a distance field, whose tube coordinates
+    # must hold on every node; a scan bound left out takes its default.
     scanned = {"frequency": spacings,
                "collapse": spacings[-2:] if refine else []}.get(kind, [])
     for path, h in scanned:
+        try:
+            check_tube(iface, R, h)
+        except ConstructionError as exc:
+            raise UsageError(f"{exc} (at h={h:g})", "domain.interface")
         r_min, r_max = scan_bounds(R, h, **scan)
         if r_min >= r_max:
             at = ("scan.r_max" if "r_max" in scan
@@ -311,8 +318,11 @@ def _data_from(cfg):
         raise UsageError(f"kind {cfg['kind']!r} needs boundary data", "data")
     params = dict(dcfg.get("params", {}))
     name = dcfg["generator"]
-    if "Q" in cfg and name != "sqrt-branch":
+    takes_q = inspect.signature(data_maps.GENERATORS[name]).parameters.get("Q")
+    if takes_q is not None and "Q" in cfg:
         params["Q"] = cfg["Q"]
+    elif takes_q is not None and takes_q.default is takes_q.empty:
+        raise UsageError(f"generator {name!r} needs the top-level Q", "Q")
     try:
         spec = data_maps.make_boundary_data(name, **params)
     except (TypeError, ValueError) as exc:

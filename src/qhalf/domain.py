@@ -222,6 +222,27 @@ def check_interface(spec: InterfaceSpec, R: float, h: float) -> None:
         )
 
 
+def _disk_indices(R: float, h: float):
+    """Grid indices (i, j) of the nodes of spacing h in the disk of
+    radius R, (i, j) sorted: row-major masking of the indexing="ij" mesh."""
+    imax = int(grid_half_width(R, h))
+    rng_i = np.arange(-imax, imax + 1)
+    II, JJ = np.meshgrid(rng_i, rng_i, indexing="ij")
+    XX, YY = II * h, JJ * h
+    inside = XX * XX + YY * YY <= R * R * (1.0 + 1e-12)
+    return II[inside], JJ[inside]
+
+
+def check_tube(spec: InterfaceSpec, R: float, h: float) -> None:
+    """Raise ConstructionError unless every node build_halfdisk places on
+    the grid of spacing h lies in the tubular neighborhood of a graph
+    interface where build_distance_field's tube coordinates hold. The
+    straight interface always passes."""
+    if spec.kind == "graph":
+        ii, jj = _disk_indices(R, h)
+        _tube_coordinates(spec, np.column_stack((ii * h, jj * h)))
+
+
 def build_halfdisk(
     R: float,
     h: float,
@@ -234,15 +255,8 @@ def build_halfdisk(
     check_interface(interface, R, h)
 
     imax = int(grid_half_width(R, h))
-    rng_i = np.arange(-imax, imax + 1)
-    II, JJ = np.meshgrid(rng_i, rng_i, indexing="ij")
-    XX, YY = II * h, JJ * h
-    inside = XX * XX + YY * YY <= R * R * (1.0 + 1e-12)
-
     jstar = _snapped_rows(interface, imax, h)
-
-    # Row-major masking of the indexing="ij" mesh: already (i, j) sorted.
-    ii, jj = II[inside], JJ[inside]
+    ii, jj = _disk_indices(R, h)
     n = ii.size
     xy = np.column_stack((ii * h, jj * h))
     ij = np.column_stack((ii, jj))
@@ -352,7 +366,8 @@ class DistanceField:
 
 
 def _tube_coordinates(spec: InterfaceSpec, pts: np.ndarray):
-    """Newton solve for (t, s): foot parameter and signed normal offset."""
+    """Newton solve for (t, s): foot parameter and signed normal offset.
+    The tubular rule, stated once: mu = 1 - s psi'' / w^3 >= 0.1."""
     x1, x2 = pts[:, 0], pts[:, 1]
     t = x1.copy()
     for _ in range(60):

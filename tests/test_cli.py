@@ -551,7 +551,22 @@ GUARD_CASES = [
      "domain.interface"),
     ("interface-too-steep-for-grid", _wavy_interface(0.9, 3),
      "domain.interface"),
-    # ring n >= 4 matches its zeros only to 1.8e-10, n <= -5 cannot resolve
+    # at R = 3 the sine wave's curvature folds the tube coordinates
+    ("interface-leaves-tube-frequency",
+     {"kind": "frequency", "Q": 2, "source": "sample",
+      "domain": {"R": 3.0, "h": 0.1, "interface": _SINE},
+      "data": {"generator": "quadratic-harmonic"},
+      "checks": [{"type": "outer-identity"}]},
+     "domain.interface"),
+    ("interface-leaves-tube-collapse",
+     {"kind": "collapse", "Q": 2,
+      "domain": {"R": 3.0, "h_values": [0.1, 0.05], "interface": _SINE},
+      "data": {"generator": "quadratic-harmonic"},
+      "checks": [{"type": "outer-identity-refinement"}]},
+     "domain.interface"),
+    ("generator-without-q",
+     {"kind": "solve", "domain": {"h": 1 / 16}, "data": _LINEAR}, "Q"),
+    # ring n >= 4 matches its zeros only to 1.25e-10, n <= -5 cannot resolve
     # the winding: both would end in a failed check row (exit 1)
     ("zeros-ring-above-3", {"kind": "zeros", "rings": [4]}, "rings.0"),
     ("zeros-ring-below-minus-4", {"kind": "zeros", "rings": [-5]}, "rings.0"),
