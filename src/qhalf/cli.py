@@ -91,8 +91,6 @@ OUTER_IDENTITY_TOL = 0.05
 # Largest sheet spread and odd defect, relative to the boundary oscillation,
 # the collapse checks accept.
 OSCILLATION_RATIO = 0.02
-# Radii of the theta_floor densities when the config gives none.
-THETA_FLOOR_RADII = (0.08, 0.05)
 
 # Fields every kind reads: the report states kind, label and seed.
 COMMON_FIELDS = ("kind", "label", "description", "seed")
@@ -106,7 +104,7 @@ FIELDS = {
     "collapse": ("Q", "domain", "data", "solver", "scan", "checks"),
     "zeros": ("alpha", "rings"),
     "decay": ("alpha",),
-    "density": ("surface", "points", "theta_floor"),
+    "density": ("surface", "points"),
     "two-circles": ("r_inner", "r_outer", "point", "radii", "expect"),
 }
 
@@ -181,19 +179,12 @@ def validate_config(cfg):
             check_two_circles(cfg["r_inner"], cfg["r_outer"])
     except ValueError as exc:
         raise UsageError(str(exc), "surface" if kind == "density" else "r_outer")
-    if kind == "density":
-        tf = cfg.get("theta_floor", {})
-        targets = [(f"points.{i}", pt, pt["radii"])
-                   for i, pt in enumerate(cfg["points"])]
-        targets += [(f"theta_floor.z_points.{i}", {"z": z},
-                     tf.get("radii", THETA_FLOOR_RADII))
-                    for i, z in enumerate(tf.get("z_points", []))]
-        for path, pt, radii in targets:
-            try:
-                check_density_point(surf, _density_point(surf, pt),
-                                    max(radii))
-            except ValueError as exc:
-                raise UsageError(str(exc), path)
+    for i, pt in enumerate(cfg.get("points", [])):
+        try:
+            check_density_point(surf, _density_point(surf, pt),
+                                max(pt["radii"]))
+        except ValueError as exc:
+            raise UsageError(str(exc), f"points.{i}")
     spacing = {"solve": "h", "interpolation": "h", "frequency": "h",
                "collapse": "h_values"}.get(kind)
     if spacing is not None and spacing not in dcfg:
@@ -334,9 +325,7 @@ def _data_from(cfg):
 
 
 def _density_point(surf, pt):
-    """A density point's coords, or the image of its z."""
-    if "coords" in pt:
-        return np.asarray(pt["coords"], dtype=float)
+    """The image of a density point's z on the surface."""
     return surface_image(complex(pt["z"][0], pt["z"][1]), surf.alpha)
 
 
@@ -546,8 +535,6 @@ def _run_frequency(cfg):
         report["summary"].update(_solve_summary(info))
     elif source == "sample":
         u = sample_map(dom, data)
-    elif source == "glued-plus":
-        u = GridField(dom, dom.plus, np.asarray(data.plus(dom.plus.xy), float))
     else:  # glued-full
         u = GridField(dom, dom.full, np.asarray(data.plus(dom.full.xy), float))
     dist = build_distance_field(dom)
@@ -664,17 +651,6 @@ def _run_density(cfg):
             f"density-{name}", ok, rep.extrapolated, tol, **extra))
         series[f"density-{name}"] = (["r", "ratio"],
                                      list(zip(rep.radii, rep.ratios)))
-    tf = cfg.get("theta_floor")
-    if tf:
-        floor = 0.5 - 0.01  # density 1/2 less a sampling slack
-        radii = np.asarray(tf.get("radii", THETA_FLOOR_RADII), dtype=float)
-        worst = math.inf
-        for z in tf["z_points"]:
-            rep = density_at(surf, _density_point(surf, {"z": z}), radii)
-            worst = min(worst, rep.extrapolated)
-        report["checks"].append(_check_row(
-            "density-floor-on-boundary", worst >= floor, worst, floor,
-            sampled=len(tf["z_points"])))
     report["summary"] = {"alpha": surf.alpha, "depth": QUADTREE_DEPTH}
     return RunResult(report, series)
 

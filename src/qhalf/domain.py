@@ -2,9 +2,11 @@
 
 The mesh is the square grid of spacing h clipped to a disk of radius R.
 The interface is either the straight line {y = 0} or the graph of a
-gentle C^3 function y = psi(x) with psi(0) = psi'(0) = 0. One grid node
-per column is snapped to the interface; nodes above it form the plus
-side, nodes below the minus side.
+gentle C^3 function y = psi(x) through the origin, psi(0) = 0; its slope
+psi'(0) is free (sine_wave(a, k) has psi'(0) = a k). check_interface
+and check_tube state what else a graph must meet on a grid. One grid
+node per column is snapped to the interface; nodes above it form the
+plus side, nodes below the minus side.
 
 The module also builds a modified distance field: a function d that
 behaves like |x| near the origin but whose gradient is tangent to the
@@ -51,8 +53,9 @@ class InterfaceSpec:
     """Interface curve through the origin.
 
     kind "straight" is the line y = 0. kind "graph" is y = psi(x) with
-    psi(0) = 0 and psi'(0) = 0; callables for psi and its first two
-    derivatives are required.
+    psi(0) = 0 and any slope psi'(0); callables for psi and its first two
+    derivatives are required. check_interface and check_tube state what
+    else a graph must meet on a given grid.
     """
 
     kind: str

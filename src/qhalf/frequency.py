@@ -44,7 +44,6 @@ from .solver import GridField
 
 DIM = 2                  # dimension m of the domain in the growth exponents
 KAPPA_ZERO = 1e-12       # calibrated drift below this counts as none
-HOMOGENEITY_SCALE = 0.5  # x -> x/2 keeps even grid nodes on grid nodes
 HOMOGENEITY_MIN_CELLS = 4
 RHO = 0.95               # ratio of consecutive radii in a scan
 MIN_RADIAL_CELLS = 8     # a scanned annulus spans at least this many cells
@@ -357,9 +356,10 @@ def calibrate_kappa(dom: HalfDomain, dist: DistanceField):
 def homogeneity_defect(u, i0: float) -> float:
     """Deviation of u from i0-homogeneity between nested grid rings.
 
-    Compares u at x and at s x, s = 1/2, over grid-exact pairs (even
-    index nodes at least HOMOGENEITY_MIN_CELLS cells from the origin),
-    as the relative matching distance between u(s x) and s^{i0} u(x).
+    Compares u at x and at x/2 over grid-exact pairs: even index nodes
+    at least 2 HOMOGENEITY_MIN_CELLS cells from the origin, so that their
+    halves lie at least HOMOGENEITY_MIN_CELLS cells out. The defect is the
+    relative matching distance between u(x/2) and (1/2)^{i0} u(x).
     Exactly homogeneous fields give 0.
     """
     worst = 0.0
@@ -376,13 +376,14 @@ def homogeneity_defect(u, i0: float) -> float:
         cand = np.nonzero(even & (rr >= 2 * HOMOGENEITY_MIN_CELLS * dom.h))[0]
         if cand.size == 0:
             continue
+        # the pairing x -> x/2 keeps even index nodes on grid nodes
         g = dom.node_at(ij[cand, 0] // 2, ij[cand, 1] // 2)
         half_loc = np.where(g >= 0, side.loc[g], -1)
         ok = half_loc >= 0
         cand, half_loc = cand[ok], half_loc[ok]
         if cand.size == 0:
             continue
-        scaled = (HOMOGENEITY_SCALE**i0) * V[cand]
+        scaled = (0.5**i0) * V[cand]
         c2 = batch_match_cost2(V[half_loc], scaled)
         num = np.sqrt(c2)
         mag = np.sqrt(np.maximum(

@@ -72,11 +72,13 @@ def branch_product_and_prime(z, alpha: float = 0.5):
     """g and g' from the closed form in one pass; both 0 at the origin.
 
     With e = exp(-4 z^{-alpha}), g' = e [alpha z^{-alpha} a b
-    + sin 2w (a + b) / 2] / z, and sin 2w = -i (u - 1/u) / 2.
+    + sin 2w (a + b) / 2] / z, and sin 2w = -i (u - 1/u) / 2. Below the
+    smallest normal |z| both are 0 too: off the slit e underflows to 0
+    there, and the complex division by such a z can overflow into a NaN.
     """
     z, scalar = _prep(z)
     g, gp = np.zeros((2,) + z.shape, dtype=complex)
-    nz = z != 0
+    nz = np.abs(z) >= np.finfo(float).tiny
     zz = z[nz]
     za, u, a, b = _closed_form(zz, alpha)
     ab = a * b

@@ -106,10 +106,6 @@ class GridField:
     side: SideGraph
     values: np.ndarray  # (Ns, q, n)
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[2]
-
     def fields(self):
         return [self]
 

@@ -151,7 +151,8 @@ def test_criterion_10_densities(run_preset):
     assert checks["density-double-point"]["preimages"] == 2
     assert abs(checks["density-boundary"]["value"] - 0.5) <= 0.05 * 0.5
     assert abs(checks["density-interior"]["value"] - 1.0) <= 0.03
-    assert checks["density-floor-on-boundary"]["value"] >= 0.49
+    for name in ("cap-apex", "top-edge", "segment-low"):
+        assert checks[f"density-{name}"]["value"] >= 0.49
     assert el_flat + el_surf < 300.0
 
 

@@ -3,10 +3,12 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhalf import cli
 from qhalf.cli import (
@@ -358,8 +360,6 @@ _FIXED_FIELDS = [
     ("decay-orders", "", "orders", [0, 1, 2, 3, 4]),
     ("decay-orders", "", "exponent_rtol", 0.2),
     ("density-suite", "", "depth", 8),
-    ("density-suite", "theta_floor", "floor", 0.5),
-    ("density-suite", "theta_floor", "slack", 0.01),
     ("two-circles", "", "limit_tol", 0.01),
     ("two-circles", "", "model_tol", 1e-4),
 ]
@@ -524,19 +524,24 @@ GUARD_CASES = [
      "surface"),
     # density_at would refuse each point mid-pipeline (exit 1)
     ("density-z-on-slit", _one_density_point(z=[-0.5, 0.0]), "points.0"),
-    ("density-floor-z-on-slit",
-     dict(load_preset("density-suite"),
-          theta_floor={"z_points": [[-0.5, 0.0]]}),
-     "theta_floor.z_points.0"),
     ("density-radius-reaches-another-sheet",
      _one_density_point(z=[0.0, 0.75], radii=[0.5]), "points.0"),
     # the touching point of ring -1 lies 8.07e-5 from the branch point image
     ("density-radius-reaches-branch-point",
-     _one_density_point(coords=[0.0, -math.exp(-3.0 * math.pi), 0.0, 0.0],
-                        radii=[1e-3]),
+     _one_density_point(z=[0.0, math.exp(-math.pi)], radii=[1e-3]),
      "points.0"),
+    ("density-z-off-surface", _one_density_point(z=[5.0, 5.0]), "points.0"),
+    # one spelling per input: a density point is a points entry given by
+    # its z, and a Q = 1 field is sampled, so a theta_floor section, R^4
+    # coords and the glued-plus source are refused
+    ("density-floor-z-on-slit",
+     dict(load_preset("density-suite"),
+          theta_floor={"z_points": [[-0.5, 0.0]]}),
+     ""),
     ("density-coords-off-surface",
      _one_density_point(coords=[5.0, 5.0, 5.0, 5.0]), "points.0"),
+    ("glued-plus-source",
+     dict(load_preset("monotonicity-control"), source="glued-plus"), "source"),
     # fields read only under a setting
     ("solver-on-sampled-frequency",
      dict(load_preset("frequency-linear"), solver={"init": "mean"}), "solver"),
@@ -589,6 +594,24 @@ def test_config_rules_fail_before_any_work(tmp_path, monkeypatch, cfg, path):
     rc = main([cfg["kind"], "--config", write_config(tmp_path, cfg),
                "--out", str(tmp_path)])
     assert rc == 2
+
+
+# z over the region and beyond it, the slit x < 0 included
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.floats(-0.2, 3.2), st.floats(-1.6, 1.6),
+       st.sampled_from([0.1, 0.05, 0.02, 0.005]))
+def test_density_point_is_refused_at_its_path_or_measured(x, y, r):
+    cfg = _one_density_point(z=[x, y], radii=[r, 0.7 * r])
+    try:
+        validate_config(cfg)
+    except UsageError as exc:
+        assert exc.path == "points.0"
+        return
+    # a fresh directory per example: hypothesis refuses the tmp_path fixture
+    with tempfile.TemporaryDirectory() as out:
+        assert run(cfg, out_dir=out) in (0, 1)
+        report = read_report(Path(out) / "density-suite-report.json")
+    assert "error" not in report
 
 
 def test_kind_and_generator_enums_are_the_code_tables():

@@ -209,6 +209,12 @@ def test_fused_evaluator_shapes_origin_and_slit():
         branch_product_and_prime(-1.0)
 
 
+def test_subnormal_distance_to_origin_gives_zeros():
+    # numpy's complex division makes 0 / z a NaN for some subnormal z
+    for z in (2.225073858507203e-309j, 5e-324 + 0j, -1e-309 + 1e-320j):
+        assert branch_product_and_prime(z) == (0j, 0j)
+
+
 def test_phase_and_log_abs_below_underflow():
     # at this point exp(-4 Re z^{-1/2}) is around exp(-25000)
     z = 1e-8 * np.exp(1j * np.pi / 5)

@@ -474,12 +474,8 @@ def _subsample_leaf_mass(surface, cz, hw, p, r):
 
 def _density_suite_cases():
     cfg = dict(list_presets())["density-suite"]
-    cases = [(np.array(pt["coords"]) if "coords" in pt
-              else surface_image(complex(*pt["z"])), pt["radii"])
+    cases = [(surface_image(complex(*pt["z"])), pt["radii"])
              for pt in cfg["points"]]
-    floor = cfg["theta_floor"]
-    cases += [(surface_image(complex(*z)), floor["radii"])
-              for z in floor["z_points"]]
     return cases + [(p if np.ndim(p) else surface_image(p), [r])
                     for p, r in PRUNE_CASES]
 
