@@ -10,8 +10,9 @@ report.
 validate_config checks every config rule before any work starts: the
 schema, the FIELDS and CHECKS tables of which fields each kind and each
 check type reads and what a check needs, grid and sheet budgets, the
-boundary data, and the density surface and points. The runners assume
-a valid config and have no error branches of their own.
+boundary data, the density points, and that every number is finite.
+The runners assume a valid config and have no error branches of their
+own.
 
 Exit codes: 0 all checks passed, 1 a check or the pipeline itself
 failed, 2 the config or command line is malformed.
@@ -54,6 +55,7 @@ from .frequency import (
     scan_bounds,
 )
 from .holomorphic import (
+    ALPHA,
     MATCH_TOL,
     ZeroMatchError,
     derivative_decay_check,
@@ -86,7 +88,7 @@ MAX_GRID_CELLS = 2**20
 # Largest Q x (bounding grid cells) a run may allocate as sheet values,
 # 64 MB of floats per array: Q = 8 on the largest accepted grid.
 MAX_SHEET_VALUES = 2**23
-# Largest relative |D - E| / D the outer-identity checks accept by default.
+# Largest relative |D - E| / D outer-identity-refinement accepts by default.
 OUTER_IDENTITY_TOL = 0.05
 # Largest sheet spread and odd defect, relative to the boundary oscillation,
 # the collapse checks accept.
@@ -102,10 +104,10 @@ FIELDS = {
     "interpolation": ("domain",),
     "frequency": ("Q", "domain", "data", "solver", "scan", "source", "checks"),
     "collapse": ("Q", "domain", "data", "solver", "scan", "checks"),
-    "zeros": ("alpha", "rings"),
-    "decay": ("alpha",),
-    "density": ("surface", "points"),
-    "two-circles": ("r_inner", "r_outer", "point", "radii", "expect"),
+    "zeros": ("rings",),
+    "decay": (),
+    "density": ("points",),
+    "two-circles": ("r_inner", "r_outer", "expect"),
 }
 
 
@@ -126,7 +128,6 @@ CHECKS = {
                  "outer-identity-refinement": Check(
                      ("tol",), OUTER_IDENTITY_TOL, "two or more grid spacings")},
     "frequency": {"i-value": Check(("target", "tol"), 0.02),
-                  "outer-identity": Check(("tol",), OUTER_IDENTITY_TOL),
                   "monotonicity": Check(("tol", "kappa"), 0.02),
                   "doubling": Check(("kappa",), 0.0)},
 }
@@ -168,20 +169,21 @@ def validate_config(cfg):
     if err is not None:
         path = ".".join(str(p) for p in err.absolute_path)
         raise UsageError(err.message, path)
+    bad = next(_non_finite_paths(cfg, ""), None)
+    if bad is not None:
+        raise UsageError("numbers must be finite", bad)
     kind, dcfg = cfg["kind"], cfg.get("domain", {})
     for name in cfg:
         if name not in COMMON_FIELDS + FIELDS[kind]:
             raise UsageError(f"kind {kind!r} does not read {name!r}", name)
-    try:
-        if kind == "density":
-            surf = build_surface(**cfg.get("surface", {}))
-        elif kind == "two-circles":
+    if kind == "two-circles":
+        try:
             check_two_circles(cfg["r_inner"], cfg["r_outer"])
-    except ValueError as exc:
-        raise UsageError(str(exc), "surface" if kind == "density" else "r_outer")
+        except ValueError as exc:
+            raise UsageError(str(exc), "r_outer")
     for i, pt in enumerate(cfg.get("points", [])):
         try:
-            check_density_point(surf, _density_point(surf, pt),
+            check_density_point(build_surface(), _density_point(pt),
                                 max(pt["radii"]))
         except ValueError as exc:
             raise UsageError(str(exc), f"points.{i}")
@@ -259,6 +261,16 @@ def validate_config(cfg):
                              f"leave nothing to scan at h={h:g}", at)
 
 
+def _non_finite_paths(x, path):
+    """Paths of the NaN and infinite numbers in a config, which json.load
+    reads from the literals NaN and Infinity and the schema lets through."""
+    if isinstance(x, float) and not math.isfinite(x):
+        yield path
+    elif isinstance(x, (dict, list)):
+        for k, v in x.items() if isinstance(x, dict) else enumerate(x):
+            yield from _non_finite_paths(v, f"{path}.{k}" if path else str(k))
+
+
 def load_config(path):
     try:
         with open(path) as fh:
@@ -272,21 +284,26 @@ def load_config(path):
     return cfg
 
 
+def _preset_files():
+    """Shipped preset name -> its file; the schema is not a preset."""
+    return {entry.name[:-5]: entry
+            for entry in resources.files("qhalf").joinpath("presets").iterdir()
+            if entry.name.endswith(".json")
+            and entry.name != "config.schema.json"}
+
+
 def list_presets():
     """All shipped presets as (name, config) pairs, sorted by name."""
-    out = []
-    for entry in resources.files("qhalf").joinpath("presets").iterdir():
-        if entry.name.endswith(".json") and entry.name != "config.schema.json":
-            out.append((entry.name[:-5], json.loads(entry.read_text())))
-    return sorted(out)
+    return sorted((name, json.loads(entry.read_text()))
+                  for name, entry in _preset_files().items())
 
 
 def load_preset(name):
-    box = resources.files("qhalf").joinpath(f"presets/{name}.json")
-    if not box.is_file():
-        known = ", ".join(n for n, _ in list_presets())
+    files = _preset_files()
+    if name not in files:
+        known = ", ".join(sorted(files))
         raise UsageError(f"unknown preset {name!r}; shipped presets: {known}")
-    return json.loads(box.read_text())
+    return json.loads(files[name].read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +341,9 @@ def _data_from(cfg):
     return spec
 
 
-def _density_point(surf, pt):
+def _density_point(pt):
     """The image of a density point's z on the surface."""
-    return surface_image(complex(pt["z"][0], pt["z"][1]), surf.alpha)
+    return surface_image(complex(pt["z"][0], pt["z"][1]))
 
 
 def _check_row(name, ok, value, bound, expect="pass", **extra):
@@ -556,9 +573,6 @@ def _run_frequency(cfg):
             worst = float(np.abs(scan.I - target).max())
             row(f"frequency-near-{target:g}", worst <= tol, worst,
                 homogeneity=homogeneity_defect(u, scan.i0))
-        elif t == "outer-identity":
-            ok, worst = check_outer_identity(scan, tol)
-            row(t, ok, worst)
         elif t == "monotonicity":
             ok, worst, c_eff = check_monotonicity(scan, tol=tol,
                                                   kappa=kappa_of(ccfg))
@@ -578,7 +592,6 @@ def _run_frequency(cfg):
 
 
 def _run_zeros(cfg):
-    alpha = cfg.get("alpha", 0.5)
     # ring n is the 4:1 annulus around the zero circle |z| = e^{n pi}, the
     # only ring that annulus holds
     rings = [int(n) for n in cfg.get("rings", [0])]
@@ -590,7 +603,7 @@ def _run_zeros(cfg):
         r_lo, r_hi = ann["r_lo"], ann["r_hi"]
         name = f"zero-match-[{r_lo:.4g},{r_hi:.4g}]"
         try:
-            zeros, paired = find_zeros_numeric(r_lo, r_hi, alpha)
+            zeros, paired = find_zeros_numeric(r_lo, r_hi)
         except ZeroMatchError as exc:
             report["checks"].append(_check_row(
                 name, False, None, MATCH_TOL,
@@ -603,19 +616,18 @@ def _run_zeros(cfg):
         worst = float(np.abs(zeros - paired).max(initial=0.0))
         report["checks"].append(_check_row(
             name, True, worst, MATCH_TOL, count=len(zeros)))
-    report["summary"] = {"alpha": alpha, "annuli": annuli,
+    report["summary"] = {"alpha": ALPHA, "annuli": annuli,
                          "zeros_found": len(rows)}
     header = ["ring", "re", "im", "re_predicted", "im_predicted"]
     return RunResult(report, {"zeros": (header, rows)})
 
 
 def _run_decay(cfg):
-    alpha = cfg.get("alpha", 0.5)
     orders, rtol = [0, 1, 2, 3, 4], 0.2
     report = _base_report(cfg)
     series = {}
     for order in orders:
-        rep = derivative_decay_check(order, alpha)
+        rep = derivative_decay_check(order)
         report["checks"].append(_check_row(
             f"order-{order}-tail-monotone", rep.tail_monotone,
             rep.crossover, None))
@@ -628,18 +640,18 @@ def _run_decay(cfg):
                 f"order-{order}-envelope", rep.envelope_ok, None, None))
         series[f"decay-{order}"] = (["s", "magnitude"],
                                     list(zip(rep.s, rep.magnitude)))
-    report["summary"] = {"alpha": alpha, "orders": orders,
-                         "expected_exponent": alpha / 3.0}
+    report["summary"] = {"alpha": ALPHA, "orders": orders,
+                         "expected_exponent": ALPHA / 3.0}
     return RunResult(report, series)
 
 
 def _run_density(cfg):
-    surf = build_surface(**cfg.get("surface", {}))
+    surf = build_surface()
     report = _base_report(cfg)
     series = {}
     for pt in cfg["points"]:
         name = pt["name"]
-        rep = density_at(surf, _density_point(surf, pt),
+        rep = density_at(surf, _density_point(pt),
                          np.asarray(pt["radii"], float))
         expect, tol = pt["expect"], pt["tol"]
         ok = abs(rep.extrapolated - expect) <= tol * expect
@@ -657,29 +669,25 @@ def _run_density(cfg):
 
 def _run_two_circles(cfg):
     r1, r2 = cfg["r_inner"], cfg["r_outer"]
-    point = complex(cfg["point"][0], cfg["point"][1]) if "point" in cfg else None
-    radii = np.asarray(cfg["radii"], float) if "radii" in cfg else None
-    rep = two_circles_density(r1, r2, point=point, radii=radii)
+    rep = two_circles_density(r1, r2)
     report = _base_report(cfg)
     small = int(np.argmin(rep.radii))
     limit_tol = 0.01
-    scale = rep.exact if rep.exact > 0 else 1.0
     gap = float(abs(rep.ratios[small] - rep.exact))
     report["checks"].append(_check_row(
-        "ratio-limit", gap <= limit_tol * scale, float(rep.ratios[small]),
+        "ratio-limit", gap <= limit_tol * rep.exact, float(rep.ratios[small]),
         rep.exact, tol=limit_tol))
     if "expect" in cfg:
         report["checks"].append(_check_row(
             "exact-value", rep.exact == cfg["expect"], rep.exact,
             cfg["expect"]))
-    if rep.location == "on inner circle":
-        # half plane plus full disk: the closed-form small-radius model
-        model = 1.5 - rep.radii / (3.0 * np.pi * r1)
-        worst = float(np.abs(rep.ratios - model).max())
-        report["checks"].append(_check_row(
-            "analytic-model", worst <= 1e-4, worst, 1e-4))
+    # half plane plus full disk on the inner circle: the small-radius model
+    model = 1.5 - rep.radii / (3.0 * np.pi * r1)
+    worst = float(np.abs(rep.ratios - model).max())
+    report["checks"].append(_check_row(
+        "analytic-model", worst <= 1e-4, worst, 1e-4))
     order = np.argsort(rep.radii)
-    mono = float(np.diff(rep.ratios[order]).max()) if order.size > 1 else 0.0
+    mono = float(np.diff(rep.ratios[order]).max())
     report["checks"].append(_check_row(
         "ratio-monotone-in-r", mono <= 1e-12, mono, 1e-12))
     report["summary"] = {"r_inner": r1, "r_outer": r2,

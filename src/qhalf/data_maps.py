@@ -175,16 +175,17 @@ def custom_coefficients(coeffs, phi_coeffs) -> DataSpec:
     )
 
 
-def frequency_drop(r_cross: float = 0.45, Q: int = 1) -> DataSpec:
+def frequency_drop(Q: int = 1) -> DataSpec:
     """Slowly growing high mode crossing over to a fast low mode.
 
-    r^{1/2} sin(4 theta) dominates inside r_cross with frequency ratio
+    r^{1/2} sin(4 theta) dominates inside r_cross = 0.45 with frequency ratio
     65/4; r^3 sin(theta) takes over outside and settles near 5/3. The
     angular parts are orthogonal, so the scan quantities add mode by
     mode and the ratio genuinely falls across the crossover, faster
     than any admissible drift constant can absorb. Negative control
     for the monotonicity check.
     """
+    r_cross = 0.45
 
     def base(xy):
         xy = np.atleast_2d(np.asarray(xy, dtype=float))

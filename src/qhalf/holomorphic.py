@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 MATCH_TOL = 1e-10  # farthest a numeric zero may lie from its closed form
+ALPHA = 0.5  # the exponent of the flat product and its branched surface
 
 
 class ZeroMatchError(RuntimeError):
@@ -68,7 +69,7 @@ def _closed_form(z, alpha):
             np.cosh(np.pi / 3.0) - c)
 
 
-def branch_product_and_prime(z, alpha: float = 0.5):
+def branch_product_and_prime(z, alpha: float = ALPHA):
     """g and g' from the closed form in one pass; both 0 at the origin.
 
     With e = exp(-4 z^{-alpha}), g' = e [alpha z^{-alpha} a b
@@ -88,7 +89,7 @@ def branch_product_and_prime(z, alpha: float = 0.5):
     return (complex(g[0]), complex(gp[0])) if scalar else (g, gp)
 
 
-def log_derivative(z, alpha: float = 0.5):
+def log_derivative(z, alpha: float = ALPHA):
     """(d/dz) log g = (4 alpha z^{-alpha} - i (u - 1/u)(1/a + 1/b)) / z."""
     z, scalar = _prep(z)
     za, u, a, b = _closed_form(z, alpha)
@@ -96,7 +97,7 @@ def log_derivative(z, alpha: float = 0.5):
     return complex(acc[0]) if scalar else acc
 
 
-def product_phase(z, alpha: float = 0.5):
+def product_phase(z, alpha: float = ALPHA):
     """Phase of g (mod 2 pi), -4 Im z^{-alpha} + arg a + arg b: finite
     where exp(-4 z^{-alpha}) underflows."""
     z, scalar = _prep(z)
@@ -168,7 +169,7 @@ def _newton_polish(z0, alpha, steps=60):
     raise ZeroMatchError(f"Newton did not converge from {z0}")
 
 
-def find_zeros_numeric(r_lo: float, r_hi: float, alpha: float = 0.5):
+def find_zeros_numeric(r_lo: float, r_hi: float, alpha: float = ALPHA):
     """Locate the product's zeros in an annulus and certify the formula.
 
     Sector-annulus cells covering moduli [r_lo, r_hi] and angles just
@@ -238,7 +239,7 @@ def find_zeros_numeric(r_lo: float, r_hi: float, alpha: float = 0.5):
     return found[order], predicted[nearest[order]]
 
 
-def flat_profile(s, alpha: float = 0.5):
+def flat_profile(s, alpha: float = ALPHA):
     """The axis profile h(s) = product(i s^{1/3}) for s > 0."""
     s = np.asarray(s, dtype=float)
     if np.any(s <= 0):
@@ -393,7 +394,7 @@ def _fit_decay_exponent(xs, ys):
     return float(_TRIAL_BETAS[k]) if res[k] < np.inf else float("nan")
 
 
-def derivative_decay_check(order: int, alpha: float = 0.5) -> DecayReport:
+def derivative_decay_check(order: int, alpha: float = ALPHA) -> DecayReport:
     """Measure the decay of |h^{(order)}| toward s = 0.
 
     Derivatives are finite differences on five-point stencils of the

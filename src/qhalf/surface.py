@@ -40,7 +40,7 @@ circle-circle overlap areas give the ratio sequence, converging to
 import numpy as np
 from dataclasses import dataclass
 
-from .holomorphic import branch_product_and_prime
+from .holomorphic import ALPHA, branch_product_and_prime
 
 # Subdivision levels of the density quadtree before the leaf rule.
 QUADTREE_DEPTH = 8
@@ -56,12 +56,12 @@ def _image_and_area(z, alpha):
     return pts, 9.0 * np.abs(z) ** 4 + np.abs(gp) ** 2
 
 
-def surface_image(z, alpha: float = 0.5):
+def surface_image(z, alpha: float = ALPHA):
     """Rows (Re z^3, Im z^3, Re g, Im g); shape (4,) for scalar input."""
     return _image_and_area(np.asarray(z, dtype=complex), alpha)[0]
 
 
-def area_density(z, alpha: float = 0.5):
+def area_density(z, alpha: float = ALPHA):
     """Area element 9|z|^4 + |g'|^2 of the map, extended by 0 at 0."""
     return _image_and_area(np.asarray(z, dtype=complex), alpha)[1]
 
@@ -108,7 +108,7 @@ class BranchedSurface:
         return (x > 0.0) & (x < self.x_max) & (np.abs(y) < top)
 
 
-def build_surface(alpha: float = 0.5, tau: float = 1.2,
+def build_surface(alpha: float = ALPHA, tau: float = 1.2,
                   fillet: float = 0.2) -> BranchedSurface:
     """Construct the surface after checking its shape parameters.
 

@@ -45,9 +45,13 @@ def test_every_preset_is_well_formed():
         assert cfg["label"] == name
 
 
-def test_load_preset_unknown_name():
-    with pytest.raises(UsageError):
-        load_preset("no-such-preset")
+def test_load_preset_unknown_name(capsys):
+    # the schema sits beside the presets but is not one
+    for name in ("no-such-preset", "config.schema"):
+        with pytest.raises(UsageError, match="unknown preset"):
+            load_preset(name)
+        assert main(["zeros", "--preset", name]) == 2
+        assert "unknown preset" in capsys.readouterr().err
 
 
 def test_list_presets_command(capsys):
@@ -243,7 +247,7 @@ def test_runs_import_neither_scipy_optimize_nor_spatial(tmp_path):
 
 @pytest.mark.parametrize("check", [{"type": "monotonicity"},
                                    {"type": "doubling"},
-                                   {"type": "outer-identity"}])
+                                   {"type": "i-value", "target": 1.0}])
 def test_scan_without_reliable_radius_fails(tmp_path, check):
     # every radius in [0.1, 0.2] is thinner than 8 cells at h = 1/64, so
     # there is nothing to check; the config is refused before any work
@@ -485,7 +489,7 @@ GUARD_CASES = [
      _with_field("collapse-refinement", "checks.0", "tol", 0.1),
      "checks.0.tol"),
     ("surface-on-zeros",
-     dict(load_preset("zeros-three-rings"), surface={"tau": 1.2}), "surface"),
+     dict(load_preset("zeros-three-rings"), surface={"tau": 1.2}), ""),
     ("points-on-zeros",
      dict(load_preset("zeros-three-rings"),
           points=load_preset("density-suite")["points"]),
@@ -514,14 +518,39 @@ GUARD_CASES = [
      dict(load_preset("frequency-linear"), domain={"h": 1 / 16},
           scan={"r_min": 0.1}),
      "domain.h"),
+    # a config holds only what the presets vary: alpha = 1/2, the surface's
+    # shape, the two-circles point and radii, the frequency-drop crossover
+    # and a plain outer-identity check are fixed, so setting one is refused
     ("surface-fillet-above-tau",
      dict(load_preset("density-suite"),
           surface={"alpha": 0.5, "tau": 1.2, "fillet": 1.5}),
-     "surface"),
-    # the horizontal edges end at x = 1.6, so the fillet must stay below it
+     ""),
     ("surface-fillet-above-straight-x",
      dict(load_preset("density-suite"), surface={"tau": 2.0, "fillet": 1.7}),
-     "surface"),
+     ""),
+    ("alpha-on-decay", dict(load_preset("decay-orders"), alpha=0.5), ""),
+    ("alpha-on-zeros", dict(load_preset("zeros-three-rings"), alpha=0.5), ""),
+    ("two-circles-point", dict(load_preset("two-circles"), point=[1.0, 0.0]),
+     ""),
+    ("two-circles-radii", dict(load_preset("two-circles"), radii=[0.1, 0.05]),
+     ""),
+    ("frequency-drop-r-cross",
+     _with_field("monotonicity-control", "data", "params", {"r_cross": 0.45}),
+     "data.params"),
+    ("outer-identity-on-frequency",
+     dict(load_preset("frequency-linear"),
+          checks=[{"type": "outer-identity"}]),
+     "checks.0.type"),
+    # json.load reads the literals NaN and Infinity, which the schema's
+    # bounds let through: a NaN update_stop never stops the sweeps
+    ("solver-update-stop-nan",
+     _with_solver("solve-classical", update_stop=math.nan),
+     "solver.update_stop"),
+    ("density-z-infinite", _one_density_point(z=[math.inf, 1.0]),
+     "points.0.z.0"),
+    ("check-tol-nan",
+     _with_field("frequency-linear", "checks.0", "tol", math.nan),
+     "checks.0.tol"),
     # density_at would refuse each point mid-pipeline (exit 1)
     ("density-z-on-slit", _one_density_point(z=[-0.5, 0.0]), "points.0"),
     ("density-radius-reaches-another-sheet",
@@ -561,7 +590,7 @@ GUARD_CASES = [
      {"kind": "frequency", "Q": 2, "source": "sample",
       "domain": {"R": 3.0, "h": 0.1, "interface": _SINE},
       "data": {"generator": "quadratic-harmonic"},
-      "checks": [{"type": "outer-identity"}]},
+      "checks": [{"type": "i-value", "target": 2.0}]},
      "domain.interface"),
     ("interface-leaves-tube-collapse",
      {"kind": "collapse", "Q": 2,
@@ -638,6 +667,42 @@ def test_field_tables_are_the_schema_fields():
                            for fn in GENERATORS.values()))
     assert set(schema["$defs"]["data"]["properties"]["params"]
                ["properties"]) == params - {"Q"}
+
+
+def test_every_config_field_is_set_by_a_preset():
+    # A config holds only what the presets vary: a field or check type no
+    # shipped preset sets is a knob whose one value in use is its default.
+    schema = json.loads(resources.files("qhalf").joinpath(
+        "presets/config.schema.json").read_text())
+    defs = schema["$defs"]
+    presets = [cfg for _, cfg in list_presets()]
+
+    def within(cfgs, key):
+        return [c[key] for c in cfgs if key in c]
+
+    domains, data = within(presets, "domain"), within(presets, "data")
+    sections = {
+        "top level": (schema["properties"], presets),
+        "domain": (defs["domain"]["properties"], domains),
+        "interface": (defs["interface"]["properties"],
+                      within(domains, "interface")),
+        "data": (defs["data"]["properties"], data),
+        "params": (defs["data"]["properties"]["params"]["properties"],
+                   within(data, "params")),
+        "solver": (defs["solver"]["properties"], within(presets, "solver")),
+        "scan": (defs["scan"]["properties"], within(presets, "scan")),
+        "check": (defs["check"]["properties"],
+                  [c for cfg in presets for c in cfg.get("checks", [])]),
+        "point": (defs["point"]["properties"],
+                  [p for cfg in presets for p in cfg.get("points", [])]),
+    }
+    for name, (fields, objects) in sections.items():
+        unset = set(fields) - set().union(*objects)
+        assert not unset, (name, unset)
+    for kind, table in cli.CHECKS.items():
+        used = {c["type"] for cfg in presets if cfg["kind"] == kind
+                for c in cfg.get("checks", [])}
+        assert not set(table) - used, (kind, set(table) - used)
 
 
 def test_solver_and_scan_fields_are_the_keyword_parameters():
