@@ -66,6 +66,7 @@ from .qpoint import QPoint, g_distance, g_distance_bruteforce
 from .solver import (
     UPDATE_STOP,
     GridField,
+    check_band,
     collapse_decompose,
     harmonic_reference,
     interpolate_annulus,
@@ -93,6 +94,8 @@ OUTER_IDENTITY_TOL = 0.05
 # Largest sheet spread and odd defect, relative to the boundary oscillation,
 # the collapse checks accept.
 OSCILLATION_RATIO = 0.02
+# Band widths of the interpolation blend; each must span two node layers.
+BAND_WIDTHS = (0.1, 0.2)
 
 # Fields every kind reads: the report states kind, label and seed.
 COMMON_FIELDS = ("kind", "label", "description", "seed")
@@ -151,6 +154,12 @@ class RunResult:
 # config loading and validation
 
 _SCHEMA = None
+# JSON Schema's integer admits 1.0, which the runners cannot count with:
+# here an integer is a Python int that is not a bool.
+_VALIDATOR = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)))
 
 
 def _load_schema():
@@ -164,7 +173,7 @@ def _load_schema():
 
 def validate_config(cfg):
     """Check every config rule before any work; raises UsageError with a path."""
-    validator = jsonschema.Draft202012Validator(_load_schema())
+    validator = _VALIDATOR(_load_schema())
     err = jsonschema.exceptions.best_match(validator.iter_errors(cfg))
     if err is not None:
         path = ".".join(str(p) for p in err.absolute_path)
@@ -183,8 +192,7 @@ def validate_config(cfg):
             raise UsageError(str(exc), "r_outer")
     for i, pt in enumerate(cfg.get("points", [])):
         try:
-            check_density_point(build_surface(), _density_point(pt),
-                                max(pt["radii"]))
+            check_density_point(_density_point(pt), max(pt["radii"]))
         except ValueError as exc:
             raise UsageError(str(exc), f"points.{i}")
     spacing = {"solve": "h", "interpolation": "h", "frequency": "h",
@@ -200,7 +208,9 @@ def validate_config(cfg):
     for path, h in spacings:
         try:
             check_spacing(R, h)
-        except ConstructionError as exc:
+            for lam in BAND_WIDTHS if kind == "interpolation" else ():
+                check_band(lam, h)
+        except ValueError as exc:
             raise UsageError(str(exc), path)
         side = 2.0 * grid_half_width(R, h) + 1.0
         if side * side > MAX_GRID_CELLS:
@@ -464,7 +474,7 @@ def _run_interpolation(cfg):
     """
     dom = _domain_from(cfg["domain"])
     rng = np.random.default_rng(cfg.get("seed", 0))
-    pairs, lams, c_max, degree_max = 50, [0.1, 0.2], 20.0, 3
+    pairs, c_max, degree_max = 50, 20.0, 3
     rows, worst = [], 0.0
     for k in range(pairs):
         q = int(rng.integers(1, 4))
@@ -472,7 +482,7 @@ def _run_interpolation(cfg):
                      enumerate(rng.uniform(-1.0, 1.0, size=(degree_max + 1, 2)))]
         f = sample_map(dom, _random_polynomial_spec(rng, q, degree_max, phi_terms))
         g = sample_map(dom, _random_polynomial_spec(rng, q, degree_max, phi_terms))
-        for lam in lams:
+        for lam in BAND_WIDTHS:
             _, rep = interpolate_annulus(f, g, lam)
             worst = max(worst, rep.fitted_constant)
             rows.append((k, q, lam, rep.band_energy, rep.collar_energy_f,
@@ -481,7 +491,7 @@ def _run_interpolation(cfg):
     report = _base_report(cfg)
     report["checks"] = [_check_row("interpolation-constant", worst <= c_max,
                                    worst, c_max)]
-    report["summary"] = {"h": dom.h, "pairs": pairs, "lams": lams,
+    report["summary"] = {"h": dom.h, "pairs": pairs, "lams": BAND_WIDTHS,
                          "fitted_constant": worst}
     header = ["pair", "Q", "lam", "band_energy", "collar_energy_f",
               "collar_energy_g", "collar_distance_sq", "fitted_constant"]
@@ -663,7 +673,7 @@ def _run_density(cfg):
             f"density-{name}", ok, rep.extrapolated, tol, **extra))
         series[f"density-{name}"] = (["r", "ratio"],
                                      list(zip(rep.radii, rep.ratios)))
-    report["summary"] = {"alpha": surf.alpha, "depth": QUADTREE_DEPTH}
+    report["summary"] = {"alpha": ALPHA, "depth": QUADTREE_DEPTH}
     return RunResult(report, series)
 
 

@@ -130,7 +130,7 @@ def _cell_path(r0, r1, t0, t1, n):
     return np.concatenate([bottom[:-1], outer[:-1], top[:-1], inner])
 
 
-def _winding_and_moment(r0, r1, t0, t1, alpha):
+def _winding_and_moment(r0, r1, t0, t1):
     """Zero count inside a cell and the first moment of log' around it.
 
     The count comes from accumulated phase increments of the product
@@ -140,7 +140,7 @@ def _winding_and_moment(r0, r1, t0, t1, alpha):
     n = 64
     for _ in range(5):
         path = _cell_path(r0, r1, t0, t1, n)
-        phases = product_phase(path, alpha)
+        phases = product_phase(path)
         d = np.diff(np.concatenate([phases, phases[:1]]))
         d = (d + np.pi) % (2.0 * np.pi) - np.pi
         if np.max(np.abs(d)) < 2.0:
@@ -153,23 +153,23 @@ def _winding_and_moment(r0, r1, t0, t1, alpha):
     if count == 0:
         return 0, 0.0j
     closed = np.concatenate([path, path[:1]])
-    f = closed * log_derivative(closed, alpha)
+    f = closed * log_derivative(closed)
     seg = 0.5 * (f[1:] + f[:-1]) * np.diff(closed)
     moment = np.sum(seg) / (2j * np.pi)
     return count, moment / count
 
 
-def _newton_polish(z0, alpha, steps=60):
+def _newton_polish(z0):
     z = complex(z0)
-    for _ in range(steps):
-        step = -1.0 / log_derivative(z, alpha)
+    for _ in range(60):
+        step = -1.0 / log_derivative(z)
         z = z + step
         if abs(step) <= 1e-14 * max(1.0, abs(z)):
             return z
     raise ZeroMatchError(f"Newton did not converge from {z0}")
 
 
-def find_zeros_numeric(r_lo: float, r_hi: float, alpha: float = ALPHA):
+def find_zeros_numeric(r_lo: float, r_hi: float):
     """Locate the product's zeros in an annulus and certify the formula.
 
     Sector-annulus cells covering moduli [r_lo, r_hi] and angles just
@@ -205,11 +205,11 @@ def find_zeros_numeric(r_lo: float, r_hi: float, alpha: float = ALPHA):
         guard += 1
         if guard > 4000:
             raise ZeroMatchError("cell subdivision budget exceeded")
-        count, moment = _winding_and_moment(r0, r1, t0, t1, alpha)
+        count, moment = _winding_and_moment(r0, r1, t0, t1)
         if count == 0:
             continue
         if count == 1:
-            found.append(_newton_polish(moment, alpha))
+            found.append(_newton_polish(moment))
             continue
         rm = np.sqrt(r0 * r1)
         tm = 0.5 * (t0 + t1)

@@ -509,6 +509,14 @@ class InterpolationReport:
     fitted_constant: float
 
 
+def check_band(lam: float, h: float):
+    """Raise ValueError unless a blend band of width lam spans at least
+    two node layers of spacing h."""
+    if lam < 2 * h:
+        raise ValueError(f"band width {lam} needs at least two node layers "
+                         f"(h={h})")
+
+
 def interpolate_annulus(f: QHalfMap, g: QHalfMap, lam: float):
     """Blend g into f across the outer band of width lam.
 
@@ -529,9 +537,7 @@ def interpolate_annulus(f: QHalfMap, g: QHalfMap, lam: float):
         raise ValueError("sheet count or target dimension mismatch")
     if not np.allclose(f.phi, g.phi, rtol=0.0, atol=1e-12):
         raise ValueError("interface traces differ; cannot blend")
-    if lam < 2 * dom.h:
-        raise ValueError(f"band width {lam} needs at least two node layers "
-                         f"(h={dom.h})")
+    check_band(lam, dom.h)
     band_rmin, collar_rmin = dom.R - lam, dom.R - 2 * lam
     h2 = dom.h**2
     out = g.copy()

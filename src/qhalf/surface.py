@@ -1,10 +1,13 @@
 """Branched surface from the flat product, and its mass density ratios.
 
-The map z -> (z^3, g(z)) takes a rounded half-stadium region in the
-right half-plane to a surface in R^4. Both components are holomorphic,
-so the area element is 9|z|^4 + |g'(z)|^2 and the image is minimal.
-The straight part of the boundary is a segment of the imaginary axis
-chosen long enough to contain product zeros z1 = -i e^{n pi}; each
+The map z -> (z^3, g(z)) at alpha = 1/2 takes one fixed rounded
+half-stadium region in the right half-plane to a surface in R^4. Both
+components are holomorphic, so the area element is 9|z|^4 + |g'(z)|^2
+and the image is minimal.
+The region's shape is the constants TAU, FILLET, STRAIGHT_X and
+CAP_RADIUS. The straight part of its boundary is the segment
+[-TAU i, TAU i] of the imaginary axis, long enough to contain the
+product zeros z1 = -i e^{n pi} of moduli 1 and e^{-pi}; each
 pairs with the interior zero z2 = e^{2 pi i/3} z1 at the same cube, so
 the surface touches its own boundary there and the density jumps to
 3/2 (a boundary half-sheet plus an interior sheet).
@@ -33,93 +36,77 @@ membership-weighted 4x4 subsample.
 
 The two-circles configuration (two stacked flat disks spanning
 concentric circles) is computed in closed form as a reference: exact
-circle-circle overlap areas give the ratio sequence, converging to
-3/2 on the inner circle, 2 inside it, 1 between the circles.
+circle-circle overlap areas give the ratio sequence at a point of the
+inner circle, converging to 3/2.
 """
 
 import numpy as np
 from dataclasses import dataclass
 
-from .holomorphic import ALPHA, branch_product_and_prime
+from .holomorphic import branch_product_and_prime
 
 # Subdivision levels of the density quadtree before the leaf rule.
 QUADTREE_DEPTH = 8
+# Half-length of the boundary segment on the imaginary axis, and the
+# radius of the fillet arcs that join it to the horizontal edges.
+TAU = 1.2
+FILLET = 0.2
 # x where the horizontal edges of the region end and its cap begins.
 STRAIGHT_X = 1.6
+# The cap's radius, the horizontals' height, and the region's right end.
+CAP_RADIUS = TAU + FILLET
+X_MAX = STRAIGHT_X + CAP_RADIUS
 
 
-def _image_and_area(z, alpha):
+def _image_and_area(z):
     """Image rows and area element from one fused evaluation of (g, g')."""
-    g, gp = branch_product_and_prime(z, alpha)
+    g, gp = branch_product_and_prime(z)
     cube = z ** 3
     pts = np.stack([cube.real, cube.imag, g.real, g.imag], axis=-1)
     return pts, 9.0 * np.abs(z) ** 4 + np.abs(gp) ** 2
 
 
-def surface_image(z, alpha: float = ALPHA):
+def surface_image(z):
     """Rows (Re z^3, Im z^3, Re g, Im g); shape (4,) for scalar input."""
-    return _image_and_area(np.asarray(z, dtype=complex), alpha)[0]
+    return _image_and_area(np.asarray(z, dtype=complex))[0]
 
 
-def area_density(z, alpha: float = ALPHA):
+def area_density(z):
     """Area element 9|z|^4 + |g'|^2 of the map, extended by 0 at 0."""
-    return _image_and_area(np.asarray(z, dtype=complex), alpha)[1]
+    return _image_and_area(np.asarray(z, dtype=complex))[1]
 
 
-def _top_profile(x, tau, fillet):
+def _top_profile(x):
     """Upper edge of the region over x; each arc is evaluated only where
-    it applies (the fillet for x <= fillet, the cap past STRAIGHT_X)."""
+    it applies (the fillet for x <= FILLET, the cap past STRAIGHT_X)."""
     x = np.asarray(x, dtype=float)
-    cap_r = tau + fillet
-    out = np.full(x.shape, cap_r)
-    lo = x <= fillet
+    out = np.full(x.shape, CAP_RADIUS)
+    lo = x <= FILLET
     hi = x > STRAIGHT_X
-    out[lo] = tau + np.sqrt(np.maximum(fillet ** 2 - (x[lo] - fillet) ** 2,
+    out[lo] = TAU + np.sqrt(np.maximum(FILLET ** 2 - (x[lo] - FILLET) ** 2,
                                        0.0))
-    out[hi] = np.sqrt(np.maximum(cap_r ** 2 - (x[hi] - STRAIGHT_X) ** 2, 0.0))
+    out[hi] = np.sqrt(np.maximum(CAP_RADIUS ** 2 - (x[hi] - STRAIGHT_X) ** 2,
+                                 0.0))
     return out
 
 
-@dataclass
 class BranchedSurface:
-    """Parametrized surface over a rounded half-stadium region.
+    """Parametrized surface over the rounded half-stadium region.
 
-    The region boundary runs up the imaginary segment [-tau i, tau i],
-    around a fillet of the given radius onto horizontals at
-    +-(tau + fillet), and closes with a semicircular cap of radius
-    tau + fillet centered at STRAIGHT_X on the real axis.
+    The region boundary runs up the imaginary segment [-TAU i, TAU i],
+    around fillets of radius FILLET onto horizontals at +-CAP_RADIUS,
+    and closes with a semicircular cap of radius CAP_RADIUS centered at
+    STRAIGHT_X on the real axis.
     """
-
-    alpha: float
-    tau: float
-    fillet: float
-
-    @property
-    def cap_radius(self) -> float:
-        return self.tau + self.fillet
-
-    @property
-    def x_max(self) -> float:
-        return STRAIGHT_X + self.cap_radius
 
     def contains(self, z):
         x, y = np.real(z), np.imag(z)
-        top = _top_profile(x, self.tau, self.fillet)
-        return (x > 0.0) & (x < self.x_max) & (np.abs(y) < top)
+        return (x > 0.0) & (x < X_MAX) & (np.abs(y) < _top_profile(x))
 
 
-def build_surface(alpha: float = ALPHA, tau: float = 1.2,
-                  fillet: float = 0.2) -> BranchedSurface:
-    """Construct the surface after checking its shape parameters.
-
-    tau must cover the segment zeros meant to act as boundary touching
-    points (the default covers moduli 1 and e^{-pi}).
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    if not 0.0 < fillet < min(tau, STRAIGHT_X):
-        raise ValueError(f"need 0 < fillet < tau and fillet < {STRAIGHT_X:g}")
-    return BranchedSurface(alpha=alpha, tau=tau, fillet=fillet)
+def build_surface() -> BranchedSurface:
+    """The branched surface over the fixed region."""
+    return BranchedSurface()
 
 
 # ---------------------------------------------------------------------------
@@ -134,16 +121,14 @@ class DensityReport:
     seeds: np.ndarray
 
 
-def _in_closed_region(surface, z, tol):
+def _in_closed_region(z, tol):
     x, y = z.real, z.imag
-    if x < -tol or x > surface.x_max + tol:
+    if x < -tol or x > X_MAX + tol:
         return False
-    xc = min(max(x, 0.0), surface.x_max)
-    top = float(_top_profile(xc, surface.tau, surface.fillet))
-    return abs(y) <= top + tol
+    return abs(y) <= float(_top_profile(min(max(x, 0.0), X_MAX))) + tol
 
 
-def _preimage_seeds(surface, p1, p2, r_max):
+def _preimage_seeds(p1, p2, r_max):
     if p1 == 0:
         roots = [0j]
     else:
@@ -153,9 +138,9 @@ def _preimage_seeds(surface, p1, p2, r_max):
                  for k in range(3)]
     seeds, reject_gaps = [], []
     for z in roots:
-        if not _in_closed_region(surface, z, 1e-9):
+        if not _in_closed_region(z, 1e-9):
             continue
-        gap = abs(branch_product_and_prime(z, surface.alpha)[0] - p2)
+        gap = abs(branch_product_and_prime(z)[0] - p2)
         # relative to the ball: near the branch point every sheet's p2
         # is tiny, and an absolute test would take a nearby sheet for
         # this one
@@ -169,20 +154,20 @@ def _preimage_seeds(surface, p1, p2, r_max):
     return seeds
 
 
-def _gap_and_area(surface, z, p, ok):
+def _gap_and_area(z, p, ok):
     """Distance of the image from p and the area element on the mask ok,
     from one fused evaluation; an infinite gap and 0 elsewhere."""
     gap = np.full(z.shape, np.inf)
     dens = np.zeros(z.shape)
     if np.any(ok):
-        pts, dens[ok] = _image_and_area(z[ok], surface.alpha)
+        pts, dens[ok] = _image_and_area(z[ok])
         gap[ok] = np.linalg.norm(pts - p, axis=1)
     return gap, dens
 
 
 def _member(surface, z, p, r):
     """Inside the region and the image within r of p."""
-    return _gap_and_area(surface, z, p, surface.contains(z))[0] < r
+    return _gap_and_area(z, p, surface.contains(z))[0] < r
 
 
 # a cell's corners in half-widths, and the midpoints of its four quarters
@@ -190,12 +175,12 @@ _CORNERS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
 _MIDS = 0.5 * _CORNERS
 
 
-def _meets_box(surface, cz, hw):
+def _meets_box(cz, hw):
     """Keep the cells whose closed square meets the region's open
-    bounding box 0 < x < x_max, |y| < cap_radius; the others hold no
+    bounding box 0 < x < X_MAX, |y| < CAP_RADIUS; the others hold no
     region point, so they add no mass at any depth."""
-    keep = ((cz.real + hw > 0.0) & (cz.real - hw < surface.x_max)
-            & (np.abs(cz.imag) - hw < surface.cap_radius))
+    keep = ((cz.real + hw > 0.0) & (cz.real - hw < X_MAX)
+            & (np.abs(cz.imag) - hw < CAP_RADIUS))
     return cz[keep], hw[keep]
 
 
@@ -204,8 +189,7 @@ def _classify(surface, cz, hw, p, r):
     image stays within reach of its centre's image, and a cell whose four
     corners are inside the convex region lies wholly inside it."""
     # the slit, where the product is undefined, gets an infinite gap
-    gap, dens = _gap_and_area(surface, cz, p,
-                              (cz.real > 0.0) | (cz.imag != 0.0))
+    gap, dens = _gap_and_area(cz, p, (cz.real > 0.0) | (cz.imag != 0.0))
     reach = 1.5 * np.sqrt(np.maximum(dens, 1e-12) * 2.0) * hw
     corners = cz[:, None] + hw[:, None] * _CORNERS[None, :]
     full = (gap + reach < r) & surface.contains(corners).all(axis=1)
@@ -216,24 +200,24 @@ def _quadtree_mass(surface, center, w, p, r):
     # Start from cells no larger than the preimage blob (radius about
     # r over the root of the area element): a start cell's reach is then
     # about 2r, so a level or two of splitting already decides cells.
-    j0 = area_density(center, surface.alpha)
+    j0 = area_density(center)
     side = max(2, int(np.ceil(w * np.sqrt(max(j0, 1e-12)) / r)))
     g = (np.arange(side) + 0.5) * 2.0 / side - 1.0
     cz = (center + w * (g[:, None] + 1j * g[None, :])).ravel()
     hw = np.full(cz.size, w / side)
-    cz, hw = _meets_box(surface, cz, hw)
+    cz, hw = _meets_box(cz, hw)
     mass = 0.0
     for _ in range(QUADTREE_DEPTH):
         full, mixed = _classify(surface, cz, hw, p, r)
         if np.any(full):
             zs = cz[full, None] + hw[full, None] * _MIDS[None, :]
-            J = area_density(zs.ravel(), surface.alpha).reshape(zs.shape)
+            J = area_density(zs.ravel()).reshape(zs.shape)
             mass += float((J.mean(axis=1) * (2.0 * hw[full]) ** 2).sum())
         if not np.any(mixed):
             return mass
         cz = (cz[mixed, None] + hw[mixed, None] * _MIDS[None, :]).ravel()
         hw = np.repeat(0.5 * hw[mixed], 4)
-        cz, hw = _meets_box(surface, cz, hw)
+        cz, hw = _meets_box(cz, hw)
     return mass + _leaf_mass(surface, cz, hw, p, r)
 
 
@@ -275,7 +259,7 @@ def _leaf_mass(surface, cz, hw, p, r):
     corners = cz[:, None] + hw[:, None] * _CORNERS[None, :]
     inner = surface.contains(corners).all(axis=1)
     z, h = cz[inner], hw[inner]
-    g, gp = branch_product_and_prime(z, surface.alpha)
+    g, gp = branch_product_and_prime(z)
     f1 = z ** 3 - complex(p[0], p[1])
     f2 = g - complex(p[2], p[3])
     gap = np.hypot(np.abs(f1), np.abs(f2))
@@ -289,13 +273,13 @@ def _leaf_mass(surface, cz, hw, p, r):
     t = (np.arange(4) + 0.5) / 2.0 - 1.0
     offs = (t[:, None] + 1j * t[None, :]).ravel()
     zs = cz[cross, None] + hw[cross, None] * offs[None, :]
-    gap, dens = _gap_and_area(surface, zs, p, surface.contains(zs))
+    gap, dens = _gap_and_area(zs, p, surface.contains(zs))
     J = np.where(gap < r, dens, 0.0)
     return mass + float((J.mean(axis=1) * (2.0 * hw[cross]) ** 2).sum())
 
 
 def _component_mass(surface, seed, p, r):
-    j0 = area_density(seed, surface.alpha)
+    j0 = area_density(seed)
     w = 4.0 * r / np.sqrt(j0) if j0 > 1e-12 else 2.0 * r ** (1.0 / 3.0)
     s = np.linspace(-1.0, 1.0, 17)
     rim_unit = np.concatenate([s + 1j, s - 1j, 1 + 1j * s, -1 + 1j * s])
@@ -308,7 +292,7 @@ def _component_mass(surface, seed, p, r):
     return _quadtree_mass(surface, seed, w, p, r)
 
 
-def check_density_point(surface, point, r_max):
+def check_density_point(point, r_max):
     """Preimage seeds of a point that density_at can measure with balls
     of radius up to r_max; raise ValueError unless the point lies on the
     surface and the ball stays clear of other sheets and of the branch
@@ -317,7 +301,7 @@ def check_density_point(surface, point, r_max):
     if p.size != 4:
         raise ValueError("point must have 4 coordinates")
     p1, p2 = complex(p[0], p[1]), complex(p[2], p[3])
-    seeds = _preimage_seeds(surface, p1, p2, r_max)
+    seeds = _preimage_seeds(p1, p2, r_max)
     if not seeds:
         raise ValueError("point is not on the surface within tolerance")
     # near the branch point the image triple-wraps
@@ -341,7 +325,7 @@ def density_at(surface, point, radii) -> DensityReport:
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0 or np.any(radii <= 0.0):
         raise ValueError("radii must be positive")
-    seeds = check_density_point(surface, p, float(radii.max()))
+    seeds = check_density_point(p, float(radii.max()))
     ratios = np.empty(radii.shape)
     for k, r in enumerate(radii):
         mass = sum(_component_mass(surface, s, p, float(r)) for s in seeds)
@@ -386,36 +370,23 @@ def check_two_circles(r_inner: float, r_outer: float):
         raise ValueError("need 0 < r_inner < r_outer")
 
 
-def two_circles_density(r_inner: float, r_outer: float, point=None,
-                        radii=None) -> TwoCirclesReport:
-    """Density of two stacked disks spanning concentric circles.
+def two_circles_density(r_inner: float, r_outer: float) -> TwoCirclesReport:
+    """Density of two stacked disks spanning concentric circles, at a
+    point of the inner circle.
 
     The minimizer for the doubled boundary is the two flat disks on
     top of each other, so the mass in a ball is an exact sum of two
-    circle-circle overlaps. At a point of the inner circle the inner
-    disk contributes a half plane and the outer disk a full one: the
-    ratio tends to 3/2 (from below: both disks are convex).
+    circle-circle overlaps. The inner disk contributes a half plane and
+    the outer disk a full one: the ratio tends to 3/2 (from below: both
+    disks are convex). The ratio does not depend on scale, so the
+    overlaps are taken in units of r_inner, where no squared radius
+    under- or overflows; the radii are reported times r_inner.
     """
     check_two_circles(r_inner, r_outer)
-    rho = abs(complex(point)) if point is not None else r_inner
-    if radii is None:
-        radii = r_inner * np.geomspace(0.1, 0.005, 10)
-    radii = np.asarray(radii, dtype=float)
-    if np.any(radii <= 0.0):
-        raise ValueError("radii must be positive")
-    mass = np.array([_disk_overlap(r_inner, rho, r)
-                     + _disk_overlap(r_outer, rho, r) for r in radii])
+    radii = np.geomspace(0.1, 0.005, 10)
+    mass = np.array([_disk_overlap(1.0, 1.0, r)
+                     + _disk_overlap(r_outer / r_inner, 1.0, r)
+                     for r in radii])
     ratios = mass / (np.pi * radii ** 2)
-    tol = 1e-9 * r_inner
-    if rho < r_inner - tol:
-        exact, loc = 2.0, "inside inner disk"
-    elif abs(rho - r_inner) <= tol:
-        exact, loc = 1.5, "on inner circle"
-    elif rho < r_outer - tol:
-        exact, loc = 1.0, "between circles"
-    elif abs(rho - r_outer) <= tol:
-        exact, loc = 0.5, "on outer circle"
-    else:
-        exact, loc = 0.0, "outside"
-    return TwoCirclesReport(exact=exact, radii=radii, ratios=ratios,
-                            location=loc)
+    return TwoCirclesReport(exact=1.5, radii=r_inner * radii, ratios=ratios,
+                            location="on inner circle")

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -176,6 +177,21 @@ def test_two_circles_series_columns(tmp_path):
     lines = (tmp_path / "two-circles-density.csv").read_text().splitlines()
     assert lines[0] == "r,ratio"
     assert len(lines) == 11
+
+
+@pytest.mark.parametrize("r_inner, r_outer",
+                         [(1e-200, 2.5), (1e-200, 2.5e-200), (1e200, 2.5e200)])
+def test_two_circles_rows_pass_at_any_scale(tmp_path, r_inner, r_outer):
+    # The ratio does not depend on scale, but (0.005 r_inner)^2 under- or
+    # overflows at these radii unless it is taken in units of r_inner.
+    cfg = dict(load_preset("two-circles"), r_inner=r_inner, r_outer=r_outer)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(cfg, out_dir=str(tmp_path)) == 0
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    report = read_report(tmp_path / "two-circles-report.json")
+    assert len(report["checks"]) == 4
+    assert all(row["ok"] for row in report["checks"])
 
 
 def test_empty_series_writes_header_only(tmp_path):
@@ -604,6 +620,18 @@ GUARD_CASES = [
     # the winding: both would end in a failed check row (exit 1)
     ("zeros-ring-above-3", {"kind": "zeros", "rings": [4]}, "rings.0"),
     ("zeros-ring-below-minus-4", {"kind": "zeros", "rings": [-5]}, "rings.0"),
+    # an integer is a JSON integer, not a float of integer value, which
+    # the runners would refuse mid-pipeline (exit 1)
+    ("q-integer-valued-float", dict(load_preset("solve-classical"), Q=1.0),
+     "Q"),
+    ("max-sweeps-integer-valued-float",
+     _with_solver("solve-classical", max_sweeps=20000.0), "solver.max_sweeps"),
+    ("seed-integer-valued-float",
+     dict(load_preset("interpolation-bound"), seed=1000.0), "seed"),
+    # at h = 1/16 the 0.1 blend band spans fewer than two node layers
+    ("interpolation-band-below-two-layers",
+     _with_field("interpolation-bound", "", "domain", {"R": 1.0, "h": 1 / 16}),
+     "domain.h"),
 ] + [(f"{name}-{key}", _with_field(name, path, key, value), path)
      for name, path, key, value in _FIXED_FIELDS]
 

@@ -270,8 +270,8 @@ def test_zero_match_must_be_one_to_one(monkeypatch):
     # one, so the match is not a permutation.
     polish = holomorphic._newton_polish
 
-    def onto_lower_half(z0, alpha):
-        z = polish(z0, alpha)
+    def onto_lower_half(z0):
+        z = polish(z0)
         return z.conjugate() if z.imag > 0 else z
 
     monkeypatch.setattr(holomorphic, "_newton_polish", onto_lower_half)

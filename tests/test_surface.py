@@ -11,10 +11,11 @@ from scipy.spatial import cKDTree
 from qhalf import surface as surface_mod
 from qhalf.cli import list_presets
 from qhalf.holomorphic import find_zeros_numeric
-from qhalf.surface import (_CORNERS, STRAIGHT_X, BranchedSurface,
-                           _cut_fraction, _gap_and_area, _meets_box, _member,
-                           _top_profile, area_density, build_surface,
-                           density_at, surface_image, two_circles_density)
+from qhalf.surface import (_CORNERS, CAP_RADIUS, FILLET, STRAIGHT_X, TAU,
+                           X_MAX, BranchedSurface, _cut_fraction,
+                           _gap_and_area, _meets_box, _member, _top_profile,
+                           area_density, build_surface, density_at,
+                           surface_image, two_circles_density)
 
 # value of the product at 0.7 + 0.2i, frozen from high-precision
 # evaluation (same point as in the holomorphic tests)
@@ -33,26 +34,26 @@ G_AT_P = 0.019133197544892224165 + 0.0026486411817210529721j
 # show in the density ratios themselves, far from 1/2.
 
 
-def _piece_lengths(surf):
-    f, tau, x = surf.fillet, surf.tau, STRAIGHT_X
+def _piece_lengths():
+    f, tau, x = FILLET, TAU, STRAIGHT_X
     return np.array([2.0 * tau, 0.5 * np.pi * f, x - f,
-                     np.pi * surf.cap_radius, x - f, 0.5 * np.pi * f])
+                     np.pi * CAP_RADIUS, x - f, 0.5 * np.pi * f])
 
 
-def boundary_length(surf):
-    return float(_piece_lengths(surf).sum())
+def boundary_length():
+    return float(_piece_lengths().sum())
 
 
-def boundary_point(surf, t):
-    """Arclength parametrization, clockwise from -tau i (up the segment)."""
+def boundary_point(t):
+    """Arclength parametrization, clockwise from -TAU i (up the segment)."""
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
-    t = np.atleast_1d(t) % boundary_length(surf)
-    cum = np.concatenate([[0.0], np.cumsum(_piece_lengths(surf))])
+    t = np.atleast_1d(t) % boundary_length()
+    cum = np.concatenate([[0.0], np.cumsum(_piece_lengths())])
     idx = np.clip(np.searchsorted(cum, t, side="right") - 1, 0, 5)
     s = t - cum[idx]
-    f, tau, x = surf.fillet, surf.tau, STRAIGHT_X
-    cap = surf.cap_radius
+    f, tau, x = FILLET, TAU, STRAIGHT_X
+    cap = CAP_RADIUS
     z = np.empty(t.shape, dtype=complex)
     m = idx == 0
     z[m] = 1j * (s[m] - tau)
@@ -92,29 +93,29 @@ class BoundaryScan:
     double_points: list
 
 
-def _double_point_records(surf, n):
+def _double_point_records(n):
     """The two touching points of ring n: both preimages located
     numerically, and the rotation relation between them measured."""
     ring = np.exp(n * np.pi)
-    zeros, _ = find_zeros_numeric(0.6 * ring, 1.7 * ring, surf.alpha)
+    zeros, _ = find_zeros_numeric(0.6 * ring, 1.7 * ring)
     z_bot, z_m30, z_p30, z_top = zeros
     rot = np.exp(2j * np.pi / 3)
     recs = []
     for z1, z2, w in ((z_bot, z_p30, rot), (z_top, z_m30, np.conj(rot))):
-        img = surface_image(z1, surf.alpha)
+        img = surface_image(z1)
         recs.append(DoublePointRecord(
             n=n, image=img, z_boundary=complex(z1), z_interior=complex(z2),
             rotation_error=float(abs(z2 - w * z1)),
             image_error=float(np.linalg.norm(
-                img - surface_image(z2, surf.alpha)))))
+                img - surface_image(z2)))))
     return recs
 
 
-def _refine_pair(surf, t0, s0):
-    length = boundary_length(surf)
+def _refine_pair(t0, s0):
+    length = boundary_length()
 
     def gap(v):
-        a, b = surface_image(boundary_point(surf, v), surf.alpha)
+        a, b = surface_image(boundary_point(v))
         return float(np.linalg.norm(a - b))
 
     res = minimize(gap, [t0, s0], method="Nelder-Mead",
@@ -124,7 +125,7 @@ def _refine_pair(surf, t0, s0):
     return float(res.fun), ta, tb, min(dt, length - dt)
 
 
-def boundary_curve(surf, samples=12000, collision_tol=1e-8):
+def boundary_curve(samples=12000, collision_tol=1e-8):
     """Sample the image of the boundary and certify it is embedded.
 
     Nonadjacent sample pairs closer than ten local spacings are refined
@@ -136,10 +137,10 @@ def boundary_curve(surf, samples=12000, collision_tol=1e-8):
     zeros of rings 0 and -1 on the segment are certified as touching
     points of the surface.
     """
-    length = boundary_length(surf)
+    length = boundary_length()
     t = (np.arange(samples) + 0.5) * (length / samples)
-    z = boundary_point(surf, t)
-    pts = surface_image(z, surf.alpha)
+    z = boundary_point(t)
+    pts = surface_image(z)
 
     on_seg = z.real == 0.0
     segment_monotone = bool(np.all(np.diff(pts[on_seg, 1]) < 0.0))
@@ -162,13 +163,13 @@ def boundary_curve(surf, samples=12000, collision_tol=1e-8):
 
     near_pairs, collisions = [], []
     for _, ta, tb in best.values():
-        d, ra, rb, sep = _refine_pair(surf, ta, tb)
+        d, ra, rb, sep = _refine_pair(ta, tb)
         if sep <= 0.15:
             continue  # slid together along the curve: not a distinct pair
         near_pairs.append((ra, rb, d))
         if d < collision_tol:
             collisions.append((ra, rb, d))
-    doubles = _double_point_records(surf, 0) + _double_point_records(surf, -1)
+    doubles = _double_point_records(0) + _double_point_records(-1)
     return BoundaryScan(t=t, points=pts, near_pairs=near_pairs,
                         collisions=collisions,
                         segment_monotone=segment_monotone,
@@ -181,54 +182,45 @@ def surf():
 
 
 @pytest.fixture(scope="module")
-def scan(surf):
-    return boundary_curve(surf)
-
-
-def test_build_validation():
-    with pytest.raises(ValueError):
-        build_surface(alpha=0.0)
-    with pytest.raises(ValueError):
-        build_surface(fillet=1.3, tau=1.2)
-    with pytest.raises(ValueError, match="fillet < 1.6"):
-        build_surface(tau=2.0, fillet=1.7)
+def scan():
+    return boundary_curve()
 
 
 def test_grid_inside_positive_density(surf):
     # cell-centred lattice over the bounding box: no node on the axis or
     # at the origin, where the area element vanishes
     h = 0.02
-    xs = np.arange(0.5 * h, surf.x_max, h)
-    ys = np.arange(-surf.cap_radius + 0.5 * h, surf.cap_radius, h)
+    xs = np.arange(0.5 * h, X_MAX, h)
+    ys = np.arange(-CAP_RADIUS + 0.5 * h, CAP_RADIUS, h)
     gx, gy = np.meshgrid(xs, ys)
     nodes = (gx + 1j * gy).ravel()
     nodes = nodes[surf.contains(nodes)]
     assert nodes.size > 10000
-    assert np.all(area_density(nodes, surf.alpha) > 0.0)
+    assert np.all(area_density(nodes) > 0.0)
 
 
 def test_boundary_point_geometry(surf):
-    length = boundary_length(surf)
-    f, tau, x = surf.fillet, surf.tau, STRAIGHT_X
+    length = boundary_length()
+    f, tau, x = FILLET, TAU, STRAIGHT_X
     expected_length = 2 * tau + np.pi * f + 2 * (x - f) + np.pi * (tau + f)
     assert np.isclose(length, expected_length, rtol=1e-14)
-    assert np.isclose(boundary_point(surf, 0.0), -1j * tau)
+    assert np.isclose(boundary_point(0.0), -1j * tau)
     # the origin lies on the segment at arclength tau
-    assert abs(boundary_point(surf, tau)) < 1e-14
+    assert abs(boundary_point(tau)) < 1e-14
     # apex of the cap
     t_apex = 2 * tau + 0.5 * np.pi * f + (x - f) + 0.5 * np.pi * (tau + f)
-    assert np.isclose(boundary_point(surf, t_apex), surf.x_max, atol=1e-12)
+    assert np.isclose(boundary_point(t_apex), X_MAX, atol=1e-12)
     # closed curve, unit speed everywhere
-    assert np.isclose(boundary_point(surf, length), boundary_point(surf, 0.0))
+    assert np.isclose(boundary_point(length), boundary_point(0.0))
     t = np.linspace(0.1, length - 0.1, 400)
     dt = 1e-6
-    speed = np.abs(boundary_point(surf, t + dt)
-                   - boundary_point(surf, t - dt)) / (2 * dt)
+    speed = np.abs(boundary_point(t + dt)
+                   - boundary_point(t - dt)) / (2 * dt)
     assert np.allclose(speed, 1.0, atol=1e-5)
     # the curve runs clockwise along the region's edge: a step to its
     # right lands inside, a step to its left outside
-    z = boundary_point(surf, t)
-    right = -1j * (boundary_point(surf, t + dt) - z) / dt
+    z = boundary_point(t)
+    right = -1j * (boundary_point(t + dt) - z) / dt
     assert np.all(surf.contains(z + 1e-7 * right))
     assert not np.any(surf.contains(z - 1e-7 * right))
 
@@ -245,21 +237,20 @@ def where_top_profile(x, tau, fillet):
                     np.where(x <= STRAIGHT_X, cap_r, cap_y))
 
 
-def test_top_profile_matches_where_form(surf):
-    shape = (surf.tau, surf.fillet)
+def test_top_profile_matches_where_form():
     x = np.concatenate([
-        [-0.3, -1e-12, 0.0, 0.5 * surf.fillet, surf.fillet,
-         np.nextafter(surf.fillet, 1.0), 1.0, STRAIGHT_X,
+        [-0.3, -1e-12, 0.0, 0.5 * FILLET, FILLET,
+         np.nextafter(FILLET, 1.0), 1.0, STRAIGHT_X,
          np.nextafter(STRAIGHT_X, 9.0), STRAIGHT_X + 0.7,
-         surf.x_max, surf.x_max + 0.2, 5.0],
-        np.linspace(-0.5, surf.x_max + 0.5, 997)])
+         X_MAX, X_MAX + 0.2, 5.0],
+        np.linspace(-0.5, X_MAX + 0.5, 997)])
     for arr in (x, x.reshape(10, 101)):
-        assert np.array_equal(_top_profile(arr, *shape),
-                              where_top_profile(arr, *shape))
+        assert np.array_equal(_top_profile(arr),
+                              where_top_profile(arr, TAU, FILLET))
     for x0 in x[:13]:
-        got = _top_profile(x0, *shape)
+        got = _top_profile(x0)
         assert got.ndim == 0
-        assert got == where_top_profile(x0, *shape)
+        assert got == where_top_profile(x0, TAU, FILLET)
 
 
 def test_contains_samples(surf):
@@ -270,9 +261,9 @@ def test_contains_samples(surf):
     assert not np.any(surf.contains(np.array(outside)))
 
 
-def test_image_and_area_element(surf):
+def test_image_and_area_element():
     z0 = 0.7 + 0.2j
-    img = surface_image(z0, surf.alpha)
+    img = surface_image(z0)
     assert img.shape == (4,)
     assert np.allclose(img[:2], [0.259, 0.286], rtol=1e-12)
     assert np.allclose(img[2:], [G_AT_P.real, G_AT_P.imag], rtol=1e-12)
@@ -281,8 +272,7 @@ def test_image_and_area_element(surf):
     h = 1e-6
     for z in (z0, 2.0 + 0.5j, 0.3 - 0.9j):
         fd = (surface_image(z + h) - surface_image(z - h)) / (2 * h)
-        assert np.isclose(np.sum(fd ** 2), area_density(z, surf.alpha),
-                          rtol=1e-4)
+        assert np.isclose(np.sum(fd ** 2), area_density(z), rtol=1e-4)
 
 
 def test_boundary_scan_clean(scan):
@@ -305,7 +295,7 @@ def test_double_points_certified(surf, scan):
         assert abs(rec.z_boundary.real) < 1e-10
         # one preimage interior, the mate on the closed segment
         assert surf.contains(rec.z_interior)
-        assert abs(rec.z_boundary.imag) < surf.tau
+        assert abs(rec.z_boundary.imag) < TAU
     bottom = [r for r in recs if r.n == 0 and r.z_boundary.imag < 0][0]
     assert np.allclose(bottom.image, [0.0, 1.0, 0.0, 0.0], atol=1e-12)
 
@@ -410,7 +400,7 @@ def test_box_prune_keeps_ratios_bit_equal(surf, monkeypatch, point, r):
     p = point if np.ndim(point) else surface_image(point)
     radii = np.array([r])
     pruned = density_at(surf, p, radii).ratios
-    monkeypatch.setattr(surface_mod, "_meets_box", lambda s, cz, hw: (cz, hw))
+    monkeypatch.setattr(surface_mod, "_meets_box", lambda cz, hw: (cz, hw))
     assert np.all(density_at(surf, p, radii).ratios == pruned)
 
 
@@ -433,11 +423,11 @@ def test_box_prune_skips_cells_outside_the_region(surf, monkeypatch):
 
 _SURF = build_surface()
 _ANCHORS = {"segment": 0.5j, "origin": 0j,
-            "cap end": complex(_SURF.x_max, 0.0),
-            "top edge": complex(1.0, _SURF.cap_radius),
-            "fillet": complex(0.0, _SURF.cap_radius)}
+            "cap end": complex(X_MAX, 0.0),
+            "top edge": complex(1.0, CAP_RADIUS),
+            "fillet": complex(0.0, CAP_RADIUS)}
 # centre offsets in half-widths; dyadic ones put a cell edge exactly on
-# a box edge (x = 0, x = x_max, y = +-cap_radius)
+# a box edge (x = 0, x = X_MAX, y = +-CAP_RADIUS)
 _UNITS = st.one_of(st.integers(-24, 24).map(lambda k: k / 16.0),
                    st.floats(-1.5, 1.5, allow_nan=False))
 _HALF_WIDTH = st.one_of(st.integers(-12, 0).map(lambda k: 2.0 ** k),
@@ -453,7 +443,7 @@ def test_dropped_cells_hold_no_region_point(anchor, u, v, hw, flip):
     c = _ANCHORS[anchor] + hw * complex(u, v)
     if flip:
         c = c.conjugate()
-    kept, _ = _meets_box(_SURF, np.array([c]), np.array([hw]))
+    kept, _ = _meets_box(np.array([c]), np.array([hw]))
     if kept.size:
         return
     t = np.linspace(-1.0, 1.0, 9)
@@ -467,7 +457,7 @@ def _subsample_leaf_mass(surface, cz, hw, p, r):
     g = (np.arange(4) + 0.5) / 2.0 - 1.0
     offs = (g[:, None] + 1j * g[None, :]).ravel()
     zs = cz[:, None] + hw[:, None] * offs[None, :]
-    gap, dens = _gap_and_area(surface, zs, p, surface.contains(zs))
+    gap, dens = _gap_and_area(zs, p, surface.contains(zs))
     J = np.where(gap < r, dens, 0.0)
     return float((J.mean(axis=1) * (2.0 * hw) ** 2).sum())
 
@@ -597,20 +587,6 @@ def test_two_circles_on_inner_circle():
     assert np.all(np.diff(rep.ratios[order]) <= 1e-12)
 
 
-def test_two_circles_positions():
-    cases = [(0.4 + 0.0j, 2.0, "inside inner disk"),
-             (1.7 + 0.0j, 1.0, "between circles"),
-             (2.5 + 0.0j, 0.5, "on outer circle"),
-             (3.2 + 0.0j, 0.0, "outside")]
-    for pos, exact, loc in cases:
-        rep = two_circles_density(1.0, 2.5, point=pos)
-        assert rep.exact == exact
-        assert rep.location == loc
-        assert abs(rep.ratios[-1] - exact) < 5e-3
-
-
 def test_two_circles_validation():
     with pytest.raises(ValueError):
         two_circles_density(2.0, 1.0)
-    with pytest.raises(ValueError):
-        two_circles_density(1.0, 2.0, radii=np.array([0.0]))
