@@ -10,9 +10,11 @@ report.
 validate_config checks every config rule before any work starts: the
 schema, the FIELDS and CHECKS tables of which fields each kind and each
 check type reads and what a check needs, grid and sheet budgets, the
-boundary data, the density points, and that every number is finite.
-The runners assume a valid config and have no error branches of their
-own.
+boundary data (no zero map where a run divides by its size), the density
+points, and that every number is finite. The runners assume a valid
+config and have no error branches of their own. The schema is read by a
+walker of this module that implements only the keywords the schema uses
+and reports the error jsonschema's best_match would pick.
 
 Exit codes: 0 all checks passed, 1 a check or the pipeline itself
 failed, 2 the config or command line is malformed.
@@ -24,14 +26,15 @@ import datetime
 import inspect
 import json
 import math
+import numbers
 import os
+import re
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
-import jsonschema
 
 from . import data_maps
 from .domain import (
@@ -154,12 +157,21 @@ class RunResult:
 # config loading and validation
 
 _SCHEMA = None
-# JSON Schema's integer admits 1.0, which the runners cannot count with:
-# here an integer is a Python int that is not a bool.
-_VALIDATOR = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)))
+# The schema's types. JSON Schema's integer admits 1.0, which the runners
+# cannot count with: here an integer is a Python int that is not a bool.
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+    "integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
+}
+# Keywords that state nothing about a config ("then" is read by "if").
+_ANNOTATIONS = {"$schema", "title", "$defs", "then"}
+# The assertion keywords the schema uses; additionalProperties only as false.
+_ASSERTIONS = {"type", "enum", "const", "minimum", "exclusiveMinimum", "maximum",
+               "pattern", "minItems", "maxItems", "required",
+               "additionalProperties"}
 
 
 def _load_schema():
@@ -171,13 +183,95 @@ def _load_schema():
     return _SCHEMA
 
 
+def _assertion_error(key, want, x, node):
+    """jsonschema's message when x fails the assertion keyword key of a
+    schema node, else None; a keyword skips x of a type it does not
+    apply to. Only the first missing required property is named, as
+    best_match would pick it among the rest."""
+    if key not in _ASSERTIONS or key == "additionalProperties" and want is not False:
+        raise NotImplementedError(f"schema keyword {key!r}: {want!r}")
+    number, array = _TYPES["number"](x), isinstance(x, list)
+    if key == "type" and not _TYPES[want](x):
+        return f"{x!r} is not of type {want!r}"
+    if key == "enum" and x not in want:  # the schema's enums hold strings
+        return f"{x!r} is not one of {want!r}"
+    if key == "const" and x != want:
+        return f"{want!r} was expected"
+    if key == "minimum" and number and x < want:
+        return f"{x!r} is less than the minimum of {want!r}"
+    if key == "exclusiveMinimum" and number and x <= want:
+        return f"{x!r} is less than or equal to the minimum of {want!r}"
+    if key == "maximum" and number and x > want:
+        return f"{x!r} is greater than the maximum of {want!r}"
+    if key == "pattern" and isinstance(x, str) and not re.search(want, x):
+        return f"{x!r} does not match {want!r}"
+    if key == "minItems" and array and len(x) < want:
+        return f"{x!r} {'should be non-empty' if want == 1 else 'is too short'}"
+    if key == "maxItems" and array and len(x) > want:
+        return f"{x!r} is too long"
+    if key == "required" and isinstance(x, dict):
+        missing = [name for name in want if name not in x]
+        if missing:
+            return f"{missing[0]!r} is a required property"
+    if key == "additionalProperties" and isinstance(x, dict):
+        extra = sorted(k for k in x if k not in node.get("properties", {}))
+        if extra:
+            verb = "was" if len(extra) == 1 else "were"
+            return (f"Additional properties are not allowed "
+                    f"({', '.join(map(repr, extra))} {verb} unexpected)")
+    return None
+
+
+def _schema_error(schema, cfg):
+    """The error of cfg against a JSON schema that jsonschema's
+    best_match picks, as (path, message), or None if cfg is valid.
+
+    Errors come in the order of jsonschema's Draft 2020-12 validator:
+    keyword order within a schema node, properties in schema order,
+    items in index order. best_match takes the maximum of (-len(path),
+    path, unmatched), the first one on a tie; unmatched is False only
+    when the node holding the failed keyword states a type that the
+    value has. Only the keywords the config schema uses are read; any
+    other raises NotImplementedError.
+    """
+    def errors(node, x, path):
+        for key, want in node.items():
+            if key == "$ref":
+                if not want.startswith("#/"):
+                    raise NotImplementedError(f"$ref {want!r}")
+                target = schema
+                for part in want[2:].split("/"):
+                    target = target[part]
+                yield from errors(target, x, path)
+            elif key == "allOf":
+                for sub in want:
+                    yield from errors(sub, x, path)
+            elif key == "if":
+                if next(errors(want, x, path), None) is None and "then" in node:
+                    yield from errors(node["then"], x, path)
+            elif key == "properties":
+                for name, sub in want.items() if isinstance(x, dict) else ():
+                    if name in x:
+                        yield from errors(sub, x[name], path + (name,))
+            elif key == "items":
+                for i, item in enumerate(x) if isinstance(x, list) else ():
+                    yield from errors(want, item, path + (i,))
+            elif key not in _ANNOTATIONS:
+                message = _assertion_error(key, want, x, node)
+                if message is not None:
+                    unmatched = "type" not in node or not _TYPES[node["type"]](x)
+                    yield path, message, unmatched
+
+    best = max(errors(schema, cfg, ()), default=None,
+               key=lambda err: (-len(err[0]), err[0], err[2]))
+    return best and best[:2]
+
+
 def validate_config(cfg):
     """Check every config rule before any work; raises UsageError with a path."""
-    validator = _VALIDATOR(_load_schema())
-    err = jsonschema.exceptions.best_match(validator.iter_errors(cfg))
+    err = _schema_error(_load_schema(), cfg)
     if err is not None:
-        path = ".".join(str(p) for p in err.absolute_path)
-        raise UsageError(err.message, path)
+        raise UsageError(err[1], ".".join(map(str, err[0])))
     bad = next(_non_finite_paths(cfg, ""), None)
     if bad is not None:
         raise UsageError("numbers must be finite", bad)
@@ -253,6 +347,13 @@ def validate_config(cfg):
     if "scan" in cfg and kind == "collapse" and not refine:
         raise UsageError("a collapse run reads 'scan' only for "
                          "outer-identity-refinement", "scan")
+    # Slope 0 makes linear the zero map, which has no frequency to scan
+    # and no boundary oscillation to divide by.
+    zero_map = cfg.get("data", {}).get("params", {}).get("slope") == 0
+    if zero_map and (kind == "frequency" or refine or any(
+            c["type"].endswith("-vs-oscillation") for c in checks)):
+        raise UsageError("slope 0 gives the zero map, which has no frequency "
+                         "or oscillation to measure", "data.params.slope")
     # Each scanned spacing builds a distance field, whose tube coordinates
     # must hold on every node; a scan bound left out takes its default.
     scanned = {"frequency": spacings,

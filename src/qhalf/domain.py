@@ -128,7 +128,8 @@ class SideGraph:
 class HalfDomain:
     """The clipped grid, nodes in (i, j) order, and its side graphs: plus
     and minus each carry the interface row; full, every node as one side
-    (only glued fields use it), is built on first access and then kept."""
+    (only glued fields use it), is built on first access and then kept.
+    Every node index array, here and on the sides, is int32."""
 
     R: float
     h: float
@@ -229,7 +230,7 @@ def _disk_indices(R: float, h: float):
     """Grid indices (i, j) of the nodes of spacing h in the disk of
     radius R, (i, j) sorted: row-major masking of the indexing="ij" mesh."""
     imax = int(grid_half_width(R, h))
-    rng_i = np.arange(-imax, imax + 1)
+    rng_i = np.arange(-imax, imax + 1, dtype=np.int32)
     II, JJ = np.meshgrid(rng_i, rng_i, indexing="ij")
     XX, YY = II * h, JJ * h
     inside = XX * XX + YY * YY <= R * R * (1.0 + 1e-12)
@@ -258,14 +259,17 @@ def build_halfdisk(
     check_interface(interface, R, h)
 
     imax = int(grid_half_width(R, h))
+    if (2 * imax + 1) ** 2 >= 2**31:
+        raise ConstructionError(f"grid spacing h={h} needs more than 2^31 "
+                                "nodes, beyond int32 node indices")
     jstar = _snapped_rows(interface, imax, h)
     ii, jj = _disk_indices(R, h)
     n = ii.size
     xy = np.column_stack((ii * h, jj * h))
     ij = np.column_stack((ii, jj))
 
-    id_grid = -np.ones((2 * imax + 1, 2 * imax + 1), dtype=np.intp)
-    id_grid[ii + imax, jj + imax] = np.arange(n)
+    id_grid = np.full((2 * imax + 1, 2 * imax + 1), -1, dtype=np.int32)
+    id_grid[ii + imax, jj + imax] = np.arange(n, dtype=np.int32)
 
     jstar_of = jstar[ii + imax]
     side = np.sign(jj - jstar_of)  # 0 on interface row
@@ -273,7 +277,7 @@ def build_halfdisk(
     def nb_of(di, dj_):
         i2, j2 = ii + di + imax, jj + dj_ + imax
         ok = (i2 >= 0) & (i2 < id_grid.shape[0]) & (j2 >= 0) & (j2 < id_grid.shape[1])
-        out = -np.ones(n, dtype=np.intp)
+        out = np.full(n, -1, dtype=np.int32)
         out[ok] = id_grid[i2[ok], j2[ok]]
         return out
 
@@ -294,9 +298,9 @@ def build_halfdisk(
         if np.any(a * b < 0):
             raise ConstructionError("opposite sides are grid-adjacent; refine h")
 
+    iface_ids = np.flatnonzero(tag == INTERFACE).astype(np.int32)
     dom = HalfDomain(R=R, h=h, interface=interface, xy=xy, ij=ij, tag=tag, nb=nb,
-                     interface_ids=np.flatnonzero(tag == INTERFACE),
-                     id_grid=id_grid)
+                     interface_ids=iface_ids, id_grid=id_grid)
     dom.plus = _build_side(dom, {INTERIOR_PLUS, BOUNDARY_PLUS}, {INTERFACE})
     dom.minus = _build_side(dom, {INTERIOR_MINUS, BOUNDARY_MINUS}, {INTERFACE})
     return dom
@@ -306,11 +310,11 @@ def _build_side(dom: HalfDomain, own_tags: set, shared_tags: set) -> SideGraph:
     """The side carrying own_tags and shared_tags. Its boundary-tagged and
     shared rows are pinned; every other row is free."""
     mask = np.isin(dom.tag, list(own_tags | shared_tags))
-    ids = np.nonzero(mask)[0]
-    loc = -np.ones(dom.n_nodes, dtype=np.intp)
-    loc[ids] = np.arange(ids.size)
+    ids = np.flatnonzero(mask).astype(np.int32)
+    loc = np.full(dom.n_nodes, -1, dtype=np.int32)
+    loc[ids] = np.arange(ids.size, dtype=np.int32)
 
-    nb = -np.ones((ids.size, 4), dtype=np.intp)
+    nb = np.full((ids.size, 4), -1, dtype=np.int32)
     for k in range(4):
         g = dom.nb[ids, k]
         ok = g >= 0
@@ -324,15 +328,15 @@ def _build_side(dom: HalfDomain, own_tags: set, shared_tags: set) -> SideGraph:
 
     # Each east/north edge once; skip interface-interface pairs.
     pairs = []
+    a = np.arange(ids.size, dtype=np.int32)
     for k in (0, 2):
-        a = np.arange(ids.size)
         b = nb[:, k]
         ok = b >= 0
         aa, bb = a[ok], b[ok]
         both_iface = (tag[aa] == INTERFACE) & (tag[bb] == INTERFACE)
         keep = ~both_iface
         pairs.append(np.column_stack((aa[keep], bb[keep])))
-    edges = np.vstack(pairs) if pairs else np.empty((0, 2), dtype=np.intp)
+    edges = np.vstack(pairs)
 
     return SideGraph(
         ids=ids,

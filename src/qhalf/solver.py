@@ -155,21 +155,27 @@ def _solve_harmonic(side: SideGraph, pinned: np.ndarray,
     nb = side.nb[free_idx]                # (m, 4)
     if (nb < 0).any():
         raise RuntimeError("free node with missing neighbor")
-    pos = -np.ones(side.n_nodes, dtype=np.int64)
-    pos[free_idx] = np.arange(m)
     nb_pinned = pinned[nb]
-
     rhs = np.zeros((m, values.shape[1]))
     for k in range(4):
         rhs += np.where(nb_pinned[:, k, None], values[nb[:, k]], 0.0)
-    # Per free row: the diagonal, then its free neighbors in stencil order.
-    cols = np.column_stack((np.arange(m), pos[nb]))
-    rows = np.broadcast_to(cols[:, :1], (m, 5))
-    vals = np.full((m, 5), -1.0)
-    vals[:, 0] = 4.0
-    keep = np.column_stack((np.ones(m, dtype=bool), ~nb_pinned))
-    A = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(m, m))
-    lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+
+    # Row i holds 4 at column i and -1 at each free neighbor's; a pinned
+    # neighbor's column becomes m, which sorts last and is dropped. The
+    # matrix is symmetric, so its sorted CSR rows are its CSC columns.
+    own = np.arange(m, dtype=np.int32)
+    pos = np.full(side.n_nodes, m, dtype=np.int32)
+    pos[free_idx] = own
+    cols = np.column_stack((own, pos[nb]))
+    del nb, nb_pinned, pos
+    cols.sort(axis=1)
+    keep = cols < m
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    A = sp.csc_matrix((np.where(cols == own[:, None], 4.0, -1.0)[keep],
+                       cols[keep], indptr), shape=(m, m))
+    del own, cols, keep
+    lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A",
                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     out = values.copy()
     out[free_idx] = lu.solve(rhs)

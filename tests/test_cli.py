@@ -26,7 +26,7 @@ from qhalf.cli import (
 )
 from qhalf.data_maps import GENERATORS
 from qhalf.frequency import frequency_scan
-from qhalf.solver import minimize
+from qhalf.solver import minimize, sample_map
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -201,12 +201,16 @@ def test_empty_series_writes_header_only(tmp_path):
     assert text == "r,D\n"
 
 
-def test_pipeline_failure_writes_error_report(tmp_path):
-    # a valid config whose field vanishes everywhere, so H vanishes at
-    # every radius: only the pipeline can see that, so it fails there
+def test_pipeline_failure_writes_error_report(tmp_path, monkeypatch):
+    # a valid config whose sampled field is made to vanish everywhere, so H
+    # vanishes at every radius and the scan fails mid-pipeline (validation
+    # refuses slope 0, the config that gives this field)
+    def zero_map(dom, data):
+        return sample_map(dom, GENERATORS["linear"](Q=data.Q, slope=0.0))
+
+    monkeypatch.setattr("qhalf.cli.sample_map", zero_map)
     cfg = {"kind": "frequency", "label": "flat", "domain": {"h": 1 / 64},
-           "Q": 2, "data": {"generator": "linear", "params": {"slope": 0.0}},
-           "source": "sample"}
+           "Q": 2, "data": {"generator": "linear"}, "source": "sample"}
     validate_config(cfg)
     rc = run(cfg, out_dir=str(tmp_path))
     assert rc == 1
@@ -246,7 +250,8 @@ def test_module_entry_point():
 def test_runs_import_neither_scipy_optimize_nor_spatial(tmp_path):
     # A fresh interpreter runs a zeros, a density and a graph-interface
     # frequency preset (the last bisects the interface's crossing angles);
-    # the package needs scipy only for its sparse factorizations.
+    # the package needs scipy only for its sparse factorizations, and
+    # validates configs without jsonschema and its dependencies.
     code = (
         "import sys\n"
         "from qhalf import cli\n"
@@ -254,7 +259,8 @@ def test_runs_import_neither_scipy_optimize_nor_spatial(tmp_path):
         " 'monotonicity-wavy'):\n"
         "    assert cli.run(cli.load_preset(name), sys.argv[1]) == 0, name\n"
         "print(sorted(m for m in sys.modules"
-        " if m.startswith(('scipy.optimize', 'scipy.spatial'))))\n")
+        " if m.startswith(('scipy.optimize', 'scipy.spatial'))"
+        " or m.split('.')[0] in ('jsonschema', 'referencing', 'attrs', 'attr')))\n")
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -632,6 +638,21 @@ GUARD_CASES = [
     ("interpolation-band-below-two-layers",
      _with_field("interpolation-bound", "", "domain", {"R": 1.0, "h": 1 / 16}),
      "domain.h"),
+    # slope 0 makes linear the zero map: a scan finds no usable radius and
+    # an oscillation ratio divides by zero, both mid-pipeline (exit 1)
+    ("slope-zero-frequency",
+     _with_field("frequency-linear", "data", "params", {"slope": 0.0}),
+     "data.params.slope"),
+    ("slope-zero-refinement",
+     {"kind": "collapse", "Q": 3, "domain": {"h_values": [1 / 32, 1 / 64]},
+      "data": {"generator": "linear", "params": {"slope": 0.0}},
+      "checks": [{"type": "outer-identity-refinement"}]},
+     "data.params.slope"),
+    ("slope-zero-oscillation-ratio",
+     {"kind": "collapse", "Q": 2, "domain": {"h_values": [1 / 16, 1 / 32]},
+      "data": {"generator": "linear", "params": {"slope": -0.0}},
+      "checks": [{"type": "odd-defect-vs-oscillation"}]},
+     "data.params.slope"),
 ] + [(f"{name}-{key}", _with_field(name, path, key, value), path)
      for name, path, key, value in _FIXED_FIELDS]
 
@@ -651,6 +672,64 @@ def test_config_rules_fail_before_any_work(tmp_path, monkeypatch, cfg, path):
     rc = main([cfg["kind"], "--config", write_config(tmp_path, cfg),
                "--out", str(tmp_path)])
     assert rc == 2
+
+
+def test_zero_slope_solves_without_a_scan_or_ratio():
+    # the zero map is a fine solve: its minimizer is zero
+    validate_config({"kind": "solve", "domain": {"h": 1 / 16}, "Q": 2,
+                     "data": {"generator": "linear", "params": {"slope": 0.0}},
+                     "checks": [{"type": "converged"}]})
+    validate_config(_with_field("collapse-q3-linear", "data", "params",
+                                {"slope": 0.0}))
+
+
+_FREQ = {"kind": "frequency", "Q": 2, "domain": {"h": 1 / 16}, "data": _LINEAR}
+_POINT = {"name": "a", "z": [0, 1, 2], "radii": [], "expect": 0.5, "tol": 0.1}
+
+
+# Each refusal, path and message is the one jsonschema 4.26.0's best_match
+# picks: the shallowest path, then the largest path, then an error whose
+# schema node states no type (or one the value lacks), then the first.
+@pytest.mark.parametrize("cfg, path, message", [
+    ({"kind": "zeros", "rings": [9], "sede": 1}, "",
+     "Additional properties are not allowed ('sede' was unexpected)"),
+    (dict(_FREQ, checks=[{"type": "monotonicity", "tol": 0},
+                         {"type": "monotonicity", "tol": -1}]),
+     "checks.1.tol", "-1 is less than or equal to the minimum of 0"),
+    ({"kind": "density", "points": [_POINT]}, "points.0.z",
+     "[0, 1, 2] is too long"),
+    ({"kind": "solve", "sede": 1}, "", "'domain' is a required property"),
+    (dict(_FREQ, checks=[{"type": "i-value", "kappa": "calibrated"}]),
+     "checks.0", "'target' is a required property"),
+    (dict(_FREQ, Q=0.5), "Q", "0.5 is not of type 'integer'"),
+    (dict(_FREQ, Q=True), "Q", "True is not of type 'integer'"),
+    (dict(_FREQ, domain={"h": -1}), "domain.h",
+     "-1 is less than or equal to the minimum of 0"),
+    (dict(_FREQ, domain=3), "domain", "3 is not of type 'object'"),
+    ({"label": "-x", "seed": -1}, "", "'domain' is a required property"),
+], ids=["shallowest-path", "larger-index", "larger-key", "untyped-node",
+        "untyped-node-in-check", "first-keyword", "bool-is-no-integer",
+        "ref", "not-an-object", "no-kind"])
+def test_schema_refusal_is_the_best_match(cfg, path, message):
+    with pytest.raises(UsageError) as err:
+        validate_config(cfg)
+    assert (err.value.path, str(err.value)) == (path, message)
+
+
+def test_schema_walker_refuses_keywords_it_does_not_read(monkeypatch):
+    # A schema keyword the walker does not implement fails every
+    # validation that reaches it, so the schema cannot outgrow it.
+    schema = json.loads(resources.files("qhalf").joinpath(
+        "presets/config.schema.json").read_text())
+    schema["$defs"]["solver"]["anyOf"] = [{"required": ["init"]}]
+    monkeypatch.setattr(cli, "_SCHEMA", schema)
+    validate_config(load_preset("zeros-three-rings"))
+    with pytest.raises(NotImplementedError, match="anyOf"):
+        validate_config(load_preset("solve-classical"))
+    schema["$defs"]["solver"]["additionalProperties"] = {"type": "number"}
+    del schema["$defs"]["solver"]["anyOf"]
+    with pytest.raises(NotImplementedError, match="additionalProperties"):
+        validate_config(load_preset("solve-classical"))
 
 
 # z over the region and beyond it, the slit x < 0 included

@@ -212,7 +212,7 @@ def test_interface_nodes_track_the_curve(parabola_64):
     iface = dom.tag == INTERFACE
     # the row order of phi, against the reference formula
     want = np.nonzero(iface)[0]
-    assert dom.interface_ids.dtype == want.dtype
+    assert dom.interface_ids.dtype == np.int32
     assert np.array_equal(dom.interface_ids, want)
     x, y = dom.xy[iface, 0], dom.xy[iface, 1]
     assert np.max(np.abs(y - 0.1 * x * x)) <= dom.h / 2 + 1e-12
@@ -300,6 +300,23 @@ def test_side_graphs_are_consistent(parabola_64, straight_64):
         # every edge touches at most one interface node
         both = (tag[sg.edges[:, 0]] == INTERFACE) & (tag[sg.edges[:, 1]] == INTERFACE)
         assert not np.any(both)
+
+
+def test_node_indices_are_int32(parabola_64, straight_64):
+    # Half the bytes of intp: the grid cap keeps every index below 2^31.
+    for dom in (parabola_64, straight_64):
+        for name in ("ij", "nb", "id_grid", "interface_ids"):
+            assert getattr(dom, name).dtype == np.int32, name
+        for side, name in itertools.product(("plus", "minus", "full"),
+                                            ("ids", "loc", "nb", "edges")):
+            assert getattr(getattr(dom, side), name).dtype == np.int32, (side, name)
+
+
+def test_grid_beyond_int32_indices_is_refused():
+    # 2 * 23170 + 1 = 46341 nodes a side is the first square grid past
+    # 2^31 nodes; it is refused before anything of that size is allocated
+    with pytest.raises(ConstructionError, match="int32"):
+        build_halfdisk(1.0e5, 1.0e5 / 23170.5)
 
 
 def test_full_graph_is_built_once_on_first_access(monkeypatch):
