@@ -8,13 +8,14 @@ below the first line. CSV series for plotting are written next to the
 report.
 
 validate_config checks every config rule before any work starts: the
-schema, the FIELDS and CHECKS tables of which fields each kind and each
-check type reads and what a check needs, grid and sheet budgets, the
-boundary data (no zero map where a run divides by its size), the density
-points, and that every number is finite. The runners assume a valid
+schema, which states value shapes only, the KINDS and CHECKS tables of the
+kinds and check types and which fields each needs and reads, grid and sheet
+budgets, the boundary data (a listed generator, no zero map where a run
+divides by its size), and the density points. The runners assume a valid
 config and have no error branches of their own. The schema is read by a
-walker of this module that implements only the keywords the schema uses
-and reports the error jsonschema's best_match would pick.
+walker of this module that implements only the keywords the schema uses,
+takes a number to be finite, and reports the error jsonschema's best_match
+would pick.
 
 Exit codes: 0 all checks passed, 1 a check or the pipeline itself
 failed, 2 the config or command line is malformed.
@@ -26,7 +27,6 @@ import datetime
 import inspect
 import json
 import math
-import numbers
 import os
 import re
 import sys
@@ -102,24 +102,14 @@ BAND_WIDTHS = (0.1, 0.2)
 
 # Fields every kind reads: the report states kind, label and seed.
 COMMON_FIELDS = ("kind", "label", "description", "seed")
-# kind -> the top-level fields its runner reads beyond COMMON_FIELDS.
-# validate_config refuses every other field.
-FIELDS = {
-    "metric-suite": (),
-    "solve": ("Q", "domain", "data", "solver", "checks"),
-    "interpolation": ("domain",),
-    "frequency": ("Q", "domain", "data", "solver", "scan", "source", "checks"),
-    "collapse": ("Q", "domain", "data", "solver", "scan", "checks"),
-    "zeros": ("rings",),
-    "decay": (),
-    "density": ("points",),
-    "two-circles": ("r_inner", "r_outer", "expect"),
-}
-
-
+# What a kind runs, the top-level fields it needs, and the ones it may read
+# beyond those and COMMON_FIELDS; KINDS, below the runners, is the only list
+# of kinds, and validate_config refuses every other field.
+Kind = namedtuple("Kind", "run needs reads", defaults=((), ()))
 # What a check type reads beyond type and expect, its bound when the
-# config gives no tol, and what it needs beyond the schema.
-Check = namedtuple("Check", "fields tol need", defaults=((), None, None))
+# config gives no tol, what it needs of the run, and the fields it requires.
+Check = namedtuple("Check", "fields tol need required",
+                   defaults=((), None, None, ()))
 # The only list of check types: kind -> check type -> Check.
 # validate_config enforces it and the runners read their bounds from it.
 CHECKS = {
@@ -133,7 +123,8 @@ CHECKS = {
                      tol=OSCILLATION_RATIO, need="a straight interface"),
                  "outer-identity-refinement": Check(
                      ("tol",), OUTER_IDENTITY_TOL, "two or more grid spacings")},
-    "frequency": {"i-value": Check(("target", "tol"), 0.02),
+    "frequency": {"i-value": Check(("target", "tol"), 0.02,
+                                   required=("target",)),
                   "monotonicity": Check(("tol", "kappa"), 0.02),
                   "doubling": Check(("kappa",), 0.0)},
 }
@@ -159,17 +150,20 @@ class RunResult:
 _SCHEMA = None
 # The schema's types. JSON Schema's integer admits 1.0, which the runners
 # cannot count with: here an integer is a Python int that is not a bool.
+# json.load reads the literals NaN and Infinity, which no bound refuses:
+# here a number is finite.
 _TYPES = {
     "object": lambda x: isinstance(x, dict),
     "array": lambda x: isinstance(x, list),
     "string": lambda x: isinstance(x, str),
-    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+    "number": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                         or isinstance(x, float) and math.isfinite(x)),
     "integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
 }
-# Keywords that state nothing about a config ("then" is read by "if").
-_ANNOTATIONS = {"$schema", "title", "$defs", "then"}
+# Keywords that state nothing about a config.
+_ANNOTATIONS = {"$schema", "title", "$defs"}
 # The assertion keywords the schema uses; additionalProperties only as false.
-_ASSERTIONS = {"type", "enum", "const", "minimum", "exclusiveMinimum", "maximum",
+_ASSERTIONS = {"type", "enum", "minimum", "exclusiveMinimum", "maximum",
                "pattern", "minItems", "maxItems", "required",
                "additionalProperties"}
 
@@ -183,7 +177,7 @@ def _load_schema():
     return _SCHEMA
 
 
-def _assertion_error(key, want, x, node):
+def _assertion_error(key, want, x, node=None):
     """jsonschema's message when x fails the assertion keyword key of a
     schema node, else None; a keyword skips x of a type it does not
     apply to. Only the first missing required property is named, as
@@ -193,10 +187,8 @@ def _assertion_error(key, want, x, node):
     number, array = _TYPES["number"](x), isinstance(x, list)
     if key == "type" and not _TYPES[want](x):
         return f"{x!r} is not of type {want!r}"
-    if key == "enum" and x not in want:  # the schema's enums hold strings
+    if key == "enum" and x not in want:  # the enums hold strings
         return f"{x!r} is not one of {want!r}"
-    if key == "const" and x != want:
-        return f"{want!r} was expected"
     if key == "minimum" and number and x < want:
         return f"{x!r} is less than the minimum of {want!r}"
     if key == "exclusiveMinimum" and number and x <= want:
@@ -222,17 +214,25 @@ def _assertion_error(key, want, x, node):
     return None
 
 
+def _require(key, want, x, path):
+    """Refuse x at path unless it meets the assertion keyword key, in the
+    schema's words: the rules of KINDS, CHECKS and the generator list."""
+    message = _assertion_error(key, want, x)
+    if message is not None:
+        raise UsageError(message, path)
+
+
 def _schema_error(schema, cfg):
     """The error of cfg against a JSON schema that jsonschema's
     best_match picks, as (path, message), or None if cfg is valid.
 
     Errors come in the order of jsonschema's Draft 2020-12 validator:
     keyword order within a schema node, properties in schema order,
-    items in index order. best_match takes the maximum of (-len(path),
-    path, unmatched), the first one on a tie; unmatched is False only
-    when the node holding the failed keyword states a type that the
-    value has. Only the keywords the config schema uses are read; any
-    other raises NotImplementedError.
+    items in index order. best_match takes the shallowest path, then the
+    largest, then the first error. The schema states no conditional
+    rule, so every error at one path comes from one schema node. Only
+    the keywords the config schema uses are read; any other raises
+    NotImplementedError.
     """
     def errors(node, x, path):
         for key, want in node.items():
@@ -243,12 +243,6 @@ def _schema_error(schema, cfg):
                 for part in want[2:].split("/"):
                     target = target[part]
                 yield from errors(target, x, path)
-            elif key == "allOf":
-                for sub in want:
-                    yield from errors(sub, x, path)
-            elif key == "if":
-                if next(errors(want, x, path), None) is None and "then" in node:
-                    yield from errors(node["then"], x, path)
             elif key == "properties":
                 for name, sub in want.items() if isinstance(x, dict) else ():
                     if name in x:
@@ -259,12 +253,10 @@ def _schema_error(schema, cfg):
             elif key not in _ANNOTATIONS:
                 message = _assertion_error(key, want, x, node)
                 if message is not None:
-                    unmatched = "type" not in node or not _TYPES[node["type"]](x)
-                    yield path, message, unmatched
+                    yield path, message
 
-    best = max(errors(schema, cfg, ()), default=None,
-               key=lambda err: (-len(err[0]), err[0], err[2]))
-    return best and best[:2]
+    return max(errors(schema, cfg, ()), default=None,
+               key=lambda err: (-len(err[0]), err[0]))
 
 
 def validate_config(cfg):
@@ -272,12 +264,11 @@ def validate_config(cfg):
     err = _schema_error(_load_schema(), cfg)
     if err is not None:
         raise UsageError(err[1], ".".join(map(str, err[0])))
-    bad = next(_non_finite_paths(cfg, ""), None)
-    if bad is not None:
-        raise UsageError("numbers must be finite", bad)
     kind, dcfg = cfg["kind"], cfg.get("domain", {})
+    _require("enum", list(KINDS), kind, "kind")
+    _require("required", KINDS[kind].needs, cfg, "")
     for name in cfg:
-        if name not in COMMON_FIELDS + FIELDS[kind]:
+        if name not in COMMON_FIELDS + KINDS[kind].needs + KINDS[kind].reads:
             raise UsageError(f"kind {kind!r} does not read {name!r}", name)
     if kind == "two-circles":
         try:
@@ -296,7 +287,7 @@ def validate_config(cfg):
     spacings = [("domain.h", dcfg["h"])] if "h" in dcfg else []
     spacings += [(f"domain.h_values.{i}", h)
                  for i, h in enumerate(dcfg.get("h_values", []))]
-    spec = _data_from(cfg) if "data" in FIELDS[kind] else None
+    spec = _data_from(cfg) if "data" in cfg else None
     R = dcfg.get("R", 1.0)
     iface = _interface_from(dcfg.get("interface"))
     for path, h in spacings:
@@ -317,9 +308,6 @@ def validate_config(cfg):
             check_interface(iface, R, h)
         except ConstructionError as exc:
             raise UsageError(f"{exc} (at h={h:g})", "domain.interface")
-    scan = cfg.get("scan", {})
-    if scan.get("r_min", 0.0) >= scan.get("r_max", math.inf):
-        raise UsageError("scan.r_min must be below scan.r_max", "scan.r_max")
     solves = kind != "frequency" or cfg.get("source", "minimize") == "minimize"
     if "solver" in cfg and not solves:
         raise UsageError(f"source {cfg['source']!r} does not read 'solver'",
@@ -337,6 +325,7 @@ def validate_config(cfg):
         if rule is None:
             raise UsageError(f"check {t!r} does not apply to kind {kind!r}",
                              f"checks.{i}.type")
+        _require("required", rule.required, ccfg, f"checks.{i}")
         for name in ccfg:
             if name not in ("type", "expect") + rule.fields:
                 raise UsageError(f"check {t!r} does not read {name!r}",
@@ -358,6 +347,7 @@ def validate_config(cfg):
     # must hold on every node; a scan bound left out takes its default.
     scanned = {"frequency": spacings,
                "collapse": spacings[-2:] if refine else []}.get(kind, [])
+    scan = cfg.get("scan", {})
     for path, h in scanned:
         try:
             check_tube(iface, R, h)
@@ -370,16 +360,6 @@ def validate_config(cfg):
                   else path)
             raise UsageError(f"scan radii r_min={r_min:g} and r_max={r_max:g} "
                              f"leave nothing to scan at h={h:g}", at)
-
-
-def _non_finite_paths(x, path):
-    """Paths of the NaN and infinite numbers in a config, which json.load
-    reads from the literals NaN and Infinity and the schema lets through."""
-    if isinstance(x, float) and not math.isfinite(x):
-        yield path
-    elif isinstance(x, (dict, list)):
-        for k, v in x.items() if isinstance(x, dict) else enumerate(x):
-            yield from _non_finite_paths(v, f"{path}.{k}" if path else str(k))
 
 
 def load_config(path):
@@ -421,7 +401,7 @@ def load_preset(name):
 # shared pipeline pieces
 
 def _interface_from(icfg):
-    if icfg is None or icfg["kind"] == "straight":
+    if icfg is None:
         return InterfaceSpec.straight()
     return InterfaceSpec.sine_wave(icfg["amplitude"], icfg["wavenumber"])
 
@@ -432,11 +412,10 @@ def _domain_from(dcfg, h=None):
 
 
 def _data_from(cfg):
-    dcfg = cfg.get("data")
-    if dcfg is None:
-        raise UsageError(f"kind {cfg['kind']!r} needs boundary data", "data")
-    params = dict(dcfg.get("params", {}))
+    dcfg = cfg["data"]
     name = dcfg["generator"]
+    _require("enum", list(data_maps.GENERATORS), name, "data.generator")
+    params = dict(dcfg.get("params", {}))
     takes_q = inspect.signature(data_maps.GENERATORS[name]).parameters.get("Q")
     if takes_q is not None and "Q" in cfg:
         params["Q"] = cfg["Q"]
@@ -807,18 +786,19 @@ def _run_two_circles(cfg):
                                           list(zip(rep.radii, rep.ratios)))})
 
 
-_RUNNERS = {
-    "metric-suite": _run_metric_suite,
-    "solve": _run_solve,
-    "interpolation": _run_interpolation,
-    "frequency": _run_frequency,
-    "collapse": _run_collapse,
-    "zeros": _run_zeros,
-    "decay": _run_decay,
-    "density": _run_density,
-    "two-circles": _run_two_circles,
+KINDS = {
+    "metric-suite": Kind(_run_metric_suite),
+    "solve": Kind(_run_solve, ("domain", "data"), ("Q", "solver", "checks")),
+    "interpolation": Kind(_run_interpolation, ("domain",)),
+    "frequency": Kind(_run_frequency, ("domain", "data"),
+                      ("Q", "solver", "scan", "source", "checks")),
+    "collapse": Kind(_run_collapse, ("domain", "data"),
+                     ("Q", "solver", "scan", "checks")),
+    "zeros": Kind(_run_zeros, (), ("rings",)),
+    "decay": Kind(_run_decay),
+    "density": Kind(_run_density, ("points",)),
+    "two-circles": Kind(_run_two_circles, ("r_inner", "r_outer"), ("expect",)),
 }
-KINDS = tuple(_RUNNERS)
 
 
 # ---------------------------------------------------------------------------
@@ -900,7 +880,7 @@ def run(config, out_dir="qhalf-out", seed=None):
     label = cfg.get("label", cfg["kind"])
     os.makedirs(out_dir, exist_ok=True)
     try:
-        result = _RUNNERS[cfg["kind"]](cfg)
+        result = KINDS[cfg["kind"]].run(cfg)
     except Exception as exc:
         report = {"kind": cfg["kind"], "label": label, "passed": False,
                   "error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -143,7 +143,7 @@ def test_negative_seed_override_fails_before_any_work(tmp_path, monkeypatch,
     def no_work(cfg):
         raise AssertionError("pipeline work started before validation")
 
-    monkeypatch.setitem(cli._RUNNERS, kind, no_work)
+    monkeypatch.setitem(cli.KINDS, kind, cli.KINDS[kind]._replace(run=no_work))
     with pytest.raises(UsageError) as err:
         run(load_preset(preset), out_dir=str(tmp_path), seed=-1)
     assert err.value.path == "seed"
@@ -350,7 +350,7 @@ def _with_solver(name, **fields):
 def _wavy_interface(amplitude, wavenumber):
     cfg = load_preset("monotonicity-wavy")
     cfg["domain"] = dict(cfg["domain"], h=1 / 32, interface={
-        "kind": "sine-wave", "amplitude": amplitude, "wavenumber": wavenumber})
+        "amplitude": amplitude, "wavenumber": wavenumber})
     return cfg
 
 
@@ -398,7 +398,7 @@ def _one_density_point(**fields):
     return dict(cfg, points=[{**point, **fields}])
 
 
-_SINE = {"kind": "sine-wave", "amplitude": 0.05, "wavenumber": 3}
+_SINE = {"amplitude": 0.05, "wavenumber": 3}
 _LINEAR = {"generator": "linear"}
 GUARD_CASES = [
     ("frequency-check-on-collapse-kind",
@@ -426,10 +426,11 @@ GUARD_CASES = [
                   {"type": "classical-reference"}),
      "checks"),
     ("i-value-without-target", _without_target(), "checks.0"),
+    ("unknown-kind", {"kind": "x"}, "kind"),
     ("solve-without-data",
      {"kind": "solve", "domain": {"h": 1 / 16}, "Q": 1,
       "checks": [{"type": "converged"}]},
-     "data"),
+     ""),
     ("frequency-without-h",
      {"kind": "frequency", "domain": {"h_values": [1 / 16]}, "Q": 2,
       "data": _LINEAR},
@@ -607,6 +608,12 @@ GUARD_CASES = [
      "domain.interface"),
     ("interface-too-steep-for-grid", _wavy_interface(0.9, 3),
      "domain.interface"),
+    # an interface is a sine wave and no interface is straight, so a
+    # straight one's amplitude would be ignored
+    ("interface-kind-straight",
+     _with_field("solve-classical", "domain", "interface",
+                 {"kind": "straight", "amplitude": 5}),
+     "domain.interface"),
     # at R = 3 the sine wave's curvature folds the tube coordinates
     ("interface-leaves-tube-frequency",
      {"kind": "frequency", "Q": 2, "source": "sample",
@@ -669,8 +676,11 @@ def test_config_rules_fail_before_any_work(tmp_path, monkeypatch, cfg, path):
     with pytest.raises(UsageError) as err:
         validate_config(cfg)
     assert err.value.path == path
-    rc = main([cfg["kind"], "--config", write_config(tmp_path, cfg),
-               "--out", str(tmp_path)])
+    try:
+        rc = main([cfg["kind"], "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path)])
+    except SystemExit as exc:  # argparse refuses a kind KINDS does not list
+        rc = exc.code
     assert rc == 2
 
 
@@ -687,9 +697,11 @@ _FREQ = {"kind": "frequency", "Q": 2, "domain": {"h": 1 / 16}, "data": _LINEAR}
 _POINT = {"name": "a", "z": [0, 1, 2], "radii": [], "expect": 0.5, "tol": 0.1}
 
 
-# Each refusal, path and message is the one jsonschema 4.26.0's best_match
-# picks: the shallowest path, then the largest path, then an error whose
-# schema node states no type (or one the value lacks), then the first.
+# Each schema refusal, path and message is the one jsonschema 4.26.0's
+# best_match picks: the shallowest path, then the largest path, then the
+# first. The schema states shapes only, so an unknown field is refused
+# before the kind's needs are read (untyped-node), and the CHECKS table
+# refuses a missing target in the schema's words (untyped-node-in-check).
 @pytest.mark.parametrize("cfg, path, message", [
     ({"kind": "zeros", "rings": [9], "sede": 1}, "",
      "Additional properties are not allowed ('sede' was unexpected)"),
@@ -698,7 +710,8 @@ _POINT = {"name": "a", "z": [0, 1, 2], "radii": [], "expect": 0.5, "tol": 0.1}
      "checks.1.tol", "-1 is less than or equal to the minimum of 0"),
     ({"kind": "density", "points": [_POINT]}, "points.0.z",
      "[0, 1, 2] is too long"),
-    ({"kind": "solve", "sede": 1}, "", "'domain' is a required property"),
+    ({"kind": "solve", "sede": 1}, "",
+     "Additional properties are not allowed ('sede' was unexpected)"),
     (dict(_FREQ, checks=[{"type": "i-value", "kappa": "calibrated"}]),
      "checks.0", "'target' is a required property"),
     (dict(_FREQ, Q=0.5), "Q", "0.5 is not of type 'integer'"),
@@ -706,7 +719,7 @@ _POINT = {"name": "a", "z": [0, 1, 2], "radii": [], "expect": 0.5, "tol": 0.1}
     (dict(_FREQ, domain={"h": -1}), "domain.h",
      "-1 is less than or equal to the minimum of 0"),
     (dict(_FREQ, domain=3), "domain", "3 is not of type 'object'"),
-    ({"label": "-x", "seed": -1}, "", "'domain' is a required property"),
+    ({"label": "-x", "seed": -1}, "", "'kind' is a required property"),
 ], ids=["shallowest-path", "larger-index", "larger-key", "untyped-node",
         "untyped-node-in-check", "first-keyword", "bool-is-no-integer",
         "ref", "not-an-object", "no-kind"])
@@ -716,19 +729,24 @@ def test_schema_refusal_is_the_best_match(cfg, path, message):
     assert (err.value.path, str(err.value)) == (path, message)
 
 
-def test_schema_walker_refuses_keywords_it_does_not_read(monkeypatch):
+@pytest.mark.parametrize("keyword, value", [
+    ("anyOf", [{"required": ["init"]}]),
+    ("allOf", [{"required": ["init"]}]),
+    ("if", {"required": ["init"]}),
+    ("const", {}),
+    ("additionalProperties", {"type": "number"}),
+], ids=["anyOf", "allOf", "if", "const", "additionalProperties"])
+def test_schema_walker_refuses_keywords_it_does_not_read(monkeypatch, keyword,
+                                                         value):
     # A schema keyword the walker does not implement fails every
-    # validation that reaches it, so the schema cannot outgrow it.
+    # validation that reaches it, so the schema cannot outgrow it; the
+    # conditional rules live in the KINDS and CHECKS tables instead.
     schema = json.loads(resources.files("qhalf").joinpath(
         "presets/config.schema.json").read_text())
-    schema["$defs"]["solver"]["anyOf"] = [{"required": ["init"]}]
+    schema["$defs"]["solver"][keyword] = value
     monkeypatch.setattr(cli, "_SCHEMA", schema)
     validate_config(load_preset("zeros-three-rings"))
-    with pytest.raises(NotImplementedError, match="anyOf"):
-        validate_config(load_preset("solve-classical"))
-    schema["$defs"]["solver"]["additionalProperties"] = {"type": "number"}
-    del schema["$defs"]["solver"]["anyOf"]
-    with pytest.raises(NotImplementedError, match="additionalProperties"):
+    with pytest.raises(NotImplementedError, match=keyword):
         validate_config(load_preset("solve-classical"))
 
 
@@ -750,21 +768,13 @@ def test_density_point_is_refused_at_its_path_or_measured(x, y, r):
     assert "error" not in report
 
 
-def test_kind_and_generator_enums_are_the_code_tables():
-    schema = json.loads(resources.files("qhalf").joinpath(
-        "presets/config.schema.json").read_text())
-    assert schema["properties"]["kind"]["enum"] == list(KINDS)
-    generators = schema["$defs"]["data"]["properties"]["generator"]["enum"]
-    assert generators == list(GENERATORS)
-
-
 def test_field_tables_are_the_schema_fields():
     # validate_config refuses what the tables leave out, so a schema field
     # no kind or check reads could never be set.
     schema = json.loads(resources.files("qhalf").joinpath(
         "presets/config.schema.json").read_text())
-    assert list(cli.FIELDS) == list(KINDS)
-    kinds = set(cli.COMMON_FIELDS).union(*cli.FIELDS.values())
+    kinds = set(cli.COMMON_FIELDS).union(*(kind.needs + kind.reads
+                                           for kind in KINDS.values()))
     assert set(schema["properties"]) == kinds
     checks = {"type", "expect"}.union(*(rule.fields
                                         for table in cli.CHECKS.values()
