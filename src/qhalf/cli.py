@@ -10,12 +10,14 @@ report.
 validate_config checks every config rule before any work starts: the
 schema, which states value shapes only, the KINDS and CHECKS tables of the
 kinds and check types and which fields each needs and reads, grid and sheet
-budgets, the boundary data (a listed generator, no zero map where a run
-divides by its size), and the density points. The runners assume a valid
-config and have no error branches of their own. The schema is read by a
-walker of this module that implements only the keywords the schema uses,
-takes a number to be finite, and reports the error jsonschema's best_match
-would pick.
+budgets, the boundary data (a listed generator), and the density points.
+A config holds only what the presets vary: every grid has radius R, a
+solve stops by solver.UPDATE_STOP and MAX_SWEEPS, and each check's bound
+is its CHECKS entry, which only i-value's tol replaces. The runners
+assume a valid config and have no error branches of their own. The
+schema is read by a walker of this module that implements only the
+keywords the schema uses, takes a number to be finite, and reports the
+error jsonschema's best_match would pick.
 
 Exit codes: 0 all checks passed, 1 a check or the pipeline itself
 failed, 2 the config or command line is malformed.
@@ -86,17 +88,20 @@ from .surface import (
     two_circles_density,
 )
 
+# Radius of every grid a run builds.
+R = 1.0
 # Largest bounding grid build_halfdisk may allocate: R/h <= 511, four
 # times the finest shipped R/h of 128.
 MAX_GRID_CELLS = 2**20
 # Largest Q x (bounding grid cells) a run may allocate as sheet values,
 # 64 MB of floats per array: Q = 8 on the largest accepted grid.
 MAX_SHEET_VALUES = 2**23
-# Largest relative |D - E| / D outer-identity-refinement accepts by default.
-OUTER_IDENTITY_TOL = 0.05
 # Largest sheet spread and odd defect, relative to the boundary oscillation,
 # the collapse checks accept.
 OSCILLATION_RATIO = 0.02
+# Solver precision: a sheet spread or harmonic defect at most this large
+# is zero, and a single-sheet solve matches the direct solve to it.
+SOLVER_PRECISION = 1e-8
 # Band widths of the interpolation blend; each must span two node layers.
 BAND_WIDTHS = (0.1, 0.2)
 
@@ -106,26 +111,26 @@ COMMON_FIELDS = ("kind", "label", "description", "seed")
 # beyond those and COMMON_FIELDS; KINDS, below the runners, is the only list
 # of kinds, and validate_config refuses every other field.
 Kind = namedtuple("Kind", "run needs reads", defaults=((), ()))
-# What a check type reads beyond type and expect, its bound when the
-# config gives no tol, what it needs of the run, and the fields it requires.
+# What a check type reads beyond type and expect, its bound, what it needs
+# of the run, and the fields it requires; only i-value reads a tol.
 Check = namedtuple("Check", "fields tol need required",
                    defaults=((), None, None, ()))
 # The only list of check types: kind -> check type -> Check.
 # validate_config enforces it and the runners read their bounds from it.
 CHECKS = {
     "solve": {"converged": Check(tol=UPDATE_STOP),
-              "classical-reference": Check(("tol",), 1e-8, "Q = 1")},
+              "classical-reference": Check(tol=SOLVER_PRECISION, need="Q = 1")},
     "collapse": {"spread-decreasing": Check(tol=0.0),
-                 "spread-max": Check(("tol",), 1e-8),
+                 "spread-max": Check(tol=SOLVER_PRECISION),
                  "spread-vs-oscillation": Check(tol=OSCILLATION_RATIO),
                  "defect-decreasing": Check(tol=0.0),
                  "odd-defect-vs-oscillation": Check(
                      tol=OSCILLATION_RATIO, need="a straight interface"),
                  "outer-identity-refinement": Check(
-                     ("tol",), OUTER_IDENTITY_TOL, "two or more grid spacings")},
+                     tol=0.05, need="two or more grid spacings")},
     "frequency": {"i-value": Check(("target", "tol"), 0.02,
                                    required=("target",)),
-                  "monotonicity": Check(("tol", "kappa"), 0.02),
+                  "monotonicity": Check(("kappa",), 0.02),
                   "doubling": Check(("kappa",), 0.0)},
 }
 
@@ -288,7 +293,6 @@ def validate_config(cfg):
     spacings += [(f"domain.h_values.{i}", h)
                  for i, h in enumerate(dcfg.get("h_values", []))]
     spec = _data_from(cfg) if "data" in cfg else None
-    R = dcfg.get("R", 1.0)
     iface = _interface_from(dcfg.get("interface"))
     for path, h in spacings:
         try:
@@ -336,13 +340,6 @@ def validate_config(cfg):
     if "scan" in cfg and kind == "collapse" and not refine:
         raise UsageError("a collapse run reads 'scan' only for "
                          "outer-identity-refinement", "scan")
-    # Slope 0 makes linear the zero map, which has no frequency to scan
-    # and no boundary oscillation to divide by.
-    zero_map = cfg.get("data", {}).get("params", {}).get("slope") == 0
-    if zero_map and (kind == "frequency" or refine or any(
-            c["type"].endswith("-vs-oscillation") for c in checks)):
-        raise UsageError("slope 0 gives the zero map, which has no frequency "
-                         "or oscillation to measure", "data.params.slope")
     # Each scanned spacing builds a distance field, whose tube coordinates
     # must hold on every node; a scan bound left out takes its default.
     scanned = {"frequency": spacings,
@@ -407,7 +404,7 @@ def _interface_from(icfg):
 
 
 def _domain_from(dcfg, h=None):
-    return build_halfdisk(R=dcfg.get("R", 1.0), h=h or dcfg["h"],
+    return build_halfdisk(R=R, h=h or dcfg["h"],
                           interface=_interface_from(dcfg.get("interface")))
 
 
@@ -529,8 +526,7 @@ def _run_solve(cfg):
             err = float(np.abs(u.plus[:, 0, :] - ref).max())
             row("matches-direct-solve", err <= tol, err)
         elif t == "converged":
-            row("solver-converged", info.converged, info.max_update,
-                cfg.get("solver", {}).get("update_stop", tol))
+            row("solver-converged", info.converged, info.max_update)
     return RunResult(report)
 
 
@@ -600,9 +596,11 @@ def _run_collapse(cfg):
 
     for t, ccfg, tol, row in _checks(cfg, report):
         if t.endswith("-decreasing"):
+            # A ladder at solver precision has nothing left to decrease.
             vals = spreads if t == "spread-decreasing" else defects
             step = float(np.diff(vals).max()) if vals.size > 1 else 0.0
-            row(t, step < tol or vals.size == 1, step)
+            row(t, step < tol or vals.size == 1
+                or vals.max() <= SOLVER_PRECISION, step)
         elif t == "spread-max":
             row(t, spreads[-1] <= tol, float(spreads[-1]))
         elif t.endswith("-vs-oscillation"):

@@ -44,14 +44,14 @@ def _zero_phi(xy):
     return np.zeros((xy.shape[0], 1))
 
 
-def linear(Q: int, slope: float = 1.0) -> DataSpec:
-    """All sheets equal to slope * y; vanishes on the straight interface."""
+def linear(Q: int) -> DataSpec:
+    """All sheets equal to y; vanishes on the straight interface."""
 
     def base(xy):
-        return slope * xy[:, 1:2]
+        return xy[:, 1:2]
 
     return DataSpec(Q=Q, n=1, plus=_tile(base, Q), minus=_tile(base, Q - 1),
-                    phi=_zero_phi, label=f"linear(slope={slope})")
+                    phi=_zero_phi, label="linear")
 
 
 def quadratic_harmonic(Q: int = 1) -> DataSpec:

@@ -59,9 +59,10 @@ from .domain import HalfDomain, SideGraph
 from .data_maps import DataSpec
 from .qpoint import batch_match_cost2, batch_match_values
 
-# Default update_stop of minimize: a solve has converged once no node moves
-# by this much or more in a sweep.
+# A solve has converged once no node moves by UPDATE_STOP or more in a
+# sweep; it stops unconverged after MAX_SWEEPS sweeps.
 UPDATE_STOP = 1e-12
+MAX_SWEEPS = 50000
 
 
 # First positive zero of the Bessel function J_1.
@@ -400,15 +401,14 @@ def _initial_values(dom: HalfDomain, data: DataSpec, init: str) -> QHalfMap:
     return QHalfMap(dom, Q, n, Vp, Vm, phi)
 
 
-def minimize(dom: HalfDomain, data: DataSpec, *, init: str = "harmonic",
-             update_stop: float = UPDATE_STOP, max_sweeps: int = 50000):
+def minimize(dom: HalfDomain, data: DataSpec, *, init: str = "harmonic"):
     """Run matched-mean sweeps on scalar sheets to the energy minimum.
 
     Returns (QHalfMap, SolveInfo). Every solve is collapsed (all sheets
     pinned to phi on the interface) and scalar; data with n != 1 raises
     ValueError before any work. init is "harmonic" or "mean"; the sweeps
     over-relax by suggested_omega(dom) and stop once no node moves by
-    update_stop or more, or after max_sweeps. Energy decrease is asserted
+    UPDATE_STOP or more, or after MAX_SWEEPS. Energy decrease is asserted
     after every sweep; a violation raises RuntimeError since the update
     rule guarantees weak descent. With init "harmonic" the start is the
     rank-wise harmonic extension, already the global minimizer (see the
@@ -430,7 +430,7 @@ def minimize(dom: HalfDomain, data: DataSpec, *, init: str = "harmonic",
     sweeps = 0
     max_update = np.inf
 
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         max_update = max(state.sweep_color(0), state.sweep_color(1))
         e_new = state.energy()
         if e_new > e_prev * (1 + 1e-10) + 1e-12:
@@ -439,7 +439,7 @@ def minimize(dom: HalfDomain, data: DataSpec, *, init: str = "harmonic",
         e_prev = e_new
         sweeps = sweep
         trace.append(e_new)
-        if max_update < update_stop:
+        if max_update < UPDATE_STOP:
             converged = True
             break
 

@@ -1,4 +1,5 @@
-"""Shared preset runs: each shipped preset runs at most once per session."""
+"""Shared preset runs, each shipped preset at most once per session, and
+the solver's stop rule set per test."""
 
 import time
 
@@ -28,3 +29,18 @@ def preset_run(tmp_path_factory):
         return runs[name]
 
     return get
+
+
+@pytest.fixture
+def stop_rule(monkeypatch):
+    """stop_rule(update_stop=None, max_sweeps=None) sets minimize's stop
+    rule, solver.UPDATE_STOP and MAX_SWEEPS, for this test; a value left
+    out keeps the solver's."""
+
+    def set_rule(update_stop=None, max_sweeps=None):
+        if update_stop is not None:
+            monkeypatch.setattr("qhalf.solver.UPDATE_STOP", update_stop)
+        if max_sweeps is not None:
+            monkeypatch.setattr("qhalf.solver.MAX_SWEEPS", max_sweeps)
+
+    return set_rule

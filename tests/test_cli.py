@@ -24,7 +24,7 @@ from qhalf.cli import (
     run,
     validate_config,
 )
-from qhalf.data_maps import GENERATORS
+from qhalf.data_maps import GENERATORS, custom_coefficients
 from qhalf.frequency import frequency_scan
 from qhalf.solver import minimize, sample_map
 
@@ -203,10 +203,12 @@ def test_empty_series_writes_header_only(tmp_path):
 
 def test_pipeline_failure_writes_error_report(tmp_path, monkeypatch):
     # a valid config whose sampled field is made to vanish everywhere, so H
-    # vanishes at every radius and the scan fails mid-pipeline (validation
-    # refuses slope 0, the config that gives this field)
+    # vanishes at every radius and the scan fails mid-pipeline (no config
+    # gives this field)
     def zero_map(dom, data):
-        return sample_map(dom, GENERATORS["linear"](Q=data.Q, slope=0.0))
+        zero = [(1, 0.0, 0.0)]
+        return sample_map(dom, custom_coefficients(
+            [[zero] * data.Q, [zero] * (data.Q - 1)], phi_coeffs=[]))
 
     monkeypatch.setattr("qhalf.cli.sample_map", zero_map)
     cfg = {"kind": "frequency", "label": "flat", "domain": {"h": 1 / 64},
@@ -218,6 +220,31 @@ def test_pipeline_failure_writes_error_report(tmp_path, monkeypatch):
     assert not report["passed"]
     assert report["error"]["type"] == "ResolutionError"
     assert "no radius produced a usable annulus" in report["error"]["message"]
+
+
+def test_decreasing_rows_on_a_ladder_at_solver_precision(tmp_path):
+    # Equal linear sheets collapse exactly on every grid: spread and defect
+    # sit at rounding level on both, the largest step is 0.0, and a ladder
+    # with nothing left to decrease passes.
+    flat = {"kind": "collapse", "label": "flat", "Q": 3,
+            "domain": {"h_values": [1 / 16, 1 / 32]}, "data": _LINEAR,
+            "checks": [{"type": "spread-decreasing"},
+                       {"type": "defect-decreasing"}]}
+    assert run(flat, out_dir=str(tmp_path)) == 0
+    report = read_report(tmp_path / "flat-report.json")
+    for lv in report["summary"]["levels"]:
+        assert max(lv["sheet_spread"], lv["harmonic_defect"]) \
+            <= cli.SOLVER_PRECISION
+    assert [(c["name"], c["ok"]) for c in report["checks"]] == [
+        ("spread-decreasing", True), ("defect-decreasing", True)]
+    # a ladder above solver precision must still decrease: coarsening the
+    # refinement data grows the spread and the defect
+    grows = dict(flat, label="grows",
+                 data=load_preset("collapse-refinement")["data"],
+                 domain={"h_values": [1 / 32, 1 / 16]})
+    assert run(grows, out_dir=str(tmp_path)) == 1
+    report = read_report(tmp_path / "grows-report.json")
+    assert [c["ok"] for c in report["checks"]] == [False, False]
 
 
 def test_expected_failure_inverts_exit_code(tmp_path):
@@ -292,7 +319,7 @@ def test_oversized_grid_is_usage_error(tmp_path, monkeypatch):
     solve = {"kind": "solve", "domain": {"h": 1 / 512}, "Q": 1,
              "data": {"generator": "linear"}}
     collapse = {"kind": "collapse", "Q": 3, "data": {"generator": "linear"},
-                "domain": {"R": 2.0, "h_values": [1 / 32, 1 / 256]}}
+                "domain": {"h_values": [1 / 32, 1 / 512]}}
     for cfg, path in ((solve, "domain.h"), (collapse, "domain.h_values.1")):
         with pytest.raises(UsageError) as err:
             validate_config(cfg)
@@ -302,7 +329,7 @@ def test_oversized_grid_is_usage_error(tmp_path, monkeypatch):
         assert rc == 2
     # R/h = 511 is the largest accepted bounding grid
     validate_config(dict(solve, domain={"h": 1 / 511}))
-    validate_config(dict(collapse, domain={"R": 2.0, "h_values": [2 / 511]}))
+    validate_config(dict(collapse, domain={"h_values": [1 / 32, 1 / 511]}))
 
 
 def test_oversized_sheet_count_is_usage_error(tmp_path, monkeypatch):
@@ -399,6 +426,7 @@ def _one_density_point(**fields):
 
 
 _SINE = {"amplitude": 0.05, "wavenumber": 3}
+_SINE_CURLED = {"amplitude": 0.05, "wavenumber": 6}
 _LINEAR = {"generator": "linear"}
 GUARD_CASES = [
     ("frequency-check-on-collapse-kind",
@@ -466,7 +494,7 @@ GUARD_CASES = [
      "domain.h"),
     ("spacing-r-over-8-in-ladder",
      {"kind": "collapse", "Q": 3, "data": _LINEAR,
-      "domain": {"R": 2.0, "h_values": [1 / 16, 0.25]}},
+      "domain": {"h_values": [1 / 16, 1 / 8]}},
      "domain.h_values.1"),
     ("bad-generator-params",
      {"kind": "frequency", "domain": {"h": 1 / 16}, "Q": 2, "source": "sample",
@@ -479,8 +507,9 @@ GUARD_CASES = [
     ("solver-omega", _with_solver("solve-classical", omega=1.5), "solver"),
     ("solver-eps-stop", _with_solver("solve-classical", eps_stop=1e-12),
      "solver"),
+    # the stop rule is the solver's: a config sets no stop
     ("solver-update-stop-zero", _with_solver("solve-classical", update_stop=0),
-     "solver.update_stop"),
+     "solver"),
     ("scan-rho", dict(load_preset("frequency-linear"), scan={"rho": 0.9}),
      "scan"),
     ("domain-min-angle",
@@ -565,10 +594,10 @@ GUARD_CASES = [
           checks=[{"type": "outer-identity"}]),
      "checks.0.type"),
     # json.load reads the literals NaN and Infinity, which the schema's
-    # bounds let through: a NaN update_stop never stops the sweeps
+    # bounds let through; a NaN update_stop, which would never stop the
+    # sweeps, is refused as any stop is
     ("solver-update-stop-nan",
-     _with_solver("solve-classical", update_stop=math.nan),
-     "solver.update_stop"),
+     _with_solver("solve-classical", update_stop=math.nan), "solver"),
     ("density-z-infinite", _one_density_point(z=[math.inf, 1.0]),
      "points.0.z.0"),
     ("check-tol-nan",
@@ -614,16 +643,17 @@ GUARD_CASES = [
      _with_field("solve-classical", "domain", "interface",
                  {"kind": "straight", "amplitude": 5}),
      "domain.interface"),
-    # at R = 3 the sine wave's curvature folds the tube coordinates
+    # at wavenumber 6 the sine wave's curvature, 1.8, folds the tube
+    # coordinates inside the unit disk
     ("interface-leaves-tube-frequency",
      {"kind": "frequency", "Q": 2, "source": "sample",
-      "domain": {"R": 3.0, "h": 0.1, "interface": _SINE},
+      "domain": {"h": 1 / 32, "interface": _SINE_CURLED},
       "data": {"generator": "quadratic-harmonic"},
       "checks": [{"type": "i-value", "target": 2.0}]},
      "domain.interface"),
     ("interface-leaves-tube-collapse",
      {"kind": "collapse", "Q": 2,
-      "domain": {"R": 3.0, "h_values": [0.1, 0.05], "interface": _SINE},
+      "domain": {"h_values": [1 / 16, 1 / 32], "interface": _SINE_CURLED},
       "data": {"generator": "quadratic-harmonic"},
       "checks": [{"type": "outer-identity-refinement"}]},
      "domain.interface"),
@@ -638,28 +668,47 @@ GUARD_CASES = [
     ("q-integer-valued-float", dict(load_preset("solve-classical"), Q=1.0),
      "Q"),
     ("max-sweeps-integer-valued-float",
-     _with_solver("solve-classical", max_sweeps=20000.0), "solver.max_sweeps"),
+     _with_solver("solve-classical", max_sweeps=20000.0), "solver"),
     ("seed-integer-valued-float",
      dict(load_preset("interpolation-bound"), seed=1000.0), "seed"),
     # at h = 1/16 the 0.1 blend band spans fewer than two node layers
     ("interpolation-band-below-two-layers",
-     _with_field("interpolation-bound", "", "domain", {"R": 1.0, "h": 1 / 16}),
+     _with_field("interpolation-bound", "", "domain", {"h": 1 / 16}),
      "domain.h"),
-    # slope 0 makes linear the zero map: a scan finds no usable radius and
-    # an oscillation ratio divides by zero, both mid-pipeline (exit 1)
+    # linear has no slope, so the zero map, which has no frequency to scan
+    # and no oscillation to divide by, is out of reach
     ("slope-zero-frequency",
      _with_field("frequency-linear", "data", "params", {"slope": 0.0}),
-     "data.params.slope"),
+     "data.params"),
     ("slope-zero-refinement",
      {"kind": "collapse", "Q": 3, "domain": {"h_values": [1 / 32, 1 / 64]},
       "data": {"generator": "linear", "params": {"slope": 0.0}},
       "checks": [{"type": "outer-identity-refinement"}]},
-     "data.params.slope"),
+     "data.params"),
     ("slope-zero-oscillation-ratio",
      {"kind": "collapse", "Q": 2, "domain": {"h_values": [1 / 16, 1 / 32]},
       "data": {"generator": "linear", "params": {"slope": -0.0}},
       "checks": [{"type": "odd-defect-vs-oscillation"}]},
-     "data.params.slope"),
+     "data.params"),
+    # a config states no value the code states: each field below, set to
+    # the value a preset gave it, now has that value fixed in the code
+    ("domain-R", _with_field("solve-classical", "domain", "R", 1.0), "domain"),
+    ("params-slope",
+     _with_field("frequency-linear", "data", "params", {"slope": 1.0}),
+     "data.params"),
+    ("solver-update-stop", _with_solver("solve-classical", update_stop=1e-12),
+     "solver"),
+    ("solver-max-sweeps", _with_solver("solve-classical", max_sweeps=50000),
+     "solver"),
+    ("spread-max-tol",
+     _with_field("collapse-q3-linear", "checks.0", "tol", 1e-8), "checks.0.tol"),
+    ("classical-reference-tol",
+     _with_field("solve-classical", "checks.1", "tol", 1e-8), "checks.1.tol"),
+    ("outer-identity-refinement-tol",
+     _with_field("collapse-refinement", "checks.4", "tol", 0.05),
+     "checks.4.tol"),
+    ("monotonicity-tol",
+     _with_field("monotonicity-wavy", "checks.0", "tol", 0.02), "checks.0.tol"),
 ] + [(f"{name}-{key}", _with_field(name, path, key, value), path)
      for name, path, key, value in _FIXED_FIELDS]
 
@@ -684,15 +733,6 @@ def test_config_rules_fail_before_any_work(tmp_path, monkeypatch, cfg, path):
     assert rc == 2
 
 
-def test_zero_slope_solves_without_a_scan_or_ratio():
-    # the zero map is a fine solve: its minimizer is zero
-    validate_config({"kind": "solve", "domain": {"h": 1 / 16}, "Q": 2,
-                     "data": {"generator": "linear", "params": {"slope": 0.0}},
-                     "checks": [{"type": "converged"}]})
-    validate_config(_with_field("collapse-q3-linear", "data", "params",
-                                {"slope": 0.0}))
-
-
 _FREQ = {"kind": "frequency", "Q": 2, "domain": {"h": 1 / 16}, "data": _LINEAR}
 _POINT = {"name": "a", "z": [0, 1, 2], "radii": [], "expect": 0.5, "tol": 0.1}
 
@@ -705,8 +745,8 @@ _POINT = {"name": "a", "z": [0, 1, 2], "radii": [], "expect": 0.5, "tol": 0.1}
 @pytest.mark.parametrize("cfg, path, message", [
     ({"kind": "zeros", "rings": [9], "sede": 1}, "",
      "Additional properties are not allowed ('sede' was unexpected)"),
-    (dict(_FREQ, checks=[{"type": "monotonicity", "tol": 0},
-                         {"type": "monotonicity", "tol": -1}]),
+    (dict(_FREQ, checks=[{"type": "i-value", "target": 1.0, "tol": 0},
+                         {"type": "i-value", "target": 1.0, "tol": -1}]),
      "checks.1.tol", "-1 is less than or equal to the minimum of 0"),
     ({"kind": "density", "points": [_POINT]}, "points.0.z",
      "[0, 1, 2] is too long"),
@@ -820,6 +860,16 @@ def test_every_config_field_is_set_by_a_preset():
         used = {c["type"] for cfg in presets if cfg["kind"] == kind
                 for c in cfg.get("checks", [])}
         assert not set(table) - used, (kind, set(table) - used)
+
+
+def test_no_preset_restates_a_default_bound():
+    # A check's bound is its CHECKS entry; a tol equal to it states the
+    # same bound a second time.
+    for name, cfg in list_presets():
+        for i, check in enumerate(cfg.get("checks", [])):
+            if "tol" in check:
+                default = cli.CHECKS[cfg["kind"]][check["type"]].tol
+                assert check["tol"] != default, (name, i, default)
 
 
 def test_solver_and_scan_fields_are_the_keyword_parameters():

@@ -82,7 +82,8 @@ def test_cutoff_shape():
 
 
 def test_constant_map_zero_quantities(dom64, dist64):
-    spec = data_maps.linear(Q=2, slope=0.0)
+    zero = [(1, 0.0, 0.0)]
+    spec = data_maps.custom_coefficients([[zero, zero], [zero]], phi_coeffs=[])
     u = sample_map(dom64, spec)
     u.plus[:] = 1.0
     u.minus[:] = 1.0
@@ -236,10 +237,10 @@ def test_blow_up_homogeneous_shape_invariant(dom64):
     assert homogeneity_defect(u, 1.0) > 0.05
 
 
-def test_outer_identity_on_solved_map(dom64, dist64):
+def test_outer_identity_on_solved_map(dom64, dist64, stop_rule):
     data = data_maps.quadratic_harmonic(Q=1)
-    u, info = minimize(dom64, data, init="mean", update_stop=1e-11,
-                       max_sweeps=100000)
+    stop_rule(update_stop=1e-11, max_sweeps=100000)
+    u, info = minimize(dom64, data, init="mean")
     assert info.converged
     scan = frequency_scan(u, dist64)
     ok, worst = check_outer_identity(scan, tol=0.05)
@@ -340,8 +341,7 @@ def _scan_fields(dom64):
     refinement = data_maps.odd_cubic(Q=3, amplitude=0.01, taper=3.0,
                                      plus_weights=[-1.0, 0.25, 1.0],
                                      minus_weights=[-0.55, 1.0])
-    yield "collapse-refinement-64", minimize(dom64, refinement,
-                                             max_sweeps=200000)[0]
+    yield "collapse-refinement-64", minimize(dom64, refinement)[0]
     wavy = build_halfdisk(R=1.0, h=1.0 / 64,
                           interface=InterfaceSpec.sine_wave(0.05, 3.0))
     yield "sine-wave-q2", minimize(wavy, data_maps.odd_cubic(Q=2,
@@ -350,7 +350,9 @@ def _scan_fields(dom64):
     yield "sampled-q3", sample_map(dom64, data_maps.odd_cubic(Q=3, amplitude=0.3))
 
 
-def test_scan_is_bit_equal_to_the_reference_quadrature(dom64, monkeypatch):
+def test_scan_is_bit_equal_to_the_reference_quadrature(dom64, monkeypatch,
+                                                       stop_rule):
+    stop_rule(max_sweeps=200000)
     fields = [(label, u, build_distance_field(u.domain))
               for label, u in _scan_fields(dom64)]
     got = {label: frequency_scan(u, dist) for label, u, dist in fields}
@@ -373,7 +375,7 @@ def test_empty_annulus_still_raises(dom64, dist64):
     assert _ReferenceQuad(u.fields()[0], dist64).at(r)[4] == 0
 
 
-def test_kappa_calibrates_on_the_exact_minimizer(monkeypatch):
+def test_kappa_calibrates_on_the_exact_minimizer(monkeypatch, stop_rule):
     # The harmonic start is the minimizer: one sweep certifies it, and a
     # long mean-start calibration reaches the same kappa.
     dom = build_halfdisk(R=1.0, h=1.0 / 32,
@@ -384,9 +386,9 @@ def test_kappa_calibrates_on_the_exact_minimizer(monkeypatch):
     assert kappa > 0.0
 
     def mean_start(dom, data, **_):
-        return minimize(dom, data, init="mean", update_stop=1e-11,
-                        max_sweeps=200000)
+        return minimize(dom, data, init="mean")
 
+    stop_rule(update_stop=1e-11, max_sweeps=200000)
     monkeypatch.setattr("qhalf.solver.minimize", mean_start)
     swept, swept_info = frequency.calibrate_kappa(dom, dist)
     assert swept_info.sweeps > 1

@@ -24,6 +24,13 @@ from qhalf.solver import (
 )
 
 
+def scaled_linear(Q, a):
+    """All sheets a y = a Im(z), zero on the straight interface."""
+    terms = [(1, 0.0, a)]
+    return data_maps.custom_coefficients([[terms] * Q, [terms] * (Q - 1)],
+                                         phi_coeffs=[])
+
+
 def unpinned_map(dom, data):
     """The closed-form data at every node, interface rows left unpinned."""
     n = data.n
@@ -86,12 +93,12 @@ def sine32():
                           interface=InterfaceSpec.sine_wave(0.05, 3.0))
 
 
-def test_single_sheet_matches_direct_solve(dom32):
+def test_single_sheet_matches_direct_solve(dom32, stop_rule):
     # Q=1 sweep dynamics must land on the 5-point solution of the same
     # Dirichlet problem, computed here by a direct sparse factorization.
     data = data_maps.quadratic_harmonic(Q=1)
-    u, info = minimize(dom32, data, init="mean", update_stop=1e-12,
-                       max_sweeps=40000)
+    stop_rule(max_sweeps=40000)
+    u, info = minimize(dom32, data, init="mean")
     assert info.converged
 
     def bfn(xy):
@@ -166,29 +173,29 @@ def test_linear_field_energy_refines_to_halfdisk_area():
     assert errs[2] < 0.02 * target
 
 
-def test_monotone_energy_trace(dom16):
+def test_monotone_energy_trace(dom16, stop_rule):
     data = data_maps.odd_cubic(Q=3, amplitude=0.1)
-    u, info = minimize(dom16, data, init="mean", update_stop=1e-13,
-                       max_sweeps=3000)
+    stop_rule(update_stop=1e-13, max_sweeps=3000)
+    u, info = minimize(dom16, data, init="mean")
     tr = np.array(info.energy_trace)
     assert np.all(np.diff(tr) <= tr[:-1] * 1e-10 + 1e-12)
     assert info.energy < tr[0]
 
 
 @pytest.mark.parametrize("init", ["harmonic", "mean"])
-def test_minimize_independent_of_sheet_storage_order(dom32, init):
+def test_minimize_independent_of_sheet_storage_order(dom32, stop_rule, init):
     # The collapse-refinement data at its coarsest grid, with the sheets
     # stored in three orders: the minimizer is the same multiset, reached
     # by the same sweeps, to the last bit. The harmonic start is exact;
     # the mean start leaves the work to the sweeps.
+    stop_rule(max_sweeps=200000)
     runs = []
     for plus_w, minus_w in (([-1.0, 0.25, 1.0], [-0.55, 1.0]),
                             ([1.0, -1.0, 0.25], [1.0, -0.55]),
                             ([0.25, 1.0, -1.0], [-0.55, 1.0])):
         data = data_maps.odd_cubic(Q=3, amplitude=0.01, taper=3.0,
                                    plus_weights=plus_w, minus_weights=minus_w)
-        runs.append(minimize(dom32, data, init=init, update_stop=1e-12,
-                             max_sweeps=200000))
+        runs.append(minimize(dom32, data, init=init))
     (u0, info0), rest = runs[0], runs[1:]
     assert info0.converged
     for u, info in rest:
@@ -226,12 +233,13 @@ def test_ranked_step_matches_matched_mean(dom16, Q):
         assert state.energy() == reference_energy()
 
 
-def test_ranked_minimize_matches_matched_sweeps(dom16):
+def test_ranked_minimize_matches_matched_sweeps(dom16, stop_rule):
     # A whole ranked solve against the same sweeps run by the matched
     # reference from the same start: same trace, same values.
     data = data_maps.odd_cubic(Q=3, amplitude=0.5)
     sweeps, omega = 25, suggested_omega(dom16)
-    u, info = minimize(dom16, data, init="mean", max_sweeps=sweeps)
+    stop_rule(max_sweeps=sweeps)
+    u, info = minimize(dom16, data, init="mean")
 
     start = _initial_values(dom16, data, "mean")
     states = [_MatchedSide(dom16.plus, np.sort(start.plus, axis=1), omega),
@@ -309,9 +317,10 @@ def test_ranked_state_sparse_products_match_entrywise_build(request,
 
 
 @pytest.mark.parametrize("Q", [2, 3, 4])
-def test_collapsed_scalar_solve_keeps_rows_rank_sorted(dom16, Q):
+def test_collapsed_scalar_solve_keeps_rows_rank_sorted(dom16, stop_rule, Q):
     data = data_maps.odd_cubic(Q=Q, amplitude=0.5)
-    u, info = minimize(dom16, data, init="mean", max_sweeps=25)
+    stop_rule(max_sweeps=25)
+    u, info = minimize(dom16, data, init="mean")
     assert info.sweeps == 25
     for V in (u.plus, u.minus):
         assert np.all(np.diff(V, axis=1) >= 0.0)
@@ -350,18 +359,18 @@ def rankwise_reference(dom32):
     return _rankwise_reference(dom32)
 
 
-def _refinement_solve(dom, init):
-    return minimize(dom, _refinement_data(), init=init, update_stop=1e-12,
-                    max_sweeps=200000)
+def _refinement_solve(dom, init, stop_rule):
+    stop_rule(max_sweeps=200000)
+    return minimize(dom, _refinement_data(), init=init)
 
 
 @pytest.mark.parametrize("dom_name", ["dom32", "sine32"])
-def test_harmonic_start_is_rankwise_reference(request, dom_name):
+def test_harmonic_start_is_rankwise_reference(request, stop_rule, dom_name):
     # The straight interface shares one factorization between the sides,
     # the sine wave factors each side on its own; both are exact.
     dom = request.getfixturevalue(dom_name)
     ref, energy = _rankwise_reference(dom)
-    u, info = _refinement_solve(dom, "harmonic")
+    u, info = _refinement_solve(dom, "harmonic", stop_rule)
     assert info.converged and info.stop_reason == "update_stop"
     assert info.sweeps == 1
     for side_name in ("plus", "minus"):
@@ -389,7 +398,7 @@ def test_shared_minus_solve_matches_its_own_factorization(request, dom_name):
 @pytest.mark.parametrize("dom_name, factorizations",
                          [("dom32", 1), ("sine32", 2)])
 def test_one_factorization_per_grid_when_the_sides_mirror(
-        request, monkeypatch, dom_name, factorizations):
+        request, monkeypatch, stop_rule, dom_name, factorizations):
     import scipy.sparse.linalg as spla
 
     dom = request.getfixturevalue(dom_name)
@@ -401,14 +410,15 @@ def test_one_factorization_per_grid_when_the_sides_mirror(
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting_splu)
-    _refinement_solve(dom, "harmonic")
+    _refinement_solve(dom, "harmonic", stop_rule)
     assert len(calls) == factorizations
 
 
 @pytest.mark.parametrize("init", ["mean"])
-def test_sweeps_land_on_rankwise_reference(dom32, rankwise_reference, init):
+def test_sweeps_land_on_rankwise_reference(dom32, rankwise_reference,
+                                           stop_rule, init):
     ref, energy = rankwise_reference
-    u, info = _refinement_solve(dom32, init)
+    u, info = _refinement_solve(dom32, init, stop_rule)
     assert info.converged
     for side_name in ("plus", "minus"):
         got = np.sort(getattr(u, side_name), axis=1)
@@ -416,33 +426,34 @@ def test_sweeps_land_on_rankwise_reference(dom32, rankwise_reference, init):
     assert info.energy == pytest.approx(energy, rel=1e-9)
 
 
-def _wavy_mean_solve(dom):
-    return minimize(dom, data_maps.quadratic_harmonic(Q=1), init="mean",
-                    update_stop=1e-11, max_sweeps=200000)
+def _wavy_mean_solve(dom, stop_rule):
+    stop_rule(update_stop=1e-11, max_sweeps=200000)
+    return minimize(dom, data_maps.quadratic_harmonic(Q=1), init="mean")
 
 
 @pytest.mark.parametrize("scale", [0.85, 1.15])
-def test_suggested_omega_beats_a_scaled_constant(sine32, monkeypatch, scale):
+def test_suggested_omega_beats_a_scaled_constant(sine32, monkeypatch,
+                                                 stop_rule, scale):
     # Young's factor sits at the minimum of the sweep count: moving the
     # half-disk's eigenvalue constant either way costs sweeps.
-    _, best = _wavy_mean_solve(sine32)
+    _, best = _wavy_mean_solve(sine32, stop_rule)
     monkeypatch.setattr("qhalf.solver.J11", J11 * scale)
-    _, other = _wavy_mean_solve(sine32)
+    _, other = _wavy_mean_solve(sine32, stop_rule)
     assert best.converged and other.converged
     assert best.sweeps < other.sweeps
 
 
-def test_mean_start_lands_near_the_harmonic_start(sine32):
-    u, info = _wavy_mean_solve(sine32)
+def test_mean_start_lands_near_the_harmonic_start(sine32, stop_rule):
     exact, _ = minimize(sine32, data_maps.quadratic_harmonic(Q=1))
+    u, info = _wavy_mean_solve(sine32, stop_rule)
     assert info.converged
     assert np.abs(u.plus - exact.plus).max() < 5e-11
 
 
-def test_collapsed_interface_is_pinned(dom16):
+def test_collapsed_interface_is_pinned(dom16, stop_rule):
     data = data_maps.odd_cubic(Q=3, amplitude=0.05)
-    u, info = minimize(dom16, data, init="harmonic", update_stop=1e-12,
-                       max_sweeps=5000)
+    stop_rule(max_sweeps=5000)
+    u, info = minimize(dom16, data, init="harmonic")
     if_ids = np.nonzero(dom16.tag == INTERFACE)[0]
     for V, side in ((u.plus, dom16.plus), (u.minus, dom16.minus)):
         assert np.abs(V[side.loc[if_ids]] - u.phi[:, None, :]).max() == 0.0
@@ -458,10 +469,10 @@ def test_minimize_refuses_vector_valued_data(dom16, monkeypatch):
         minimize(dom16, data_maps.sqrt_branch())
 
 
-def test_collapse_decompose_odd_data(dom16):
+def test_collapse_decompose_odd_data(dom16, stop_rule):
     data = data_maps.odd_cubic(Q=3, amplitude=0.025)
-    u, info = minimize(dom16, data, init="harmonic", update_stop=1e-11,
-                       max_sweeps=20000)
+    stop_rule(update_stop=1e-11, max_sweeps=20000)
+    u, info = minimize(dom16, data, init="harmonic")
     rep = collapse_decompose(u, info)
     # sheet means stay odd across the straight interface
     assert rep.odd_defect is not None
@@ -483,9 +494,10 @@ def test_collapse_decompose_odd_data(dom16):
     assert rep.sheet_spread == pytest.approx(expected, rel=1e-6)
 
 
-def test_collapse_decompose_refuses_unconverged(dom16):
+def test_collapse_decompose_refuses_unconverged(dom16, stop_rule):
     data = data_maps.odd_cubic(Q=3, amplitude=0.05)
-    u, info = minimize(dom16, data, init="mean", max_sweeps=3)
+    stop_rule(max_sweeps=3)
+    u, info = minimize(dom16, data, init="mean")
     assert not info.converged
     with pytest.raises(ValueError):
         collapse_decompose(u, info)
@@ -498,8 +510,8 @@ def test_interpolation_linear_pair():
     # the band energy is that field's on the edges inside the band.
     dom = build_halfdisk(R=1.0, h=1.0 / 64)
     lam, Q, a, b = 0.25, 2, 0.3, -0.5
-    f = sample_map(dom, data_maps.linear(Q, slope=a))
-    g = sample_map(dom, data_maps.linear(Q, slope=b))
+    f = sample_map(dom, scaled_linear(Q, a))
+    g = sample_map(dom, scaled_linear(Q, b))
     blended, rep = interpolate_annulus(f, g, lam)
     expected = 0.0
     for side, V in ((dom.plus, blended.plus), (dom.minus, blended.minus)):
