@@ -578,17 +578,24 @@ def _run_collapse(cfg):
     dcfg = cfg["domain"]
     data = _data_from(cfg)
     report = _base_report(cfg)
-    series, levels, solves = {}, [], []
-    for h in dcfg["h_values"]:
-        dom = _domain_from(dcfg, h)
+    hs = dcfg["h_values"]
+    # Finest level first, so that no coarser level's heap lies under the
+    # largest factorization: the run's memory peak. Levels are reported in
+    # config order, and only the last two, which the outer-identity scan
+    # reads, keep their solve.
+    series, levels, solves = {}, [None] * len(hs), {}
+    for i in sorted(range(len(hs)), key=hs.__getitem__):
+        dom = _domain_from(dcfg, hs[i])
         u, info = minimize(dom, data, **cfg.get("solver", {}))
         rep = collapse_decompose(u, info)
-        solves.append((dom, u))
-        levels.append({"h": dom.h, "sheet_spread": rep.sheet_spread,
-                       "harmonic_defect": rep.harmonic_defect,
-                       "odd_defect": rep.odd_defect,
-                       "oscillation": _boundary_oscillation(dom, data),
-                       **_solve_summary(info)})
+        if i >= len(hs) - 2:
+            solves[i] = (dom, u)
+        levels[i] = {"h": dom.h, "sheet_spread": rep.sheet_spread,
+                     "harmonic_defect": rep.harmonic_defect,
+                     "odd_defect": rep.odd_defect,
+                     "oscillation": _boundary_oscillation(dom, data),
+                     **_solve_summary(info)}
+        del dom, u
     spreads = np.array([lv["sheet_spread"] for lv in levels])
     defects = np.array([lv["harmonic_defect"] for lv in levels])
     osc = levels[-1]["oscillation"]
@@ -610,7 +617,7 @@ def _run_collapse(cfg):
         elif t == "outer-identity-refinement":
             shrink_min = 1.5
             worsts = []
-            for dom, u in solves[-2:]:
+            for dom, u in (solves[i] for i in sorted(solves)):
                 scan = frequency_scan(u, build_distance_field(dom),
                                       **cfg.get("scan", {}))
                 _, w = check_outer_identity(scan, tol)

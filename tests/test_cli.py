@@ -247,6 +247,23 @@ def test_decreasing_rows_on_a_ladder_at_solver_precision(tmp_path):
     assert [c["ok"] for c in report["checks"]] == [False, False]
 
 
+def test_collapse_levels_follow_the_config_order(tmp_path):
+    # The ladder is solved finest first but reported in config order, each
+    # level bit for bit as its own one-level run reports it.
+    base = {"kind": "collapse", "Q": 3,
+            "data": load_preset("collapse-refinement")["data"]}
+    hs = [1 / 16, 1 / 24, 1 / 32]
+
+    def levels(label, h_values):
+        run(dict(base, label=label, domain={"h_values": h_values}),
+            out_dir=str(tmp_path))
+        return read_report(tmp_path / f"{label}-report.json")["summary"]["levels"]
+
+    solo = {h: levels(f"solo-{i}", [h])[0] for i, h in enumerate(hs)}
+    for label, order in (("coarse-first", hs), ("fine-first", hs[::-1])):
+        assert levels(label, order) == [solo[h] for h in order]
+
+
 def test_expected_failure_inverts_exit_code(tmp_path):
     control = load_preset("monotonicity-control")
     assert control["checks"][0]["expect"] == "fail"

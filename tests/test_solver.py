@@ -8,6 +8,7 @@ from qhalf.domain import build_halfdisk, INTERFACE, InterfaceSpec
 from qhalf.qpoint import batch_match_values
 from qhalf.solver import (
     J11,
+    SPLU_OPTIONS,
     QHalfMap,
     _RankedState,
     _color_rows,
@@ -111,7 +112,8 @@ def test_single_sheet_matches_direct_solve(dom32, stop_rule):
 
 def test_harmonic_solve_matches_per_node_assembly(dom32):
     # Reference: the 5-point system assembled node by node, right-hand side
-    # accumulated in stencil order, factored the same way.
+    # accumulated in stencil order, factored with the solver's own options
+    # (the rounding of a factorization depends on its panel width).
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
@@ -135,8 +137,7 @@ def test_harmonic_solve_matches_per_node_assembly(dom32):
                 cols.append(pos[w])
                 vals.append(-1.0)
     A = sp.csr_matrix((vals, (rows, cols)), shape=(free_idx.size,) * 2)
-    lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    lu = spla.splu(A.tocsc(), **SPLU_OPTIONS)
     expected = values.copy()
     expected[free_idx] = lu.solve(rhs)
     assert np.array_equal(_solve_harmonic(side, pinned, values), expected)
@@ -377,6 +378,28 @@ def test_harmonic_start_is_rankwise_reference(request, stop_rule, dom_name):
         got = np.sort(getattr(u, side_name), axis=1)
         assert np.abs(got - ref[side_name]).max() < 1e-12
     assert info.energy == pytest.approx(energy, rel=1e-12)
+
+
+@pytest.mark.parametrize("dom_name, Q, mirrored",
+                         [("dom32", 3, True), ("sine32", 2, False)])
+def test_harmonic_start_satisfies_the_5_point_equations(request, dom_name, Q,
+                                                       mirrored):
+    # Whatever the factorization's options: every rank of the start is
+    # discrete harmonic at every free node of its side, to rounding of the
+    # data. The straight interface solves the minus ranks as mirrored
+    # columns of the plus system, the sine wave factors them on their own.
+    dom = request.getfixturevalue(dom_name)
+    assert (_mirror_onto_plus(dom) is not None) == mirrored
+    data = (_refinement_data() if Q == 3 else
+            data_maps.odd_cubic(Q=2, amplitude=0.05, taper=3.0,
+                                plus_weights=[-1.0, 1.0], minus_weights=[0.5]))
+    u = _initial_values(dom, data, "harmonic")
+    sides = ((dom.plus, u.plus), (dom.minus, u.minus))
+    scale = max(np.abs(V[~side.free]).max() for side, V in sides)
+    for side, V in sides:
+        free = np.nonzero(side.free)[0]
+        residual = V[side.nb[free]].sum(axis=1) - 4.0 * V[free]
+        assert np.abs(residual).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("dom_name", ["dom16", "dom32"])
