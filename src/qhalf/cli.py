@@ -280,7 +280,11 @@ def validate_config(cfg):
             check_two_circles(cfg["r_inner"], cfg["r_outer"])
         except ValueError as exc:
             raise UsageError(str(exc), "r_outer")
-    for i, pt in enumerate(cfg.get("points", [])):
+    points = cfg.get("points", [])
+    for i, pt in enumerate(points):
+        if pt["name"] in (p["name"] for p in points[:i]):
+            raise UsageError(f"density point name {pt['name']!r} repeats",
+                             f"points.{i}.name")
         try:
             check_density_point(_density_point(pt), max(pt["radii"]))
         except ValueError as exc:

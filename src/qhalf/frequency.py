@@ -107,7 +107,7 @@ class _Quad:
         if q > 0:
             has = side.nb >= 0
             nb = np.where(has, side.nb, np.arange(ns)[:, None])
-            steps = batch_match_rows(V, nb.T)
+            steps = batch_match_rows(V, V, nb.T)
             for axis, (kp, km) in enumerate(((0, 1), (2, 3))):
                 dp = steps[kp] - V
                 dm = steps[km] - V

@@ -43,8 +43,7 @@ sparse product, writes the slice back and re-sorts the few rows that
 over-relaxation pushed out of order; the energy is one sparse incidence
 product over both sides. A tie between sheets of a node is thus broken
 by rank at every Q, which makes the sweeps independent of storage
-order. (The permutation table of batch_match_values breaks it by
-storage order at Q = 2.)
+order.
 """
 
 from __future__ import annotations

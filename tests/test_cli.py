@@ -638,6 +638,12 @@ GUARD_CASES = [
      ""),
     ("density-coords-off-surface",
      _one_density_point(coords=[5.0, 5.0, 5.0, 5.0]), "points.0"),
+    # two points of one name would write one series over the other
+    ("density-point-name-repeated",
+     dict(load_preset("density-suite"),
+          points=[p | {"name": "a"} for p in
+                  load_preset("density-suite")["points"][:2]]),
+     "points.1.name"),
     ("glued-plus-source",
      dict(load_preset("monotonicity-control"), source="glued-plus"), "source"),
     # fields read only under a setting

@@ -154,16 +154,20 @@ def test_permutation_invariance_of_operations():
 
 
 def test_optimal_matching_deterministic_tiebreak():
-    # table path: all four pairings cost the same; the identity wins
-    # lexicographically
+    # rank path: both pairings cost the same and give the same values
     a = np.array([[[0.0], [0.0]]])
     b = np.array([[[1.0], [1.0]]])
     assert np.array_equal(batch_match_values(a, b), b)
-    # symmetric square: sheets at distance 1 either way
+    # the solver's rule at Q = 2 as at every Q: tied sheets of U take V's
+    # sheets in rank order, whatever V's storage order
+    assert np.array_equal(batch_match_values(a, [[[2.0], [1.0]]]),
+                          [[[1.0], [2.0]]])
+    # table path, symmetric square: sheets at distance 1 either way; the
+    # identity wins lexicographically
     c = np.array([[[0.0, 0.0], [1.0, 1.0]]])
     d = np.array([[[1.0, 0.0], [0.0, 1.0]]])
     assert np.array_equal(batch_match_values(c, d), d)
-    # sort path: tied sheets of U take V's sheets in stable argsort order
+    # rank path: tied sheets of U take V's sheets in stable argsort order
     u = np.array([[[0.0], [0.0], [0.0]], [[1.0], [0.0], [1.0]]])
     v = np.array([[[3.0], [1.0], [2.0]], [[5.0], [4.0], [6.0]]])
     want = np.array([[[1.0], [2.0], [3.0]], [[5.0], [4.0], [6.0]]])
@@ -234,14 +238,19 @@ def test_batch_helpers_match_scalar_path():
 @given(data=st.data(), q=st.integers(1, 5), n=st.integers(1, 2),
        elements=st.sampled_from([UNIFORM, TIES]))
 def test_batch_match_rows_equals_the_kernel_row_for_row(data, q, n, elements):
-    # Each neighbour column reuses one rank order and one sorted copy of
-    # V; the result must be the kernel's, ties included.
+    # Each column reuses one rank order of U and one sorted (or permuted)
+    # copy of V; the result must be the single-column kernel's, ties
+    # included, whether V is U or another stack of another length.
     m = data.draw(st.integers(1, 12))
-    V = data.draw(arrays(float, (m, q, n), elements=elements))
-    cols = [data.draw(arrays(np.intp, m, elements=st.integers(0, m - 1)))
+    U = data.draw(arrays(float, (m, q, n), elements=elements))
+    V = data.draw(st.one_of(
+        st.just(U),
+        st.integers(1, 12).flatmap(
+            lambda p: arrays(float, (p, q, n), elements=elements))))
+    cols = [data.draw(arrays(np.intp, m, elements=st.integers(0, len(V) - 1)))
             for _ in range(data.draw(st.integers(1, 4)))]
-    for j, W in zip(cols, batch_match_rows(V, cols)):
-        assert np.array_equal(W, batch_match_values(V, V[j]))
+    for j, W in zip(cols, batch_match_rows(U, V, cols)):
+        assert np.array_equal(W, batch_match_values(U, V[j]))
 
 
 def test_batch_match_rows_on_shuffled_solved_rows():
@@ -255,5 +264,5 @@ def test_batch_match_rows_on_shuffled_solved_rows():
     V = rng.permuted(u.plus, axis=1)
     side = dom.plus
     cols = np.where(side.nb >= 0, side.nb, np.arange(side.n_nodes)[:, None]).T
-    for j, W in zip(cols, batch_match_rows(V, cols)):
+    for j, W in zip(cols, batch_match_rows(V, V, cols)):
         assert np.array_equal(W, batch_match_values(V, V[j]))
